@@ -1008,21 +1008,26 @@ def _simpson_cell_averages(w: AnalyticGraphon, edges: np.ndarray) -> np.ndarray:
 
 
 def _region_cell_averages(w: RegionIndicatorGraphon, edges: np.ndarray) -> np.ndarray:
-    """Exact area fractions of the region ``{y <= f(x)}`` in each grid cell."""
-    n = edges.size - 1
-    # Area under min(max(f(x) - y0, 0), y1 - y0) for x in the cell, by a fine
-    # composite trapezoid on the monotone boundary (exact up to 1e-10-ish).
-    out = np.zeros((n, n))
-    for a in range(n):
-        x0, x1 = edges[a], edges[a + 1]
-        xs = np.linspace(x0, x1, 257)
-        fx = w.f(np.maximum(xs, 1e-300))
-        for b in range(n):
-            y0, y1 = edges[b], edges[b + 1]
-            clipped = np.clip(fx - y0, 0.0, y1 - y0)
-            area = float(np.trapezoid(clipped, xs))
-            out[a, b] = area / ((x1 - x0) * (y1 - y0))
-    return out
+    """Exact area fractions of the region ``{y <= f(x)}`` in each grid cell.
+
+    ``F_c(x) = int_0^x min(f, c) = c min(x, t_c) + max(G(x) - G(t_c), 0)``
+    with ``G = int_0^x f`` (piecewise power) and ``f(t_c) = c``, so
+    ``t_c = f(c)`` because f is its own inverse.  The area of cell
+    ``[x0, x1] x [y0, y1]`` is ``F_y1(x1) - F_y1(x0) - F_y0(x1) + F_y0(x0)``,
+    evaluated once on the grid corners.
+    """
+    a, b = w.a, w.b
+
+    def big_g(x):
+        return np.minimum(x, 1.0) ** (1.0 - a) / (1.0 - a) + (np.maximum(x, 1.0) ** (1.0 - b) - 1.0) / (1.0 - b)
+
+    x = edges[:, None]
+    c = edges[None, :]
+    t = np.where(c > 0, w.f(c), np.inf)  # F_0 vanishes: t_0 is infinite
+    corner = c * np.minimum(x, t) + np.maximum(big_g(x) - big_g(t), 0.0)
+    area = corner[1:, 1:] - corner[:-1, 1:] - corner[1:, :-1] + corner[:-1, :-1]
+    widths = np.diff(edges)
+    return np.clip(area / np.outer(widths, widths), 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

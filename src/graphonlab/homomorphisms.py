@@ -244,11 +244,6 @@ def star_moment(w, k: int) -> StarMoment:
             p0, _ = w.star_tail_exponents()
             if k * p0 >= 1.0:
                 return StarMoment("infinite", math.inf)
-        if isinstance(w, MixedMembershipGraphon):
-            for row in w.components:
-                for comp in row:
-                    if isinstance(comp, CaronFoxGraphon) and comp.gamma <= 1.0:
-                        return StarMoment("infinite", math.inf)
         # Caron-Fox tails decay like x^-gamma with gamma > 1, so every moment
         # of the degree function is finite.
         prof = degree_profile(w, grid_points=2048)

@@ -404,6 +404,26 @@ class TestDiscretize:
         step, _ = discretize(w, 0.25)
         assert l1_norm(step) == pytest.approx(l1_norm(w), rel=5e-3)
 
+    @pytest.mark.parametrize("a, x_max, grid_step", [(0.5, 16.0, 1.0), (0.2, 3.3, 0.1), (0.9, 40.0, 0.5)])
+    def test_region_indicator_conserves_mass(self, a, x_max, grid_step):
+        # exact cell averages carry exactly the truncated kernel's mass
+        w = RegionIndicatorGraphon(a, x_max=x_max)
+        step, _ = discretize(w, grid_step)
+        assert l1_norm(step) == pytest.approx(w.l1_truncated().value, rel=1e-13, abs=1e-13)
+
+    def test_region_indicator_cells_match_quadrature(self):
+        # independent oracle: fine trapezoid of the clipped boundary per cell
+        w = RegionIndicatorGraphon(0.5, x_max=4.0)
+        step, _ = discretize(w, 0.5)
+        edges = np.linspace(0.0, 4.0, 9)
+        for i in range(8):
+            xs = np.linspace(edges[i], edges[i + 1], 20001)
+            fx = w.f(np.maximum(xs, 1e-300))
+            for j in range(8):
+                y0, y1 = edges[j], edges[j + 1]
+                area = np.trapezoid(np.clip(fx - y0, 0.0, y1 - y0), xs)
+                assert step.values[i, j] == pytest.approx(area / 0.25, abs=1e-6)
+
 
 class TestSpecRoundtrip:
     @pytest.mark.parametrize(

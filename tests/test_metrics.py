@@ -28,6 +28,7 @@ from graphonlab.metrics import (
     stretched_cut_distance,
     weak_regularity_partition,
 )
+from graphonlab.metrics import _subset_bits
 from graphonlab.sampling import SampledGraph, sample_graphon_process
 
 
@@ -42,6 +43,45 @@ def brute_force_cut_norm(w: StepGraphon) -> float:
             v = [j for j in range(n) if v_bits[j]]
             best = max(best, abs(m[np.ix_(u, v)].sum()))
     return best
+
+
+def lexicographic_enumeration(a1, a2, q2, kind):
+    """Oracle for the pruned exact search: score every block permutation in
+    lexicographic order, in chunks, keeping the first strict minimum."""
+    n = a1.shape[0]
+    if n == 0:
+        return 0.0, ()
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    bits = _subset_bits(n)
+    best, best_perm = math.inf, perms[0]
+    chunk_size = max(1, (1 << 22) // max(1, bits.shape[0] * n))
+    for start in range(0, perms.shape[0], chunk_size):
+        chunk = perms[start:start + chunk_size]
+        diff = a1[None, :, :] - a2[chunk[:, :, None], chunk[:, None, :]]
+        if kind == "l1":
+            vals = np.abs(diff).sum(axis=(1, 2)) * q2
+        else:
+            s = np.einsum("sn,pnm->psm", bits, diff)
+            pos = np.clip(s, 0.0, None).sum(axis=2).max(axis=1)
+            neg = np.clip(-s, 0.0, None).sum(axis=2).max(axis=1)
+            vals = np.maximum(pos, neg) * q2
+        i = int(vals.argmin())
+        if vals[i] < best:
+            best, best_perm = float(vals[i]), chunk[i]
+            if best <= 1e-15:
+                break
+    return best, tuple(int(p) for p in best_perm)
+
+
+def cycles_adjacency(n, lengths):
+    adj = np.zeros((n, n))
+    start = 0
+    for k in lengths:
+        for i in range(k):
+            u, v = start + i, start + (i + 1) % k
+            adj[u, v] = adj[v, u] = 1.0
+        start += k
+    return adj
 
 
 def random_step(rng, n, signed=True, equal_mass=False):
@@ -330,6 +370,61 @@ class TestCutDistance:
         shuffled = StepGraphon(w.masses[perm], w.values[np.ix_(perm, perm)])
         rep = cut_distance(w, shuffled, mode="anneal", budget=60_000, seed=2)
         assert rep.value <= 1e-9
+
+
+class TestPrunedPermutationSearch:
+    """The degree-bound pruned search returns the oracle's value and witness."""
+
+    @staticmethod
+    def pairs(family, n, rng):
+        def sym(m):
+            return np.triu(m) + np.triu(m, 1).T
+
+        def shuffled(a):
+            perm = rng.permutation(n)
+            return a[np.ix_(perm, perm)]
+
+        count = 3 if n <= 6 else 1
+        if family == "random":
+            out = [(sym(rng.uniform(-1.0, 1.0, (n, n))), sym(rng.uniform(-1.0, 1.0, (n, n)))) for _ in range(count)]
+            # a shuffled refinement of a coarser kernel: many zero-distance
+            # witnesses whose row sums differ by rounding only
+            coarse = sym(rng.random((max(1, n // 2),) * 2))
+            refined = coarse[np.ix_(*(np.sort(rng.integers(0, coarse.shape[0], n)),) * 2)]
+            return out + [(refined, shuffled(refined))]
+        if family == "binary":
+            return [(sym(rng.integers(0, 2, (n, n)).astype(float)), sym(rng.integers(0, 2, (n, n)).astype(float)))
+                    for _ in range(count)]
+        # regular graphs: every permutation has the same degree bound
+        base = cycles_adjacency(n, [n]) if n >= 3 else np.ones((n, n)) - np.eye(n)
+        out = [(base, shuffled(base))]
+        if n >= 6:
+            out.append((base, cycles_adjacency(n, [n // 2, n - n // 2])))
+        return out
+
+    @pytest.mark.parametrize("family", ["random", "binary", "regular"])
+    @pytest.mark.parametrize("n", range(9))
+    def test_matches_lexicographic_oracle(self, n, family):
+        rng = np.random.default_rng(100 + 10 * n + len(family))
+        masses = np.full(n, 0.5)
+        for a1, a2 in self.pairs(family, n, rng):
+            w1, w2 = StepGraphon(masses, a1), StepGraphon(masses, a2)
+            for kind, fn in (("cut", cut_distance), ("l1", invariant_l1_distance)):
+                rep = fn(w1, w2)
+                value, witness = lexicographic_enumeration(a1, a2, 0.25, kind)
+                assert rep.mode == "exact"
+                assert rep.value == value
+                assert rep.witness == witness
+                assert (rep.budget_spent > 0) == (n > 0)
+                assert rep.budget_spent <= math.factorial(n)
+
+    def test_random_pair_prunes(self):
+        rng = np.random.default_rng(30)
+        w1 = random_step(rng, 8, equal_mass=True)
+        w2 = random_step(rng, 8, equal_mass=True)
+        rep = cut_distance(w1, w2)
+        assert rep.mode == "exact"
+        assert 0 < rep.budget_spent < math.factorial(8)
 
 
 class TestInvariantL1Distance:
