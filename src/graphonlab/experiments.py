@@ -41,7 +41,7 @@ from .regularity import (
 from .sampling import (
     ArrivalSchedule,
     ProcessTrace,
-    VertexRecord,
+    _arrival_edges,
     sample_dense_wrandom,
     sample_graphon_process,
     sample_sequential,
@@ -326,23 +326,21 @@ def _run_bounded_degree_null(cfg: ExperimentConfig):
 def _sample_inhomogeneous_control(t: float, seed: int, p_early: float, p_late: float) -> ProcessTrace:
     """Poisson arrivals on a unit-mass block, but edge probabilities switch
     from ``p_early`` to ``p_late`` halfway through: exchangeability breaks."""
-    births: list[float] = []
+    births = [np.zeros(0)]
     for k in range(int(math.ceil(t))):
         rng = substream(seed, TAG_CONTROL, k)
         count = int(rng.poisson(1.0))
         window = rng.uniform(float(k), float(k + 1), size=count)
-        births.extend(window[window <= t].tolist())
-    births.sort()
-    vertices = tuple(VertexRecord(i + 1, b, (0.5,)) for i, b in enumerate(births))
-    edges = []
-    for v in range(2, len(births) + 1):
+        births.append(window[window <= t])
+    births = np.sort(np.concatenate(births))
+    edges = [np.zeros((0, 2), dtype=np.int64)]
+    for v in range(2, births.size + 1):
         coins = substream(seed, TAG_CONTROL, 10_000 + v).random(v - 1)
-        for u in range(1, v):
-            p = p_early if max(births[u - 1], births[v - 1]) <= t / 2.0 else p_late
-            if coins[u - 1] < p:
-                edges.append((u, v))
+        # births are sorted, so every pair (u, v) is created at births[v - 1]
+        p = p_early if births[v - 1] <= t / 2.0 else p_late
+        edges.append(_arrival_edges(np.flatnonzero(coins < p), v))
     return ProcessTrace(constant_graphon(1.0), t, seed, True,
-                        vertices, np.array(sorted(edges), dtype=np.int64).reshape(-1, 2))
+                        births, np.full((births.size, 1), 0.5), np.concatenate(edges))
 
 
 def _random_involution(b: int, rng: np.random.Generator) -> np.ndarray:

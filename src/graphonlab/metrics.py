@@ -107,6 +107,15 @@ def _exact_cut_value(m: np.ndarray) -> float:
     return best
 
 
+def _cut_upper_bound(m: np.ndarray) -> float:
+    """:func:`_exact_cut_value` up to ``EXACT_CUTNORM_MAX_BLOCKS`` blocks; above,
+    ``max(sum m+, sum m-)``, an upper bound since every rectangle sum lies
+    in ``[-sum m-, sum m+]``."""
+    if m.shape[0] <= EXACT_CUTNORM_MAX_BLOCKS:
+        return _exact_cut_value(m)
+    return max(float(np.clip(m, 0.0, None).sum()), float(np.clip(-m, 0.0, None).sum()))
+
+
 def _subset_chunks(n: int, chunk_rows: int = 1 << 14):
     total = 1 << n
     if total <= chunk_rows:
@@ -350,19 +359,12 @@ class DistanceReport:
     budget_spent: int
 
 
-def _perm_objective_factory(a1: np.ndarray, a2: np.ndarray, q2: float, kind: str, seed: int):
-    n = a1.shape[0]
-    exact_ok = n <= EXACT_CUTNORM_MAX_BLOCKS
-    rng = substream(seed, TAG_HEURISTIC, 1)
-
+def _perm_objective_factory(a1: np.ndarray, a2: np.ndarray, q2: float, kind: str):
     def objective(perm: np.ndarray) -> float:
         diff = a1 - a2[np.ix_(perm, perm)]
         if kind == "l1":
             return float(np.abs(diff).sum()) * q2
-        m = diff * q2
-        if exact_ok:
-            return _exact_cut_value(m)
-        return _heuristic_cut(m, rng, starts=4).value
+        return _cut_upper_bound(diff * q2)
 
     return objective
 
@@ -428,11 +430,12 @@ def _enumerate_permutations(a1: np.ndarray, a2: np.ndarray, q2: float, kind: str
 
 
 def _anneal_permutations(a1, a2, q2, kind, seed, budget, restarts=8):
-    """Simulated annealing over block permutations with pairwise swaps."""
+    """Simulated annealing over block permutations with pairwise swaps; the
+    cut objective is :func:`_cut_upper_bound`, so every value is an upper bound."""
     n = a1.shape[0]
     if n == 0:
         return 0.0, (), 0
-    objective = _perm_objective_factory(a1, a2, q2, kind, seed)
+    objective = _perm_objective_factory(a1, a2, q2, kind)
     steps = max(1, budget // max(1, restarts))
     best_val, best_perm, spent = math.inf, np.arange(n), 0
     for r in range(restarts):
@@ -477,7 +480,7 @@ def _proportional_masses(w1: StepGraphon, w2: StepGraphon):
     return None
 
 
-def _proportional_coupling_value(lo: StepGraphon, hi: StepGraphon, r: float, kind: str, seed: int) -> float:
+def _proportional_coupling_value(lo: StepGraphon, hi: StepGraphon, r: float, kind: str) -> float:
     """Certified value under the measure-perturbation coupling.
 
     The larger-measure graphon is coupled to the zero extension of the
@@ -496,10 +499,7 @@ def _proportional_coupling_value(lo: StepGraphon, hi: StepGraphon, r: float, kin
     masses = np.concatenate([lo.masses, (r - 1.0) * lo.masses])
     if kind == "l1":
         return float(masses @ np.abs(d) @ masses)
-    m = d * np.outer(masses, masses)
-    if 2 * n <= EXACT_CUTNORM_MAX_BLOCKS:
-        return _exact_cut_value(m)
-    return _heuristic_cut(m, substream(seed, TAG_HEURISTIC, 2), starts=32).value
+    return _cut_upper_bound(d * np.outer(masses, masses))
 
 
 def _distance(w1, w2, kind, mode, budget, seed, quantum) -> DistanceReport:
@@ -514,7 +514,7 @@ def _distance(w1, w2, kind, mode, budget, seed, quantum) -> DistanceReport:
     prop = _proportional_masses(w1, w2)
     if prop is not None:
         lo, hi, r = prop
-        val = _proportional_coupling_value(lo, hi, r, kind, seed)
+        val = _proportional_coupling_value(lo, hi, r, kind)
         candidates.append((val, "upper_bound", {"coupling": "proportional", "ratio": r}, 0.0))
 
     spent = 0
@@ -588,22 +588,25 @@ def canonical_graphons(g) -> tuple[StepGraphon, StepGraphon]:
     ``1/sqrt(2|E|)`` so its L1 norm is exactly 1.  Edge-less graphs map to
     the zero graphon (the stretched convention).
     """
-    labels = list(g.labels)
-    n = len(labels)
+    n = g.num_vertices
     if n == 0:
         return zero_graphon(), zero_graphon()
-    pos = {lab: i for i, lab in enumerate(labels)}
-    adj = np.zeros((n, n))
-    for u, v in g.edge_list():
-        i, j = pos[u], pos[v]
-        adj[i, j] = 1.0
-        adj[j, i] = 1.0
+    adj = _adjacency(g)
     canonical = StepGraphon(np.full(n, 1.0 / n), adj, ambient_infinite=True)
     e = g.num_edges
     if e == 0:
         return canonical, zero_graphon()
     stretched = StepGraphon(np.full(n, 1.0 / math.sqrt(2.0 * e)), adj, ambient_infinite=True)
     return canonical, stretched
+
+
+def _adjacency(g) -> np.ndarray:
+    """Dense 0/1 adjacency matrix of a graph, rows in ``labels`` order."""
+    rows = g.edge_rows()
+    adj = np.zeros((g.num_vertices, g.num_vertices))
+    adj[rows[:, 0], rows[:, 1]] = 1.0
+    adj[rows[:, 1], rows[:, 0]] = 1.0
+    return adj
 
 
 def _as_stretched(obj) -> StepGraphon:
@@ -662,9 +665,10 @@ def graph_graphon_distance_estimate(trace, w: StepGraphon, alignment: str = "fea
     Vertices of the final snapshot (isolated vertices removed) are grouped
     into blocks -- by their true features (``feature_oracle``) or by sorting
     degrees against block degrees (``degree_sort``) -- the stretched
-    canonical graphon is averaged over that grouping, and the exact cut norm
-    of its difference with ``stretch(w)`` is taken under the identity
-    (interval-overlap) coupling.
+    canonical graphon is averaged over that grouping, and the cut norm of
+    its difference with ``stretch(w)`` is taken under the identity
+    (interval-overlap) coupling: exactly up to ``EXACT_CUTNORM_MAX_BLOCKS``
+    blocks, and as the upper bound ``max(sum m+, sum m-)`` above.
     """
     from .sampling import snapshot_at  # local import to keep modules acyclic
 
@@ -676,10 +680,9 @@ def graph_graphon_distance_estimate(trace, w: StepGraphon, alignment: str = "fea
         return l1_norm(b)
     ell = 1.0 / math.sqrt(2.0 * g.num_edges)
 
-    labels = list(g.labels)
+    n = g.num_vertices
     if alignment == "feature_oracle":
-        feats = np.array([g.feature_of(lab)[0] for lab in labels])
-        groups = w.block_of(feats)
+        groups = w.block_of(g.features[:, 0])
         if np.any(groups < 0):
             raise GraphonError("feature oracle: some features fall outside the graphon's blocks "
                                "(block structure mismatch)")
@@ -688,36 +691,23 @@ def graph_graphon_distance_estimate(trace, w: StepGraphon, alignment: str = "fea
                 f"block-count mismatch: trace sampled from {trace.graphon.n_blocks} blocks, reference has {w.n_blocks}"
             )
     elif alignment == "degree_sort":
-        deg = g.degree_map()
-        order = np.argsort([-deg[lab] for lab in labels], kind="stable")
+        order = np.argsort(-g.degree_sequence(), kind="stable")
         block_order = np.argsort(-w.block_degrees(), kind="stable")
         cum = np.cumsum(w.masses[block_order]) / w.total_mass
-        cuts = np.round(cum * len(labels)).astype(int)
-        groups = np.empty(len(labels), dtype=int)
-        lo = 0
-        for rank, blk in enumerate(block_order):
-            hi = cuts[rank]
-            groups[order[lo:hi]] = blk
-            lo = hi
+        cuts = np.round(cum * n).astype(int)
+        groups = np.empty(n, dtype=int)
+        groups[order] = block_order[np.searchsorted(cuts, np.arange(n), side="right")]
     else:
         raise GraphonError(f"unknown alignment {alignment!r}")
 
     order = np.argsort(groups, kind="stable")
-    adj = np.zeros((len(labels), len(labels)))
-    pos = {lab: i for i, lab in enumerate(labels)}
-    for u, v in g.edge_list():
-        adj[pos[u], pos[v]] = 1.0
-        adj[pos[v], pos[u]] = 1.0
-    adj = adj[np.ix_(order, order)]
+    adj = _adjacency(g)[np.ix_(order, order)]
     sorted_groups = groups[order]
-    a = StepGraphon(np.full(len(labels), ell), adj, ambient_infinite=True)
+    a = StepGraphon(np.full(n, ell), adj, ambient_infinite=True)
     cells = [np.flatnonzero(sorted_groups == blk).tolist() for blk in range(w.n_blocks)]
     partition = Partition.from_cells(a, [c for c in cells if c])
     h = average_over_partition(a, partition)
-    diff = _overlap_difference(h, b)
-    if diff.n_blocks <= EXACT_CUTNORM_MAX_BLOCKS:
-        return _exact_cut_value(_block_integral_matrix(diff))
-    return _heuristic_cut(_block_integral_matrix(diff), substream(0, TAG_HEURISTIC, 3), starts=32).value
+    return _cut_upper_bound(_block_integral_matrix(_overlap_difference(h, b)))
 
 
 # ---------------------------------------------------------------------------

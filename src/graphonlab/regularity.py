@@ -149,19 +149,14 @@ def upper_regularity_statistic(g: SampledGraph, partition_classes: int, k_value:
         raise GraphonError("upper-regularity statistic needs at least one edge")
     if partition_classes < 1 or partition_classes > n:
         raise GraphonError("class count must lie in [1, |V|]")
-    labels = np.sort(g.labels)
-    pos = {lab: i for i, lab in enumerate(labels.tolist())}
     sizes = np.full(partition_classes, n // partition_classes)
     sizes[: n % partition_classes] += 1
-    bounds = np.concatenate([[0], np.cumsum(sizes)])
-    class_of = np.empty(n, dtype=int)
-    for c in range(partition_classes):
-        class_of[bounds[c]:bounds[c + 1]] = c
-    counts = np.zeros((partition_classes, partition_classes))
-    for u, v in g.edge_list():
-        cu, cv = class_of[pos[u]], class_of[pos[v]]
-        counts[cu, cv] += 1
-        counts[cv, cu] += 1
+    class_of = np.empty(n, dtype=np.int64)
+    class_of[np.argsort(g.labels, kind="stable")] = np.repeat(np.arange(partition_classes), sizes)
+    ends = class_of[g.edge_rows()]
+    counts = np.bincount(ends[:, 0] * partition_classes + ends[:, 1], minlength=partition_classes ** 2)
+    counts = counts.reshape(partition_classes, partition_classes)
+    counts = (counts + counts.T).astype(float)
     norm = 2.0 * e / (n * n)  # L1 norm of the canonical graphon
     cell_sizes = sizes.astype(float)
     avg = counts / np.outer(cell_sizes, cell_sizes) / norm
@@ -216,15 +211,15 @@ def er_power_graph(n: int, alpha: float, seed: int) -> SampledGraph:
 def clique_plus_isolated(n: int, alpha: float) -> SampledGraph:
     """``floor(n^((1+alpha)/2))`` vertices forming a clique, the rest isolated."""
     m = int(math.floor(float(n) ** ((1.0 + alpha) / 2.0)))
-    edges = np.array([(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)], dtype=np.int64)
-    return SampledGraph(np.arange(1, n + 1, dtype=np.int64), edges.reshape(-1, 2))
+    edges = np.column_stack(np.triu_indices(m, 1)) + 1
+    return SampledGraph(np.arange(1, n + 1, dtype=np.int64), edges)
 
 
 def perfect_matching(pairs: int) -> SampledGraph:
-    edges = np.array([(2 * i + 1, 2 * i + 2) for i in range(pairs)], dtype=np.int64)
+    edges = 2 * np.arange(pairs, dtype=np.int64)[:, None] + np.array([1, 2])
     return SampledGraph(np.arange(1, 2 * pairs + 1, dtype=np.int64), edges)
 
 
 def cycle_graph(n: int) -> SampledGraph:
-    edges = np.array([(i, i % n + 1) for i in range(1, n + 1)], dtype=np.int64)
-    return SampledGraph(np.arange(1, n + 1, dtype=np.int64), np.sort(edges, axis=1))
+    labels = np.arange(1, n + 1, dtype=np.int64)
+    return SampledGraph(labels, np.sort(np.column_stack((labels, labels % n + 1)), axis=1))

@@ -7,6 +7,15 @@ randomness flows through addressed substreams (see ``_rng``), which makes
 traces bit-reproducible and extendable in the horizon without
 re-randomizing history: vertices are drawn per unit time window and edge
 coins per arrival-rank row, so a longer horizon only appends draws.
+
+A trace is stored as arrays: ``births`` (N,), ``features`` (N, d) and
+sorted label pairs ``edges`` (E, 2) with ``u < v``.  Labels are implicit,
+1..N in birth order, so the graph at time ``s`` is the label prefix
+``1..k`` with ``k = searchsorted(births, s, "right")``: it keeps the edges
+with ``v <= k``, and an edge is created at ``births[v - 1]``.
+:func:`trace_from_json` rejects labels other than 1..N, births that
+decrease or leave ``[0, horizon]``, edges with ``u >= v``, unknown
+endpoints or duplicates, and feature rows of unequal width.
 """
 
 from __future__ import annotations
@@ -82,14 +91,18 @@ class SampledGraph:
         if edges.size:
             if np.any(edges[:, 0] == edges[:, 1]):
                 raise GraphonError("self-loops are not allowed")
-            known = set(labels.tolist())
-            for u, v in edges.tolist():
-                if u not in known or v not in known:
-                    raise GraphonError(f"edge ({u}, {v}) references an unknown vertex")
-            norm = np.sort(edges, axis=1)
-            if np.unique(norm, axis=0).shape[0] != norm.shape[0]:
+            rows = _label_rows(labels, edges)
+            unknown = np.flatnonzero((rows < 0).any(axis=1))
+            if unknown.size:
+                u, v = edges[unknown[0]].tolist()
+                raise GraphonError(f"edge ({u}, {v}) references an unknown vertex")
+            # one integer key per edge, lexicographic in the label order of (min, max)
+            n = labels.size
+            rank = np.argsort(np.argsort(labels, kind="stable"))[rows]
+            key = np.sort(np.minimum(rank[:, 0], rank[:, 1]) * n + np.maximum(rank[:, 0], rank[:, 1]))
+            if np.any(key[1:] == key[:-1]):
                 raise GraphonError("duplicate edges are not allowed")
-            edges = norm[np.lexsort((norm[:, 1], norm[:, 0]))]
+            edges = np.sort(labels)[np.column_stack(np.divmod(key, n))]
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "edges", edges)
 
@@ -108,77 +121,101 @@ class SampledGraph:
         n = self.num_vertices
         return 2.0 * self.num_edges / (n * n) if n else 0.0
 
-    def degree_map(self) -> dict[int, int]:
-        deg = dict.fromkeys(self.labels.tolist(), 0)
-        for u, v in self.edges.tolist():
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+    def edge_rows(self) -> np.ndarray:
+        """Edges as ``(E, 2)`` row positions in ``labels`` instead of labels."""
+        return _label_rows(self.labels, self.edges)
 
     def degree_sequence(self) -> np.ndarray:
         """Degrees aligned with ``labels``."""
-        deg = self.degree_map()
-        return np.array([deg[lab] for lab in self.labels.tolist()], dtype=np.int64)
+        return np.bincount(self.edge_rows().ravel(), minlength=self.num_vertices)
 
     def edge_list(self):
         return [tuple(e) for e in self.edges.tolist()]
 
-    def birth_of(self, label: int) -> float:
-        idx = int(np.flatnonzero(self.labels == label)[0])
-        return float(self.births[idx])
-
-    def feature_of(self, label: int) -> tuple[float, ...]:
-        idx = int(np.flatnonzero(self.labels == label)[0])
-        return tuple(np.atleast_1d(self.features[idx]).tolist())
-
     def induced(self, keep_labels) -> "SampledGraph":
-        keep = set(int(k) for k in keep_labels)
-        mask = np.array([lab in keep for lab in self.labels.tolist()], dtype=bool)
-        if self.edges.size:
-            emask = np.array([(u in keep and v in keep) for u, v in self.edges.tolist()], dtype=bool)
-            edges = self.edges[emask]
-        else:
-            edges = self.edges
-        return SampledGraph(
-            self.labels[mask],
-            edges,
-            self.births[mask] if self.births is not None else None,
-            self.features[mask] if self.features is not None else None,
-        )
+        """Subgraph induced on the vertices whose labels are in ``keep_labels``."""
+        return self._restrict(np.isin(self.labels, np.fromiter(keep_labels, dtype=np.int64)))
 
     def drop_isolated(self) -> "SampledGraph":
-        deg = self.degree_map()
-        return self.induced([lab for lab, d in deg.items() if d > 0])
+        return self._restrict(self.degree_sequence() > 0)
+
+    def _restrict(self, keep: np.ndarray) -> "SampledGraph":
+        """Subgraph induced on the vertices whose rows are set in the mask ``keep``."""
+        return SampledGraph(
+            self.labels[keep],
+            self.edges[keep[self.edge_rows()].all(axis=1)],
+            self.births[keep] if self.births is not None else None,
+            self.features[keep] if self.features is not None else None,
+        )
 
 
 @dataclass(frozen=True)
 class ProcessTrace:
     """Full projective history of one graphon process run.
 
-    ``vertices`` are sorted by birth time and labeled by appearance order;
-    ``edges`` join labels, and an edge is considered created at the larger
-    of its endpoint births.  Snapshots at any time up to the horizon are
-    induced subgraphs of one another.
+    Vertex ``i`` was born at ``births[i - 1]`` with feature row
+    ``features[i - 1]``; ``edges`` are sorted label pairs ``u < v`` (see
+    the module docstring).  The arrays are validated, sorted and made
+    read-only on construction.
     """
 
     graphon: object
     horizon: float
     seed: int
     keep_isolated: bool
-    vertices: tuple[VertexRecord, ...]
+    births: np.ndarray
+    features: np.ndarray
     edges: np.ndarray
+
+    def __post_init__(self):
+        births = np.array(self.births, dtype=float).reshape(-1)
+        features = np.array(self.features, dtype=float)
+        edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        n = births.size
+        if n and not (np.all(np.diff(births) >= 0) and 0.0 <= births[0] and births[-1] <= self.horizon):
+            raise GraphonError(f"births must be nondecreasing within [0, {self.horizon}]")
+        if features.ndim != 2 or features.shape[0] != n:
+            raise GraphonError(f"features must be one row per vertex, got shape {features.shape} for {n} births")
+        if np.any(edges[:, 0] >= edges[:, 1]):
+            raise GraphonError("trace edges must be label pairs (u, v) with u < v")
+        edges = SampledGraph(np.arange(1, n + 1), edges).edges  # rejects unknown labels and duplicates; sorts
+        for name, arr in (("births", births), ("features", features), ("edges", edges)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def num_vertices(self) -> int:
-        return len(self.vertices)
+        return int(self.births.size)
 
     @property
     def num_edges(self) -> int:
         return int(self.edges.shape[0])
 
+    @property
+    def vertices(self) -> tuple[VertexRecord, ...]:
+        """Per-vertex records, built from the arrays on each access."""
+        births, features = self.births.tolist(), self.features.tolist()
+        return tuple(VertexRecord(i + 1, births[i], tuple(features[i])) for i in range(len(births)))
+
     def edge_creation_times(self) -> np.ndarray:
-        birth = {v.label: v.birth for v in self.vertices}
-        return np.array([max(birth[u], birth[v]) for u, v in self.edges.tolist()])
+        return self.births[self.edges[:, 1] - 1]
+
+
+def _label_rows(labels: np.ndarray, query) -> np.ndarray:
+    """Row of each label of ``query`` in ``labels`` (same shape); -1 where absent."""
+    query = np.asarray(query, dtype=np.int64)
+    if labels.size == 0:
+        return np.full(query.shape, -1, dtype=np.intp)
+    order = np.argsort(labels, kind="stable")
+    ordered = labels[order]
+    # searched column by column: the first column of sorted edges is sorted, which searchsorted exploits
+    ranks = np.minimum(np.searchsorted(ordered, query.T).T, labels.size - 1)
+    return np.where(ordered[ranks] == query, order[ranks], -1)
+
+
+def _arrival_edges(hits: np.ndarray, v: int) -> np.ndarray:
+    """Edges ``(u, v)`` joining arrival ``v`` to the 0-based earlier rows ``hits``."""
+    return np.column_stack((hits + 1, np.full(hits.size, v, dtype=np.int64)))
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +277,8 @@ def sample_graphon_process(w, horizon: float, seed: int, keep_isolated: bool = F
         )
     mass = _sampling_region(w)
 
-    births: list[float] = []
-    feats: list[np.ndarray] = []
+    births = [np.zeros(0)]
+    feats = [np.zeros((0, _feature_dim(w)))]
     if mass > 0:
         for k in range(int(math.ceil(horizon))):
             rng = substream(seed, TAG_WINDOW, k)
@@ -249,60 +286,41 @@ def sample_graphon_process(w, horizon: float, seed: int, keep_isolated: bool = F
             window_births = rng.uniform(float(k), float(k + 1), size=count)
             window_feats = _draw_features(w, count, rng)
             keep = window_births <= horizon
-            births.extend(window_births[keep].tolist())
-            feats.extend(window_feats[keep])
-    order = np.argsort(np.asarray(births), kind="stable")
-    births_sorted = [births[i] for i in order]
-    feats_sorted = [feats[i] for i in order]
-    if len(set(births_sorted)) != len(births_sorted):
+            births.append(window_births[keep])
+            feats.append(window_feats[keep])
+    order = np.argsort(np.concatenate(births), kind="stable")
+    births = np.concatenate(births)[order]
+    features = np.concatenate(feats)[order]
+    if np.any(births[1:] == births[:-1]):
         logger.info("birth-time tie broken by draw order (seed=%s horizon=%s)", seed, horizon)
 
-    vertices = tuple(
-        VertexRecord(i + 1, float(b), tuple(np.atleast_1d(f).tolist()))
-        for i, (b, f) in enumerate(zip(births_sorted, feats_sorted))
-    )
-    feature_matrix = (
-        np.array([np.atleast_1d(f) for f in feats_sorted], dtype=float)
-        if vertices
-        else np.zeros((0, 1))
-    )
-
-    edges: list[tuple[int, int]] = []
-    for v in range(2, len(vertices) + 1):
+    edges = [np.zeros((0, 2), dtype=np.int64)]
+    for v in range(2, births.size + 1):
         rng = substream(seed, TAG_EDGE_ROW, v)
         coins = rng.random(v - 1)
-        probs = _pair_probabilities(w, feature_matrix[: v - 1], feature_matrix[v - 1])
-        hits = np.flatnonzero(coins < probs)
-        edges.extend((int(u) + 1, v) for u in hits)
-    edge_arr = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
-    return ProcessTrace(w, float(horizon), int(seed), bool(keep_isolated), vertices, edge_arr)
+        probs = _pair_probabilities(w, features[: v - 1], features[v - 1])
+        edges.append(_arrival_edges(np.flatnonzero(coins < probs), v))
+    return ProcessTrace(w, float(horizon), int(seed), bool(keep_isolated), births, features, np.concatenate(edges))
 
 
 def snapshot_at(trace: ProcessTrace, s: float, keep_isolated: bool | None = None) -> SampledGraph:
     """Induced subgraph on vertices born at time ``s`` or earlier.
 
-    With ``keep_isolated=False`` (the trace default unless overridden)
-    vertices of degree zero in the snapshot are removed, giving the
-    finite-graph view of the process.
+    That is the label prefix ``1..k`` with ``k = searchsorted(births, s,
+    "right")`` and the edges ``(u, v)`` with ``v <= k``.  With
+    ``keep_isolated=False`` (the trace default unless overridden) vertices
+    of degree zero in the snapshot are removed, giving the finite-graph
+    view of the process.
     """
     if s < 0 or s > trace.horizon:
         raise GraphonError(f"snapshot time {s} outside the sampled horizon [0, {trace.horizon}]")
     keep = trace.keep_isolated if keep_isolated is None else keep_isolated
-    recs = [v for v in trace.vertices if v.birth <= s]
-    labels = np.array([v.label for v in recs], dtype=np.int64)
-    label_set = set(labels.tolist())
-    edges = np.array(
-        [e for e in trace.edges.tolist() if e[0] in label_set and e[1] in label_set],
-        dtype=np.int64,
-    ).reshape(-1, 2)
-    width = max((len(v.feature) for v in recs), default=1)
+    k = int(np.searchsorted(trace.births, s, side="right"))
     g = SampledGraph(
-        labels,
-        edges,
-        births=np.array([v.birth for v in recs]),
-        features=np.array([list(v.feature) + [0.0] * (width - len(v.feature)) for v in recs])
-        if recs
-        else np.zeros((0, width)),
+        np.arange(1, k + 1, dtype=np.int64),
+        trace.edges[trace.edges[:, 1] <= k],
+        births=trace.births[:k],
+        features=trace.features[:k],
     )
     return g if keep else g.drop_isolated()
 
@@ -358,7 +376,7 @@ def sample_sequential(w, schedule: ArrivalSchedule, steps: int, seed: int,
         support_cap = math.inf  # scalar analytic families live on all of R_+
     features = np.zeros((steps, 1))
     graphs: list[SampledGraph] = []
-    edges: list[tuple[int, int]] = []
+    edges = [np.zeros((0, 2), dtype=np.int64)]
     for n in range(1, steps + 1):
         s_n = min(schedule.bound(n), support_cap)
         if not (s_n > 0):
@@ -368,16 +386,14 @@ def sample_sequential(w, schedule: ArrivalSchedule, steps: int, seed: int,
         features[n - 1, 0] = x
         if n > 1:
             probs = np.atleast_1d(evaluate(w, features[: n - 1, 0], x))
-            nonzero = np.flatnonzero(probs > 0)
-            if nonzero.size:
+            if np.any(probs > 0):
                 coins = substream(seed, TAG_SEQ_EDGE, n).random(n - 1)
-                for u in np.flatnonzero(coins < probs):
-                    edges.append((int(u) + 1, n))
+                edges.append(_arrival_edges(np.flatnonzero(coins < probs), n))
         if n in marks:
             graphs.append(
                 SampledGraph(
                     np.arange(1, n + 1, dtype=np.int64),
-                    np.array(sorted(edges), dtype=np.int64).reshape(-1, 2),
+                    np.concatenate(edges),
                     births=np.arange(1, n + 1, dtype=float),
                     features=features[:n].copy(),
                 )
@@ -401,15 +417,14 @@ def sample_dense_wrandom(w: StepGraphon, n: int, seed: int) -> SampledGraph:
         raise GraphonError("vertex count must be non-negative")
     rng = substream(seed, TAG_WRANDOM, 0)
     feats = rng.uniform(0.0, w.total_mass, size=n)
-    edges = []
+    edges = [np.zeros((0, 2), dtype=np.int64)]
     for v in range(2, n + 1):
         coins = substream(seed, TAG_WRANDOM, v).random(v - 1)
         probs = np.atleast_1d(evaluate(w, feats[: v - 1], feats[v - 1]))
-        for u in np.flatnonzero(coins < probs):
-            edges.append((int(u) + 1, v))
+        edges.append(_arrival_edges(np.flatnonzero(coins < probs), v))
     return SampledGraph(
         np.arange(1, n + 1, dtype=np.int64),
-        np.array(sorted(edges), dtype=np.int64).reshape(-1, 2),
+        np.concatenate(edges),
         births=np.arange(1, n + 1, dtype=float),
         features=feats.reshape(-1, 1),
     )
@@ -432,14 +447,9 @@ def xi_box_counts(trace: ProcessTrace, h: float, horizon: float | None = None) -
     if not (0 < h <= horizon):
         raise GraphonError("grid width must satisfy 0 < h <= horizon")
     nbins = int(math.ceil(horizon / h - 1e-12))
-    birth = {v.label: v.birth for v in trace.vertices}
-    counts = np.zeros((nbins, nbins), dtype=np.int64)
-    for u, v in trace.edges.tolist():
-        bi = min(int(birth[u] / h), nbins - 1)
-        bj = min(int(birth[v] / h), nbins - 1)
-        counts[bi, bj] += 1
-        counts[bj, bi] += 1
-    return counts
+    box = np.minimum((trace.births / h).astype(np.int64), nbins - 1)[trace.edges - 1]
+    counts = np.bincount(box[:, 0] * nbins + box[:, 1], minlength=nbins * nbins).reshape(nbins, nbins)
+    return counts + counts.T
 
 
 # ---------------------------------------------------------------------------
@@ -461,19 +471,22 @@ def trace_to_json(trace: ProcessTrace) -> dict:
 
 
 def trace_from_json(payload: dict) -> ProcessTrace:
+    """Trace from its JSON form; malformed payloads raise :class:`GraphonError`."""
     try:
         graphon = load_graphon_spec(payload["spec"])
-        vertices = tuple(
-            VertexRecord(int(v["label"]), float(v["birth"]), tuple(float(x) for x in v["feature"]))
-            for v in payload["vertices"]
-        )
+        records = payload["vertices"]
+        if [int(v["label"]) for v in records] != list(range(1, len(records) + 1)):
+            raise GraphonError(f"vertex labels must be 1..{len(records)} in birth order")
+        # feature rows of unequal width make np.array raise ValueError
+        features = np.array([v["feature"] for v in records] or np.zeros((0, _feature_dim(graphon))), dtype=float)
         edges = np.array(payload["edges"], dtype=np.int64).reshape(-1, 2)
         return ProcessTrace(
             graphon,
             float(payload["horizon"]),
             int(payload["seed"]),
             bool(payload.get("keep_isolated", False)),
-            vertices,
+            [float(v["birth"]) for v in records],
+            features,
             edges,
         )
     except (KeyError, TypeError, ValueError) as exc:

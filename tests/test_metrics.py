@@ -28,6 +28,7 @@ from graphonlab.metrics import (
     stretched_cut_distance,
     weak_regularity_partition,
 )
+from graphonlab import metrics
 from graphonlab.metrics import _subset_bits
 from graphonlab.sampling import SampledGraph, sample_graphon_process
 
@@ -523,6 +524,47 @@ class TestDistanceEstimate:
         other = StepGraphon([0.4, 0.6], [[0.5, 0.5], [0.5, 0.5]])
         with pytest.raises(GraphonError, match="mismatch"):
             graph_graphon_distance_estimate(trace, other)
+
+
+class TestCutUpperBound:
+    """Above ``EXACT_CUTNORM_MAX_BLOCKS`` a reported upper bound must not
+    come from a search that can fall short of the cut norm."""
+
+    @staticmethod
+    def kernels():
+        rng = np.random.default_rng(17)
+        for n in range(1, 11):
+            for _ in range(3):
+                w = random_step(rng, n)
+                yield w.values * np.outer(w.masses, w.masses)
+
+    def test_exact_at_or_below_limit(self):
+        for m in self.kernels():
+            assert metrics._cut_upper_bound(m) == metrics._exact_cut_value(m)
+
+    def test_upper_bound_above_limit(self, monkeypatch):
+        monkeypatch.setattr(metrics, "EXACT_CUTNORM_MAX_BLOCKS", 0)
+        for m in self.kernels():
+            exact = metrics._exact_cut_value(m)
+            bound = metrics._cut_upper_bound(m)
+            assert bound >= exact - 1e-12 * np.abs(m).sum()
+            assert bound <= np.abs(m).sum()
+
+    def test_callers_report_upper_bounds(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        lo = random_step(rng, 3, signed=False)
+        hi = StepGraphon(2.0 * lo.masses, random_step(rng, 3, signed=False).values)
+        a, b = random_step(rng, 4, signed=False, equal_mass=True), random_step(rng, 4, signed=False, equal_mass=True)
+        w = StepGraphon([1.0, 1.0], [[0.9, 0.1], [0.1, 0.1]])
+        trace = sample_graphon_process(w, 30.0, seed=4)
+        exact = (metrics._proportional_coupling_value(lo, hi, 2.0, "cut"), cut_distance(a, b).value,
+                 graph_graphon_distance_estimate(trace, w))
+        monkeypatch.setattr(metrics, "EXACT_CUTNORM_MAX_BLOCKS", 1)
+        bounds = (metrics._proportional_coupling_value(lo, hi, 2.0, "cut"),
+                  cut_distance(a, b, mode="anneal", budget=200).value,
+                  graph_graphon_distance_estimate(trace, w))
+        for value, bound in zip(exact, bounds):
+            assert bound > value
 
 
 class TestWeakRegularity:

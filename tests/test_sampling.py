@@ -1,5 +1,6 @@
 """Graphon process generation: determinism, projectivity, count laws."""
 
+import hashlib
 import json
 import math
 
@@ -16,9 +17,11 @@ from graphonlab.graphon_core import (
 from graphonlab.sampling import (
     ArrivalSchedule,
     SampledGraph,
+    load_trace_file,
     sample_dense_wrandom,
     sample_graphon_process,
     sample_sequential,
+    save_trace_file,
     snapshot_at,
     trace_from_json,
     trace_to_json,
@@ -44,6 +47,15 @@ class TestSampledGraph:
     def test_rejects_duplicate_edge(self):
         with pytest.raises(GraphonError, match="duplicate"):
             SampledGraph(np.array([1, 2]), np.array([[1, 2], [2, 1]]))
+
+    @pytest.mark.parametrize("labels, edges, match", [
+        ([1, 2], [[1, 3]], "unknown"),
+        ([1, 2, 1], [[1, 2]], "unique"),
+        ([1, 2, 3], [[2, 3], [1, 2], [2, 3]], "duplicate"),
+    ], ids=["unknown_endpoint", "duplicate_labels", "exact_duplicate_edge"])
+    def test_rejects_malformed(self, labels, edges, match):
+        with pytest.raises(GraphonError, match=match):
+            SampledGraph(np.array(labels), np.array(edges))
 
     def test_density_definition(self):
         g = SampledGraph(np.array([1, 2, 3]), np.array([[1, 2]]))
@@ -267,16 +279,9 @@ class TestXiBoxCounts:
         assert counts.sum() == 0
 
     def test_single_edge_placement(self):
-        from graphonlab.sampling import ProcessTrace, VertexRecord
+        from graphonlab.sampling import ProcessTrace
 
-        trace = ProcessTrace(
-            ONES,
-            2.0,
-            0,
-            True,
-            (VertexRecord(1, 0.2, (0.1,)), VertexRecord(2, 1.7, (0.4,))),
-            np.array([[1, 2]], dtype=np.int64),
-        )
+        trace = ProcessTrace(ONES, 2.0, 0, True, [0.2, 1.7], [[0.1], [0.4]], np.array([[1, 2]]))
         counts = xi_box_counts(trace, 1.0)
         assert counts[0, 1] == 1 and counts[1, 0] == 1
         assert counts.sum() == 2
@@ -299,6 +304,42 @@ class TestXiBoxCounts:
             xi_box_counts(trace, 6.0)
 
 
+def _small_payload():
+    w = StepGraphon([1.0, 1.0], [[0.9, 0.4], [0.4, 0.1]])
+    payload = json.loads(json.dumps(trace_to_json(sample_graphon_process(w, 4.0, seed=3))))
+    assert len(payload["vertices"]) >= 4 and len(payload["edges"]) >= 2
+    return payload
+
+
+def _relabel(p):
+    p["vertices"][0]["label"] = 0
+
+
+def _swap_births(p):
+    first, second = p["vertices"][0], p["vertices"][1]
+    first["birth"], second["birth"] = second["birth"], first["birth"]
+
+
+def _birth_past_horizon(p):
+    p["vertices"][-1]["birth"] = p["horizon"] + 0.5
+
+
+def _reversed_edge(p):
+    p["edges"][0] = p["edges"][0][::-1]
+
+
+def _unknown_label(p):
+    p["edges"][-1] = [1, len(p["vertices"]) + 1]
+
+
+def _duplicate_edge(p):
+    p["edges"].append(p["edges"][0])
+
+
+def _ragged_features(p):
+    p["vertices"][1]["feature"] = p["vertices"][1]["feature"] + [0.5]
+
+
 class TestTraceSerialization:
     def test_roundtrip(self):
         trace = sample_graphon_process(ONES, 8.0, seed=2)
@@ -306,3 +347,38 @@ class TestTraceSerialization:
         again = trace_from_json(payload)
         assert trace_fingerprint(again) == trace_fingerprint(trace)
         assert again.horizon == trace.horizon and again.seed == trace.seed
+
+    def test_file_bytes_unchanged(self, tmp_path):
+        # SHA-256 digests of files written by the record-based trace layout
+        comp = StepGraphon([1.0], [[0.5]])
+        comp2 = StepGraphon([0.5, 0.5], [[0.8, 0.1], [0.1, 0.3]])
+        cases = [
+            (StepGraphon([0.5, 1.0, 1.5], [[0.9, 0.3, 0.1], [0.3, 0.6, 0.2], [0.1, 0.2, 0.4]]), 9.0, 4,
+             "edf812170884cb6ff660c463501a9fa848ba30f7ab51014f1e08cd8556e449c0"),
+            (MixedMembershipGraphon([[comp, comp2], [comp2, comp]], x_max=1.5), 30.0, 11,
+             "eb7fe92a3965cca99501cf32ab1b64419c62b98634e27051592363433556dd4a"),
+        ]
+        for w, horizon, seed, digest in cases:
+            path = tmp_path / "trace.json"
+            save_trace_file(sample_graphon_process(w, horizon, seed), path)
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+            again = tmp_path / "again.json"
+            save_trace_file(load_trace_file(path), again)
+            assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("corrupt, match", [
+        (_relabel, "labels must be 1"),
+        (_swap_births, "nondecreasing"),
+        (_birth_past_horizon, "nondecreasing within"),
+        (_reversed_edge, "u < v"),
+        (_unknown_label, "unknown vertex"),
+        (_duplicate_edge, "duplicate"),
+        (_ragged_features, "malformed"),
+    ], ids=["labels", "decreasing_births", "birth_past_horizon", "reversed_edge", "unknown_label",
+            "duplicate_edge", "ragged_features"])
+    def test_rejects_malformed_payload(self, corrupt, match):
+        payload = _small_payload()
+        trace_from_json(payload)
+        corrupt(payload)
+        with pytest.raises(GraphonError, match=match):
+            trace_from_json(payload)
