@@ -15,17 +15,28 @@ import numpy as np
 
 # Stream namespace tags.  Values are part of the on-disk reproducibility
 # contract: changing them changes every sampled object.
+#
+# Sampler stream layout "window-v1" (written into trace JSON as "sampler").
+# The samplers draw in windows: unit time windows for the graphon process,
+# blocks of 256 arrivals for the sequential and dense models.  A window's
+# edges, to all earlier vertices and among its own, come from one stream per
+# window, so a run no longer builds one stream per vertex.  The earlier
+# layout, unnamed in its trace files, drew one stream per arriving vertex
+# (tag 2, retired and not to be reused).  Its process vertex windows (tag 1)
+# and dense features (tag 5, index 0) are unchanged, so those births and
+# features are bit-identical across the two layouts; edges and sequential
+# features are not.
 TAG_WINDOW = 1  # Poisson vertex windows of a graphon process
-TAG_EDGE_ROW = 2  # edge coin flips of one vertex against all earlier ones
-TAG_SEQ_FEATURE = 3  # per-step feature draw of the sequential model
-TAG_SEQ_EDGE = 4  # per-step edge row of the sequential model
-TAG_WRANDOM = 5  # dense W-random graph features
+TAG_SEQ_FEATURE = 3  # features of one arrival block of the sequential model
+TAG_SEQ_EDGE = 4  # edges of one arrival block of the sequential model
+TAG_WRANDOM = 5  # dense W-random graphs: (5, 0) features, (5, 1, b) edges of block b
 TAG_REPLICA = 6  # experiment replicas
 TAG_HEURISTIC = 7  # randomized cut-norm starts
 TAG_ANNEAL = 8  # annealing restarts
 TAG_PERMTEST = 9  # exchangeability test permutations and sign flips
-TAG_CONTROL = 10  # time-inhomogeneous control sampler
+TAG_CONTROL = 10  # time-inhomogeneous control sampler: births, then edges, of window k
 TAG_GENERIC = 11  # ad-hoc draws (demo scripts, graph families)
+TAG_WINDOW_EDGES = 12  # edges of one vertex window of a graphon process
 
 
 def substream(seed: int, *tags: int) -> np.random.Generator:

@@ -41,7 +41,7 @@ from .regularity import (
 from .sampling import (
     ArrivalSchedule,
     ProcessTrace,
-    _arrival_edges,
+    _window_edges,
     sample_dense_wrandom,
     sample_graphon_process,
     sample_sequential,
@@ -325,20 +325,23 @@ def _run_bounded_degree_null(cfg: ExperimentConfig):
 
 def _sample_inhomogeneous_control(t: float, seed: int, p_early: float, p_late: float) -> ProcessTrace:
     """Poisson arrivals on a unit-mass block, but edge probabilities switch
-    from ``p_early`` to ``p_late`` halfway through: exchangeability breaks."""
-    births = [np.zeros(0)]
+    from ``p_early`` to ``p_late`` halfway through: exchangeability breaks.
+
+    A pair is joined with ``p_early`` when both endpoints were born before
+    ``t / 2`` and with ``p_late`` otherwise, a two-block step kernel on
+    births.  Window ``k`` draws its births, then its edges, from one stream.
+    """
+    half = t / 2.0
+    kernel = StepGraphon([half, half + 1.0], [[p_early, p_late], [p_late, p_late]])  # covers births in [0, t]
+    births = np.zeros(0)
+    edges = [np.zeros((0, 2), dtype=np.int64)]
     for k in range(int(math.ceil(t))):
         rng = substream(seed, TAG_CONTROL, k)
         count = int(rng.poisson(1.0))
-        window = rng.uniform(float(k), float(k + 1), size=count)
-        births.append(window[window <= t])
-    births = np.sort(np.concatenate(births))
-    edges = [np.zeros((0, 2), dtype=np.int64)]
-    for v in range(2, births.size + 1):
-        coins = substream(seed, TAG_CONTROL, 10_000 + v).random(v - 1)
-        # births are sorted, so every pair (u, v) is created at births[v - 1]
-        p = p_early if births[v - 1] <= t / 2.0 else p_late
-        edges.append(_arrival_edges(np.flatnonzero(coins < p), v))
+        window = np.sort(rng.uniform(float(k), float(k + 1), size=count))
+        kept = int(np.searchsorted(window, t, side="right"))
+        edges.append(_window_edges(kernel, births[:, None], window[:, None], kept, rng) + 1)
+        births = np.concatenate([births, window[:kept]])
     return ProcessTrace(constant_graphon(1.0), t, seed, True,
                         births, np.full((births.size, 1), 0.5), np.concatenate(edges))
 

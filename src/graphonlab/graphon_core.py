@@ -995,15 +995,17 @@ def discretize(w: AnalyticGraphon, grid_step: float) -> tuple[StepGraphon, float
 
 
 def _simpson_cell_averages(w: AnalyticGraphon, edges: np.ndarray) -> np.ndarray:
-    """Per-cell tensor-product Simpson averages of a smooth kernel."""
-    n = edges.size - 1
-    nodes = np.concatenate([edges[:-1], (edges[:-1] + edges[1:]) / 2, edges[1:]])
+    """Per-cell tensor-product Simpson averages of a smooth kernel.
+
+    The kernel is evaluated on one (left, mid, right) node-set pair at a
+    time, so memory stays at a few n x n arrays.
+    """
+    nodes = (edges[:-1], (edges[:-1] + edges[1:]) / 2, edges[1:])
     weights = np.array([1.0, 4.0, 1.0]) / 6.0
-    kern = w.kernel(nodes[:, None], nodes[None, :])
-    out = np.zeros((n, n))
-    for a, wa in enumerate(weights):
-        for b, wb in enumerate(weights):
-            out += wa * wb * kern[a * n:(a + 1) * n, b * n:(b + 1) * n]
+    out = np.zeros((edges.size - 1, edges.size - 1))
+    for xa, wa in zip(nodes, weights):
+        for xb, wb in zip(nodes, weights):
+            out += wa * wb * w.kernel(xa[:, None], xb[None, :])
     return out
 
 

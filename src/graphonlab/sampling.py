@@ -5,8 +5,14 @@ point process on time x feature space and every unordered pair is joined
 independently with the kernel probability of the endpoint features.  All
 randomness flows through addressed substreams (see ``_rng``), which makes
 traces bit-reproducible and extendable in the horizon without
-re-randomizing history: vertices are drawn per unit time window and edge
-coins per arrival-rank row, so a longer horizon only appends draws.
+re-randomizing history.  Sampling goes by windows: unit time windows for
+the process, blocks of ``_ARRIVAL_BLOCK`` (256) arrivals for the sequential and
+dense models.  A window draws its vertices, then every edge from them to
+all earlier vertices and among themselves (:func:`_window_edges`), for the
+whole window; the draws are then cut to the horizon or the step count, so
+a longer run only appends draws.  Caron-Fox kernels ``1 - exp(-f(x) f(y))``
+take an exact Poisson path whose cost is linear in the window's vertices
+and edges; other kernels flip one vectorized coin per pair.
 
 A trace is stored as arrays: ``births`` (N,), ``features`` (N, d) and
 sorted label pairs ``edges`` (E, 2) with ``u < v``.  Labels are implicit,
@@ -29,15 +35,16 @@ from typing import Sequence
 import numpy as np
 
 from ._rng import (
-    TAG_EDGE_ROW,
     TAG_SEQ_EDGE,
     TAG_SEQ_FEATURE,
     TAG_WINDOW,
+    TAG_WINDOW_EDGES,
     TAG_WRANDOM,
     substream,
 )
 from .graphon_core import (
     AnalyticGraphon,
+    CaronFoxGraphon,
     GraphonError,
     MixedMembershipGraphon,
     StepGraphon,
@@ -63,6 +70,13 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+# Random-stream layout written into trace JSON (see ``_rng``).
+_SAMPLER_LAYOUT = "window-v1"
+# Arrivals per window of the sequential and dense samplers; part of the layout.
+_ARRIVAL_BLOCK = 256
+# Most coins drawn at once; rows are drawn in order, so chunks leave the stream unchanged.
+_MAX_COINS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -156,7 +170,8 @@ class ProcessTrace:
     Vertex ``i`` was born at ``births[i - 1]`` with feature row
     ``features[i - 1]``; ``edges`` are sorted label pairs ``u < v`` (see
     the module docstring).  The arrays are validated, sorted and made
-    read-only on construction.
+    read-only on construction.  ``sampler`` names the random-stream layout
+    that drew the trace (see ``_rng``), None when unknown.
     """
 
     graphon: object
@@ -166,6 +181,7 @@ class ProcessTrace:
     births: np.ndarray
     features: np.ndarray
     edges: np.ndarray
+    sampler: str | None = None
 
     def __post_init__(self):
         births = np.array(self.births, dtype=float).reshape(-1)
@@ -201,6 +217,21 @@ class ProcessTrace:
         return self.births[self.edges[:, 1] - 1]
 
 
+def _label_prefix(edges: np.ndarray, births: np.ndarray, features: np.ndarray, k: int) -> SampledGraph:
+    """Graph on labels ``1..k`` cut from validated, sorted edges on labels ``1..n``.
+
+    The edges with ``v <= k`` keep their sorted order, so the result is what
+    the :class:`SampledGraph` constructor would build, without revalidating.
+    """
+    g = object.__new__(SampledGraph)
+    # compress is several times faster than a boolean mask on the rows of a 2-d array
+    for name, value in (("labels", np.arange(1, k + 1, dtype=np.int64)),
+                        ("edges", np.compress(edges[:, 1] <= k, edges, axis=0)),
+                        ("births", births[:k]), ("features", features[:k])):
+        object.__setattr__(g, name, value)
+    return g
+
+
 def _label_rows(labels: np.ndarray, query) -> np.ndarray:
     """Row of each label of ``query`` in ``labels`` (same shape); -1 where absent."""
     query = np.asarray(query, dtype=np.int64)
@@ -211,11 +242,6 @@ def _label_rows(labels: np.ndarray, query) -> np.ndarray:
     # searched column by column: the first column of sorted edges is sorted, which searchsorted exploits
     ranks = np.minimum(np.searchsorted(ordered, query.T).T, labels.size - 1)
     return np.where(ordered[ranks] == query, order[ranks], -1)
-
-
-def _arrival_edges(hits: np.ndarray, v: int) -> np.ndarray:
-    """Edges ``(u, v)`` joining arrival ``v`` to the 0-based earlier rows ``hits``."""
-    return np.column_stack((hits + 1, np.full(hits.size, v, dtype=np.int64)))
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +276,74 @@ def _draw_features(w, count: int, rng: np.random.Generator) -> np.ndarray:
     return np.asarray(w.sample_features(count, rng), dtype=float).reshape(count, -1)
 
 
-def _pair_probabilities(w, prior: np.ndarray, new_feature: np.ndarray) -> np.ndarray:
-    if prior.shape[1] == 1:
-        return np.atleast_1d(evaluate(w, prior[:, 0], new_feature[0]))
-    return np.atleast_1d(evaluate(w, prior, new_feature[None, :]))
+def _window_edges(w, prior_features: np.ndarray, new_features: np.ndarray, kept: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Edges of one window: its new vertices against all earlier ones and each other.
+
+    Rows of ``prior_features`` are the vertices ``0..P-1`` and rows of
+    ``new_features`` the vertices ``P..P+n-1``.  Returns the 0-based pairs
+    ``(u, v)`` with ``u < v`` and ``P <= v < P + kept``, drawn as for the
+    whole window and then cut to its first ``kept`` vertices; each pair is
+    present independently with probability ``evaluate(w, x_u, x_v)``.
+    Caron-Fox kernels are exactly the event Poisson(f(x) f(y)) >= 1, so
+    they draw Poisson multi-edges with endpoints proportional to f and keep
+    the distinct pairs.  Every other kernel compares one coin per pair with
+    the kernel, drawn row by row (``P + i`` coins for new vertex ``i``), so
+    rows past ``kept`` need not be drawn.
+    """
+    p = prior_features.shape[0]
+    if isinstance(w, CaronFoxGraphon):
+        pairs = _poisson_window_pairs(w, prior_features[:, 0], new_features[:, 0], rng)
+        return pairs[pairs[:, 1] < p + kept]
+    everyone = np.concatenate([prior_features, new_features[:kept]])
+    pairs = [np.zeros((0, 2), dtype=np.int64)]
+    rows = max(1, _MAX_COINS // max(p + kept, 1))
+    for lo in range(0, kept, rows):
+        new = everyone[p + lo:p + min(lo + rows, kept)]
+        if new.shape[1] == 1:
+            probs = evaluate(w, new[:, 0, None], everyone[None, :, 0])
+        else:
+            probs = evaluate(w, new[:, None, :], everyone[None, :, :])
+        v = p + lo + np.arange(new.shape[0])
+        earlier = np.arange(p + kept) < v[:, None]
+        hits = np.zeros(earlier.shape, dtype=bool)
+        hits[earlier] = rng.random(np.count_nonzero(earlier)) < probs[earlier]
+        i, u = np.nonzero(hits)
+        pairs.append(np.column_stack((u, v[i])))
+    return np.concatenate(pairs)
+
+
+def _poisson_window_pairs(w: CaronFoxGraphon, prior_x: np.ndarray, new_x: np.ndarray,
+                          rng: np.random.Generator) -> np.ndarray:
+    """Distinct pairs of a Caron-Fox window, by Poisson multi-edges (see :func:`_window_edges`).
+
+    Cross pairs: Poisson(F_new F_prior) multi-edges with endpoints drawn
+    proportional to f, so pair (u, v) gets Poisson(f_u f_v).  Within the
+    window: Poisson(F_new^2 / 2) ordered pairs, so an unordered pair gets
+    Poisson(f_u f_v / 2) from each order; self pairs are dropped.  F sums f,
+    which is zero outside the truncation like the kernel.
+    """
+    p = prior_x.size
+    f_prior, f_new = (np.where((x >= 0) & (x <= w.truncation.x_max), w.f(x), 0.0) for x in (prior_x, new_x))
+    cross = int(rng.poisson(f_new.sum() * f_prior.sum()))
+    u = _proportional_draw(f_prior, cross, rng)
+    v = p + _proportional_draw(f_new, cross, rng)
+    within = int(rng.poisson(f_new.sum() ** 2 / 2.0))
+    a = p + _proportional_draw(f_new, within, rng)
+    b = p + _proportional_draw(f_new, within, rng)
+    distinct = a != b
+    u = np.concatenate([u, np.minimum(a, b)[distinct]])
+    v = np.concatenate([v, np.maximum(a, b)[distinct]])
+    size = p + new_x.size
+    key = np.unique(u * size + v)
+    return np.column_stack(np.divmod(key, size))
+
+
+def _proportional_draw(weights: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` iid indices with probability proportional to ``weights``."""
+    if count == 0:  # the weights may all be zero then
+        return np.zeros(0, dtype=np.int64)
+    return rng.choice(weights.size, size=count, p=weights / weights.sum())
 
 
 def sample_graphon_process(w, horizon: float, seed: int, keep_isolated: bool = False) -> ProcessTrace:
@@ -266,6 +356,10 @@ def sample_graphon_process(w, horizon: float, seed: int, keep_isolated: bool = F
     the truncated region, so both process variants are recoverable.
     Rejected: infinite-mass ambient space with ``keep_isolated=True`` (the
     process would have infinitely many isolated vertices at every time).
+
+    Unit window ``k`` draws its vertices from ``(TAG_WINDOW, k)`` and its
+    edges from ``(TAG_WINDOW_EDGES, k)``, both as for the whole window, then
+    cut to ``births <= horizon``.
     """
     if horizon < 0:
         raise GraphonError("horizon must be non-negative")
@@ -277,30 +371,27 @@ def sample_graphon_process(w, horizon: float, seed: int, keep_isolated: bool = F
         )
     mass = _sampling_region(w)
 
-    births = [np.zeros(0)]
-    feats = [np.zeros((0, _feature_dim(w)))]
+    births = np.zeros(0)
+    feats = np.zeros((0, _feature_dim(w)))
+    edges = [np.zeros((0, 2), dtype=np.int64)]
     if mass > 0:
         for k in range(int(math.ceil(horizon))):
             rng = substream(seed, TAG_WINDOW, k)
             count = int(rng.poisson(mass))
+            if count == 0:
+                continue  # its edge stream would draw nothing
             window_births = rng.uniform(float(k), float(k + 1), size=count)
             window_feats = _draw_features(w, count, rng)
-            keep = window_births <= horizon
-            births.append(window_births[keep])
-            feats.append(window_feats[keep])
-    order = np.argsort(np.concatenate(births), kind="stable")
-    births = np.concatenate(births)[order]
-    features = np.concatenate(feats)[order]
+            order = np.argsort(window_births, kind="stable")
+            window_births, window_feats = window_births[order], window_feats[order]
+            kept = int(np.searchsorted(window_births, horizon, side="right"))
+            edges.append(_window_edges(w, feats, window_feats, kept, substream(seed, TAG_WINDOW_EDGES, k)) + 1)
+            births = np.concatenate([births, window_births[:kept]])
+            feats = np.concatenate([feats, window_feats[:kept]])
     if np.any(births[1:] == births[:-1]):
         logger.info("birth-time tie broken by draw order (seed=%s horizon=%s)", seed, horizon)
-
-    edges = [np.zeros((0, 2), dtype=np.int64)]
-    for v in range(2, births.size + 1):
-        rng = substream(seed, TAG_EDGE_ROW, v)
-        coins = rng.random(v - 1)
-        probs = _pair_probabilities(w, features[: v - 1], features[v - 1])
-        edges.append(_arrival_edges(np.flatnonzero(coins < probs), v))
-    return ProcessTrace(w, float(horizon), int(seed), bool(keep_isolated), births, features, np.concatenate(edges))
+    return ProcessTrace(w, float(horizon), int(seed), bool(keep_isolated), births, feats, np.concatenate(edges),
+                        _SAMPLER_LAYOUT)
 
 
 def snapshot_at(trace: ProcessTrace, s: float, keep_isolated: bool | None = None) -> SampledGraph:
@@ -315,13 +406,7 @@ def snapshot_at(trace: ProcessTrace, s: float, keep_isolated: bool | None = None
     if s < 0 or s > trace.horizon:
         raise GraphonError(f"snapshot time {s} outside the sampled horizon [0, {trace.horizon}]")
     keep = trace.keep_isolated if keep_isolated is None else keep_isolated
-    k = int(np.searchsorted(trace.births, s, side="right"))
-    g = SampledGraph(
-        np.arange(1, k + 1, dtype=np.int64),
-        trace.edges[trace.edges[:, 1] <= k],
-        births=trace.births[:k],
-        features=trace.features[:k],
-    )
+    g = _label_prefix(trace.edges, trace.births, trace.features, int(np.searchsorted(trace.births, s, side="right")))
     return g if keep else g.drop_isolated()
 
 
@@ -341,14 +426,19 @@ class ArrivalSchedule:
     family: str
     c: float = 1.0
 
-    def bound(self, n: int) -> float:
+    def bound(self, n):
+        """``s_n`` for a step ``n`` (a float) or an array of steps (an array)."""
+        n = np.asarray(n, dtype=float)
         if self.family == "linear":
-            return self.c * n
-        if self.family == "exponential":
-            return self.c * float(2.0 ** min(n, 1020))
-        if self.family == "constant":
-            return self.c
-        raise GraphonError(f"unknown schedule family {self.family!r}")
+            s = self.c * n
+        elif self.family == "exponential":
+            with np.errstate(over="ignore"):  # a large c overflows; the cap brings it back
+                s = np.minimum(self.c * 2.0 ** np.minimum(n, 1020.0), np.finfo(float).max)
+        elif self.family == "constant":
+            s = np.full(n.shape, self.c)
+        else:
+            raise GraphonError(f"unknown schedule family {self.family!r}")
+        return s if s.ndim else float(s)
 
 
 def sample_sequential(w, schedule: ArrivalSchedule, steps: int, seed: int,
@@ -359,7 +449,13 @@ def sample_sequential(w, schedule: ArrivalSchedule, steps: int, seed: int,
     the finite block support unless the ambient space is infinite), and
     edges to all earlier vertices are drawn independently from the kernel.
     Returns the graph at every checkpoint (default: every step); each graph
-    is an induced subgraph of the next.
+    is an induced subgraph of the next, cut from the final graph as a label
+    prefix like :func:`snapshot_at`.
+
+    Block ``b`` of ``_ARRIVAL_BLOCK`` steps draws its features from
+    ``(TAG_SEQ_FEATURE, b)`` and its edges from ``(TAG_SEQ_EDGE, b)``, as
+    for the whole block, so a run with fewer steps is a prefix of a longer
+    one.
     """
     if isinstance(w, MixedMembershipGraphon):
         raise GraphonError("sequential arrivals need a scalar feature space")
@@ -374,31 +470,23 @@ def sample_sequential(w, schedule: ArrivalSchedule, steps: int, seed: int,
         support_cap = math.inf if w.ambient_infinite else w.total_mass
     else:
         support_cap = math.inf  # scalar analytic families live on all of R_+
-    features = np.zeros((steps, 1))
-    graphs: list[SampledGraph] = []
+    blocks = -(-steps // _ARRIVAL_BLOCK)
+    s_n = np.minimum(schedule.bound(np.arange(1, blocks * _ARRIVAL_BLOCK + 1)), support_cap)
+    empty = np.flatnonzero(~(s_n[:steps] > 0))
+    if empty.size:
+        raise GraphonError(f"schedule gives a zero-mass prefix at step {empty[0] + 1}")
+    features = np.zeros((0, 1))
     edges = [np.zeros((0, 2), dtype=np.int64)]
-    for n in range(1, steps + 1):
-        s_n = min(schedule.bound(n), support_cap)
-        if not (s_n > 0):
-            raise GraphonError(f"schedule gives a zero-mass prefix at step {n}")
-        rng = substream(seed, TAG_SEQ_FEATURE, n)
-        x = rng.uniform(0.0, s_n)
-        features[n - 1, 0] = x
-        if n > 1:
-            probs = np.atleast_1d(evaluate(w, features[: n - 1, 0], x))
-            if np.any(probs > 0):
-                coins = substream(seed, TAG_SEQ_EDGE, n).random(n - 1)
-                edges.append(_arrival_edges(np.flatnonzero(coins < probs), n))
-        if n in marks:
-            graphs.append(
-                SampledGraph(
-                    np.arange(1, n + 1, dtype=np.int64),
-                    np.concatenate(edges),
-                    births=np.arange(1, n + 1, dtype=float),
-                    features=features[:n].copy(),
-                )
-            )
-    return graphs
+    for b in range(blocks):
+        x = substream(seed, TAG_SEQ_FEATURE, b).uniform(0.0, s_n[b * _ARRIVAL_BLOCK:(b + 1) * _ARRIVAL_BLOCK])
+        kept = min(_ARRIVAL_BLOCK, steps - b * _ARRIVAL_BLOCK)
+        edges.append(_window_edges(w, features, x[:, None], kept, substream(seed, TAG_SEQ_EDGE, b)) + 1)
+        features = np.concatenate([features, x[:kept, None]])
+    full = SampledGraph(np.arange(1, steps + 1, dtype=np.int64), np.concatenate(edges))
+    births = np.arange(1, steps + 1, dtype=float)
+    births.setflags(write=False)
+    features.setflags(write=False)
+    return [_label_prefix(full.edges, births, features, c) for c in marks]
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +495,12 @@ def sample_sequential(w, schedule: ArrivalSchedule, steps: int, seed: int,
 
 
 def sample_dense_wrandom(w: StepGraphon, n: int, seed: int) -> SampledGraph:
-    """Classical W-random graph: n iid features from the normalized measure."""
+    """Classical W-random graph: n iid features from the normalized measure.
+
+    Features come from ``(TAG_WRANDOM, 0)``; block ``b`` of ``_ARRIVAL_BLOCK``
+    vertices draws its edges from ``(TAG_WRANDOM, 1, b)``, one vertex after
+    another, so a smaller ``n`` gives an induced subgraph of a larger one.
+    """
     if not isinstance(w, StepGraphon):
         raise GraphonError("dense W-random sampling needs a step graphon")
     if w.ambient_infinite:
@@ -415,18 +508,16 @@ def sample_dense_wrandom(w: StepGraphon, n: int, seed: int) -> SampledGraph:
     _check_probability_kernel(w)
     if n < 0:
         raise GraphonError("vertex count must be non-negative")
-    rng = substream(seed, TAG_WRANDOM, 0)
-    feats = rng.uniform(0.0, w.total_mass, size=n)
+    feats = substream(seed, TAG_WRANDOM, 0).uniform(0.0, w.total_mass, size=(n, 1))
     edges = [np.zeros((0, 2), dtype=np.int64)]
-    for v in range(2, n + 1):
-        coins = substream(seed, TAG_WRANDOM, v).random(v - 1)
-        probs = np.atleast_1d(evaluate(w, feats[: v - 1], feats[v - 1]))
-        edges.append(_arrival_edges(np.flatnonzero(coins < probs), v))
+    for b, lo in enumerate(range(0, n, _ARRIVAL_BLOCK)):
+        block = feats[lo:lo + _ARRIVAL_BLOCK]
+        edges.append(_window_edges(w, feats[:lo], block, block.shape[0], substream(seed, TAG_WRANDOM, 1, b)) + 1)
     return SampledGraph(
         np.arange(1, n + 1, dtype=np.int64),
         np.concatenate(edges),
         births=np.arange(1, n + 1, dtype=float),
-        features=feats.reshape(-1, 1),
+        features=feats,
     )
 
 
@@ -458,20 +549,26 @@ def xi_box_counts(trace: ProcessTrace, h: float, horizon: float | None = None) -
 
 
 def trace_to_json(trace: ProcessTrace) -> dict:
-    return {
+    """JSON form of a trace; ``"sampler"`` is written when the stream layout is known."""
+    payload = {
         "spec": graphon_to_spec(trace.graphon),
         "horizon": trace.horizon,
         "seed": trace.seed,
         "keep_isolated": trace.keep_isolated,
-        "vertices": [
-            {"label": v.label, "birth": v.birth, "feature": list(v.feature)} for v in trace.vertices
-        ],
-        "edges": [[int(u), int(v)] for u, v in trace.edges.tolist()],
     }
+    if trace.sampler is not None:
+        payload["sampler"] = trace.sampler
+    payload["vertices"] = [{"label": v.label, "birth": v.birth, "feature": list(v.feature)} for v in trace.vertices]
+    payload["edges"] = [[int(u), int(v)] for u, v in trace.edges.tolist()]
+    return payload
 
 
 def trace_from_json(payload: dict) -> ProcessTrace:
-    """Trace from its JSON form; malformed payloads raise :class:`GraphonError`."""
+    """Trace from its JSON form; malformed payloads raise :class:`GraphonError`.
+
+    Files written before the stream layout was recorded have no
+    ``"sampler"`` key; they load with ``sampler=None``.
+    """
     try:
         graphon = load_graphon_spec(payload["spec"])
         records = payload["vertices"]
@@ -488,6 +585,7 @@ def trace_from_json(payload: dict) -> ProcessTrace:
             [float(v["birth"]) for v in records],
             features,
             edges,
+            str(payload["sampler"]) if "sampler" in payload else None,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphonError(f"malformed trace payload: {exc}") from exc

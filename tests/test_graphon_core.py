@@ -372,7 +372,35 @@ class TestFlattenToLine:
         assert flat.total_mass == pytest.approx(1.0)
 
 
+def dense_simpson_cell_averages(w, edges):
+    """The one-matrix Simpson rule, kept as the oracle of the blockwise one."""
+    n = edges.size - 1
+    nodes = np.concatenate([edges[:-1], (edges[:-1] + edges[1:]) / 2, edges[1:]])
+    weights = np.array([1.0, 4.0, 1.0]) / 6.0
+    kern = w.kernel(nodes[:, None], nodes[None, :])
+    out = np.zeros((n, n))
+    for a, wa in enumerate(weights):
+        for b, wb in enumerate(weights):
+            out += wa * wb * kern[a * n:(a + 1) * n, b * n:(b + 1) * n]
+    return out
+
+
 class TestDiscretize:
+    @pytest.mark.parametrize("w, cells", [
+        (CaronFoxGraphon("shifted_power", 1.0, 2.0, x_max=199.0), 512),
+        (CaronFoxGraphon("capped_power", 1.5, 1.5, x_max=7.0), 37),
+    ], ids=["shifted_512", "capped_37"])
+    def test_blockwise_simpson_equals_dense(self, w, cells, monkeypatch):
+        from graphonlab import graphon_core
+
+        x_max = w.truncation.x_max
+        edges = np.linspace(0.0, x_max, cells + 1)
+        assert np.array_equal(graphon_core._simpson_cell_averages(w, edges), dense_simpson_cell_averages(w, edges))
+        step, err = discretize(w, x_max / cells)
+        monkeypatch.setattr(graphon_core, "_simpson_cell_averages", dense_simpson_cell_averages)
+        dense_step, dense_err = discretize(w, x_max / cells)
+        assert np.array_equal(step.values, dense_step.values) and err == dense_err
+
     def test_constant_region(self):
         w = InfiniteBlockGraphon([(0.0, 1.0)], [[0.5]])
         flat = flatten_to_line(w)

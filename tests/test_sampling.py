@@ -349,14 +349,15 @@ class TestTraceSerialization:
         assert again.horizon == trace.horizon and again.seed == trace.seed
 
     def test_file_bytes_unchanged(self, tmp_path):
-        # SHA-256 digests of files written by the record-based trace layout
+        # SHA-256 digests of files written under the window-v1 stream layout; they pin the
+        # sampler's random streams by design and change whenever that layout does
         comp = StepGraphon([1.0], [[0.5]])
         comp2 = StepGraphon([0.5, 0.5], [[0.8, 0.1], [0.1, 0.3]])
         cases = [
             (StepGraphon([0.5, 1.0, 1.5], [[0.9, 0.3, 0.1], [0.3, 0.6, 0.2], [0.1, 0.2, 0.4]]), 9.0, 4,
-             "edf812170884cb6ff660c463501a9fa848ba30f7ab51014f1e08cd8556e449c0"),
+             "a8940f1de3a06cd1ccdda28e3ba981cb3ccc92349c3445572df3299c360b5c65"),
             (MixedMembershipGraphon([[comp, comp2], [comp2, comp]], x_max=1.5), 30.0, 11,
-             "eb7fe92a3965cca99501cf32ab1b64419c62b98634e27051592363433556dd4a"),
+             "2095a8bf3aeb9d96b0e4c9fbfed2bf56ebf38463074df22fdb1558d7f719bc40"),
         ]
         for w, horizon, seed, digest in cases:
             path = tmp_path / "trace.json"

@@ -1,0 +1,391 @@
+"""Window-row samplers against the per-arrival row samplers they replaced.
+
+The row samplers below are the earlier ``sampling`` code, kept verbatim
+as oracles: one stream per arriving vertex (retired tag 2 for the process),
+one coin per earlier vertex.  The window samplers draw the same births and
+features where their streams are unchanged, and edges with the same law:
+conditional on the vertices, each pair is present independently with
+probability W.  The distribution tests check that law with one statistic
+per sampler and family, sum over a fixed set of seeds of (E - sum W)
+divided by the square root of the summed variances sum W (1 - W), held to
++-4 (seeds and tolerance fixed before the tests were first run).
+"""
+
+import hashlib
+import json
+import math
+
+import numpy as np
+import pytest
+
+from graphonlab._rng import TAG_SEQ_EDGE, TAG_SEQ_FEATURE, TAG_WINDOW, TAG_WRANDOM, substream
+from graphonlab.experiments import _sample_inhomogeneous_control
+from graphonlab.graphon_core import (
+    CaronFoxGraphon,
+    GraphonError,
+    MixedMembershipGraphon,
+    RegionIndicatorGraphon,
+    StepGraphon,
+    evaluate,
+)
+from graphonlab.sampling import (
+    ArrivalSchedule,
+    ProcessTrace,
+    SampledGraph,
+    _check_probability_kernel,
+    _draw_features,
+    _feature_dim,
+    _sampling_region,
+    load_trace_file,
+    sample_dense_wrandom,
+    sample_graphon_process,
+    sample_sequential,
+    save_trace_file,
+    snapshot_at,
+    trace_to_json,
+)
+
+TAG_EDGE_ROW = 2  # retired: per-arrival edge rows of the earlier process layout
+
+STEP = StepGraphon([1.0, 2.0], [[0.9, 0.3], [0.3, 0.1]])
+CF_SHIFTED = CaronFoxGraphon("shifted_power", 2.0, 1.5, x_max=6.0)
+CF_CAPPED = CaronFoxGraphon("capped_power", 1.5, 2.0, x_max=5.0)
+MIXED = MixedMembershipGraphon(
+    [[StepGraphon([1.0], [[0.5]]), CF_SHIFTED], [CF_SHIFTED, StepGraphon([0.5, 0.5], [[0.8, 0.1], [0.1, 0.3]])]],
+    x_max=3.0,
+)
+SEEDS = range(200)
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the per-arrival row samplers, verbatim
+# ---------------------------------------------------------------------------
+
+
+def _arrival_edges(hits: np.ndarray, v: int) -> np.ndarray:
+    """Edges ``(u, v)`` joining arrival ``v`` to the 0-based earlier rows ``hits``."""
+    return np.column_stack((hits + 1, np.full(hits.size, v, dtype=np.int64)))
+
+
+def _pair_probabilities(w, prior: np.ndarray, new_feature: np.ndarray) -> np.ndarray:
+    if prior.shape[1] == 1:
+        return np.atleast_1d(evaluate(w, prior[:, 0], new_feature[0]))
+    return np.atleast_1d(evaluate(w, prior, new_feature[None, :]))
+
+
+def row_sample_graphon_process(w, horizon: float, seed: int, keep_isolated: bool = False) -> ProcessTrace:
+    if horizon < 0:
+        raise GraphonError("horizon must be non-negative")
+    _check_probability_kernel(w)
+    if keep_isolated and isinstance(w, StepGraphon) and w.ambient_infinite:
+        raise GraphonError(
+            "keep_isolated=True on an infinite-mass ambient space: the process has "
+            "infinitely many isolated vertices; truncate to the explicit blocks first"
+        )
+    mass = _sampling_region(w)
+
+    births = [np.zeros(0)]
+    feats = [np.zeros((0, _feature_dim(w)))]
+    if mass > 0:
+        for k in range(int(math.ceil(horizon))):
+            rng = substream(seed, TAG_WINDOW, k)
+            count = int(rng.poisson(mass))
+            window_births = rng.uniform(float(k), float(k + 1), size=count)
+            window_feats = _draw_features(w, count, rng)
+            keep = window_births <= horizon
+            births.append(window_births[keep])
+            feats.append(window_feats[keep])
+    order = np.argsort(np.concatenate(births), kind="stable")
+    births = np.concatenate(births)[order]
+    features = np.concatenate(feats)[order]
+
+    edges = [np.zeros((0, 2), dtype=np.int64)]
+    for v in range(2, births.size + 1):
+        rng = substream(seed, TAG_EDGE_ROW, v)
+        coins = rng.random(v - 1)
+        probs = _pair_probabilities(w, features[: v - 1], features[v - 1])
+        edges.append(_arrival_edges(np.flatnonzero(coins < probs), v))
+    return ProcessTrace(w, float(horizon), int(seed), bool(keep_isolated), births, features, np.concatenate(edges))
+
+
+def row_sample_sequential(w, schedule: ArrivalSchedule, steps: int, seed: int,
+                          checkpoints=None) -> list[SampledGraph]:
+    if isinstance(w, MixedMembershipGraphon):
+        raise GraphonError("sequential arrivals need a scalar feature space")
+    _check_probability_kernel(w)
+    if steps < 1:
+        raise GraphonError("steps must be at least 1")
+    marks = sorted(set(int(c) for c in (checkpoints if checkpoints is not None else range(1, steps + 1))))
+    if any(c < 1 or c > steps for c in marks):
+        raise GraphonError("checkpoints must lie in [1, steps]")
+
+    if isinstance(w, StepGraphon):
+        support_cap = math.inf if w.ambient_infinite else w.total_mass
+    else:
+        support_cap = math.inf  # scalar analytic families live on all of R_+
+    features = np.zeros((steps, 1))
+    graphs: list[SampledGraph] = []
+    edges = [np.zeros((0, 2), dtype=np.int64)]
+    for n in range(1, steps + 1):
+        s_n = min(schedule.bound(n), support_cap)
+        if not (s_n > 0):
+            raise GraphonError(f"schedule gives a zero-mass prefix at step {n}")
+        rng = substream(seed, TAG_SEQ_FEATURE, n)
+        x = rng.uniform(0.0, s_n)
+        features[n - 1, 0] = x
+        if n > 1:
+            probs = np.atleast_1d(evaluate(w, features[: n - 1, 0], x))
+            if np.any(probs > 0):
+                coins = substream(seed, TAG_SEQ_EDGE, n).random(n - 1)
+                edges.append(_arrival_edges(np.flatnonzero(coins < probs), n))
+        if n in marks:
+            graphs.append(
+                SampledGraph(
+                    np.arange(1, n + 1, dtype=np.int64),
+                    np.concatenate(edges),
+                    births=np.arange(1, n + 1, dtype=float),
+                    features=features[:n].copy(),
+                )
+            )
+    return graphs
+
+
+def row_sample_dense_wrandom(w: StepGraphon, n: int, seed: int) -> SampledGraph:
+    if not isinstance(w, StepGraphon):
+        raise GraphonError("dense W-random sampling needs a step graphon")
+    if w.ambient_infinite:
+        raise GraphonError("space has infinite total mass; truncate to the explicit blocks first")
+    _check_probability_kernel(w)
+    if n < 0:
+        raise GraphonError("vertex count must be non-negative")
+    rng = substream(seed, TAG_WRANDOM, 0)
+    feats = rng.uniform(0.0, w.total_mass, size=n)
+    edges = [np.zeros((0, 2), dtype=np.int64)]
+    for v in range(2, n + 1):
+        coins = substream(seed, TAG_WRANDOM, v).random(v - 1)
+        probs = np.atleast_1d(evaluate(w, feats[: v - 1], feats[v - 1]))
+        edges.append(_arrival_edges(np.flatnonzero(coins < probs), v))
+    return SampledGraph(
+        np.arange(1, n + 1, dtype=np.int64),
+        np.concatenate(edges),
+        births=np.arange(1, n + 1, dtype=float),
+        features=feats.reshape(-1, 1),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Births and features: unchanged streams give identical arrays
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("w, horizon", [(STEP, 7.5), (CF_SHIFTED, 4.2), (MIXED, 6.0)],
+                         ids=["step", "caron_fox", "mixed"])
+def test_process_vertices_equal_oracle(w, horizon):
+    for seed in range(5):
+        new, old = sample_graphon_process(w, horizon, seed), row_sample_graphon_process(w, horizon, seed)
+        assert new.num_vertices > 0
+        assert np.array_equal(new.births, old.births)
+        assert np.array_equal(new.features, old.features)
+
+
+def test_dense_features_equal_oracle():
+    for n in (0, 1, 255, 256, 300):
+        new, old = sample_dense_wrandom(STEP, n, 3), row_sample_dense_wrandom(STEP, n, 3)
+        assert np.array_equal(new.labels, old.labels)
+        assert np.array_equal(new.features, old.features)
+
+
+# ---------------------------------------------------------------------------
+# Edge law, conditional on the vertices
+# ---------------------------------------------------------------------------
+
+
+def _pair_moments(w, features: np.ndarray) -> tuple[float, float]:
+    """(sum W, sum W (1 - W)) over the unordered pairs of the given features."""
+    if features.shape[1] == 1:
+        probs = evaluate(w, features[:, 0, None], features[None, :, 0])
+    else:
+        probs = evaluate(w, features[:, None, :], features[None, :, :])
+    upper = probs[np.triu_indices(features.shape[0], 1)]
+    return float(upper.sum()), float((upper * (1.0 - upper)).sum())
+
+
+def _z_score(samples) -> float:
+    """sum (E - sum W) / sqrt(sum W (1 - W)) over (edges, sum W, variance) samples."""
+    edges, mean, var = (np.array(col, dtype=float) for col in zip(*samples))
+    assert var.sum() > 50  # enough pairs that the statistic is near normal
+    return float((edges - mean).sum() / math.sqrt(var.sum()))
+
+
+PROCESS_CASES = [(STEP, 5.5), (CF_SHIFTED, 4.7), (CF_CAPPED, 2.5), (MIXED, 5.5)]
+PROCESS_IDS = ["step", "caron_fox_shifted", "caron_fox_capped", "mixed"]
+
+
+@pytest.mark.parametrize("w, horizon", PROCESS_CASES, ids=PROCESS_IDS)
+def test_process_edge_law(w, horizon):
+    samples = []
+    for seed in SEEDS:
+        trace = sample_graphon_process(w, horizon, seed)
+        samples.append((trace.num_edges, *_pair_moments(w, trace.features)))
+    assert abs(_z_score(samples)) <= 4.0
+
+
+def test_zero_one_kernel_edges_are_determined():
+    # W in {0, 1} leaves no randomness to test statistically: the edges are the pairs with W = 1
+    w = RegionIndicatorGraphon(0.5, x_max=4.0)
+    for seed in range(20):
+        trace = sample_graphon_process(w, 3.5, seed)
+        f = trace.features[:, 0]
+        u, v = np.triu_indices(trace.num_vertices, 1)
+        hits = evaluate(w, f[u], f[v]) == 1.0
+        assert np.array_equal(trace.edges, np.column_stack((u[hits], v[hits])) + 1)
+
+
+@pytest.mark.parametrize("w, horizon", PROCESS_CASES[:2], ids=PROCESS_IDS[:2])
+def test_oracle_process_edge_law(w, horizon):
+    # the statistic itself, on the sampler it replaces
+    samples = []
+    for seed in SEEDS:
+        trace = row_sample_graphon_process(w, horizon, seed)
+        samples.append((trace.num_edges, *_pair_moments(w, trace.features)))
+    assert abs(_z_score(samples)) <= 4.0
+
+
+@pytest.mark.parametrize("sampler, w, schedule, steps", [
+    (sample_sequential, StepGraphon([1.0], [[0.7]], ambient_infinite=True), ArrivalSchedule("linear", 0.02), 300),
+    (sample_sequential, CaronFoxGraphon("shifted_power", 1.0, 2.0, x_max=10.0), ArrivalSchedule("linear", 0.5), 40),
+    (row_sample_sequential, CaronFoxGraphon("shifted_power", 1.0, 2.0, x_max=10.0), ArrivalSchedule("linear", 0.5),
+     40),
+], ids=["step", "caron_fox", "oracle_caron_fox"])
+def test_sequential_edge_law(sampler, w, schedule, steps):
+    samples = []
+    for seed in SEEDS:
+        g = sampler(w, schedule, steps, seed, checkpoints=[steps])[0]
+        samples.append((g.num_edges, *_pair_moments(w, g.features)))
+    assert abs(_z_score(samples)) <= 4.0
+
+
+def test_caron_fox_edges_stay_inside_truncation():
+    # sequential features outside [0, x_max] carry kernel 0, so the Poisson path gives them weight 0
+    w = CaronFoxGraphon("capped_power", 2.0, 1.5, x_max=1.0)
+    total = 0
+    for seed in range(20):
+        g = sample_sequential(w, ArrivalSchedule("linear", 0.2), 60, seed, checkpoints=[60])[0]
+        assert np.all(g.features[g.edges - 1] <= 1.0)
+        total += g.num_edges
+    assert total > 0
+
+
+def test_dense_edge_law():
+    w = StepGraphon([0.3, 0.7], [[0.9, 0.2], [0.2, 0.5]])
+    samples = []
+    for seed in SEEDS:
+        g = sample_dense_wrandom(w, 40 if seed % 2 else 300, seed)
+        samples.append((g.num_edges, *_pair_moments(w, g.features)))
+    assert abs(_z_score(samples)) <= 4.0
+
+
+def test_control_edge_law():
+    t, p_early, p_late = 9.5, 0.9, 0.1
+    samples = []
+    for seed in SEEDS:
+        trace = _sample_inhomogeneous_control(t, seed, p_early, p_late)
+        late = trace.births > t / 2
+        probs = np.where(late[:, None] | late[None, :], p_late, p_early)[np.triu_indices(trace.num_vertices, 1)]
+        samples.append((trace.num_edges, probs.sum(), (probs * (1 - probs)).sum()))
+    assert abs(_z_score(samples)) <= 4.0
+
+
+# ---------------------------------------------------------------------------
+# Projectivity: a shorter run is a prefix of a longer one
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("w", [CF_SHIFTED, MIXED], ids=["caron_fox", "mixed"])
+def test_process_horizon_prefix(w):
+    long = sample_graphon_process(w, 6.0, seed=4, keep_isolated=True)
+    for horizon in (0.4, 2.0, 3.3, 5.999):
+        short = sample_graphon_process(w, horizon, seed=4, keep_isolated=True)
+        cut = snapshot_at(long, horizon, keep_isolated=True)
+        assert np.array_equal(short.births, cut.births)
+        assert np.array_equal(short.features, cut.features)
+        assert np.array_equal(short.edges, cut.edges)
+
+
+def test_sequential_and_dense_prefixes_cross_blocks():
+    w = StepGraphon([1.0], [[0.6]], ambient_infinite=True)
+    long = sample_sequential(w, ArrivalSchedule("linear", 0.01), 600, 2, checkpoints=[600])[0]
+    for steps in (1, 255, 256, 257, 513):
+        short = sample_sequential(w, ArrivalSchedule("linear", 0.01), steps, 2, checkpoints=[steps])[0]
+        assert np.array_equal(short.features, long.features[:steps])
+        assert np.array_equal(short.edges, long.edges[long.edges[:, 1] <= steps])
+    dense = sample_dense_wrandom(STEP, 600, 5)
+    for n in (1, 256, 300):
+        g = sample_dense_wrandom(STEP, n, 5)
+        assert np.array_equal(g.edges, dense.edges[dense.edges[:, 1] <= n])
+
+
+def test_exponential_schedule_is_capped_in_padded_blocks():
+    # the last block is drawn whole, past `steps`, where 64 * 2^n would overflow without the cap
+    w = StepGraphon([1.0], [[1.0]], ambient_infinite=True)
+    assert ArrivalSchedule("exponential", 64.0).bound(1020) == np.finfo(float).max
+    g = sample_sequential(w, ArrivalSchedule("exponential", 64.0), 1000, 0, checkpoints=[1000])[0]
+    assert g.num_vertices == 1000 and np.all(np.isfinite(g.features))
+
+
+def test_coin_chunks_leave_the_stream_unchanged(monkeypatch):
+    from graphonlab import sampling
+
+    whole = sample_graphon_process(MIXED, 6.0, 1), sample_dense_wrandom(STEP, 300, 1)
+    monkeypatch.setattr(sampling, "_MAX_COINS", 7)  # one row per draw once a window sees 8 vertices
+    chunked = sample_graphon_process(MIXED, 6.0, 1), sample_dense_wrandom(STEP, 300, 1)
+    assert whole[0].num_vertices > 8
+    for a, b in zip(whole, chunked):
+        assert np.array_equal(a.edges, b.edges)
+
+
+def test_every_step_checkpoints_equal_rebuilds():
+    w = StepGraphon([1.0], [[0.5]], ambient_infinite=True)
+    graphs = sample_sequential(w, ArrivalSchedule("linear", 0.01), 300, 7)
+    full = graphs[-1]
+    assert [g.num_vertices for g in graphs] == list(range(1, 301))
+    for c, g in enumerate(graphs, start=1):
+        rebuilt = SampledGraph(np.arange(1, c + 1), full.edges[full.edges[:, 1] <= c],
+                               births=np.arange(1, c + 1, dtype=float), features=full.features[:c])
+        assert np.array_equal(g.labels, rebuilt.labels)
+        assert np.array_equal(g.edges, rebuilt.edges)
+        assert np.array_equal(g.births, rebuilt.births)
+        assert np.array_equal(g.features, rebuilt.features)
+    picked = sample_sequential(w, ArrivalSchedule("linear", 0.01), 300, 7, checkpoints=[300, 17, 256])
+    assert [g.num_vertices for g in picked] == [17, 256, 300]
+    for g in picked:
+        assert np.array_equal(g.edges, graphs[g.num_vertices - 1].edges)
+
+
+# ---------------------------------------------------------------------------
+# Trace files written before the stream layout was recorded
+# ---------------------------------------------------------------------------
+
+
+def test_oracle_trace_file_loads_and_round_trips(tmp_path):
+    w = StepGraphon([0.5, 1.0, 1.5], [[0.9, 0.3, 0.1], [0.3, 0.6, 0.2], [0.1, 0.2, 0.4]])
+    trace = row_sample_graphon_process(w, 9.0, 4)
+    path = tmp_path / "old.json"
+    save_trace_file(trace, path)
+    # the digest the per-arrival layout's files had for this trace
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "edf812170884cb6ff660c463501a9fa848ba30f7ab51014f1e08cd8556e449c0")
+    assert "sampler" not in json.loads(path.read_text())
+    loaded = load_trace_file(path)
+    assert loaded.sampler is None
+    for name in ("births", "features", "edges"):
+        assert np.array_equal(getattr(loaded, name), getattr(trace, name))
+    again = tmp_path / "again.json"
+    save_trace_file(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_new_traces_record_the_layout():
+    trace = sample_graphon_process(STEP, 3.0, 1)
+    assert trace.sampler == "window-v1"
+    assert trace_to_json(trace)["sampler"] == "window-v1"
