@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import platform
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -444,8 +445,6 @@ def _random_symmetric(rng, n, lo=-1.0, hi=1.0):
 
 
 def _run_cutnorm_oracle(cfg: ExperimentConfig):
-    import itertools as it
-
     count = int(cfg.params.get("count", 100))
     max_blocks = int(cfg.params.get("max_blocks", 6))
     tol = float(cfg.params.get("tol", 1e-12))
@@ -455,12 +454,9 @@ def _run_cutnorm_oracle(cfg: ExperimentConfig):
         n = int(rng.integers(1, max_blocks + 1))
         w = StepGraphon(rng.uniform(0.2, 1.5, size=n), _random_symmetric(rng, n))
         m = w.values * np.outer(w.masses, w.masses)
-        brute = 0.0
-        for u_bits in it.product([0, 1], repeat=n):
-            u = [j for j in range(n) if u_bits[j]]
-            for v_bits in it.product([0, 1], repeat=n):
-                v = [j for j in range(n) if v_bits[j]]
-                brute = max(brute, abs(m[np.ix_(u, v)].sum()))
+        # every subset pair (U, V) at once: row i of bits is the indicator of subset i
+        bits = (np.arange(2 ** n)[:, None] >> np.arange(n) & 1).astype(float)
+        brute = float(np.abs(bits @ m @ bits.T).max())
         got = cut_norm(w).value
         records.append({"instance": i, "blocks": n, "gap": abs(got - brute)})
     worst = max(rec["gap"] for rec in records)
@@ -727,7 +723,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     if config.graphon is not None:
         load_graphon_spec(config.graphon)  # validate before compute
     records, aggregates, passed = CATALOG[config.experiment].runner(config)
-    environment = {"version": __version__, "seed": config.seed}
+    environment = {"version": __version__, "seed": config.seed, "python": platform.python_version(),
+                   "numpy": np.__version__, "platform": platform.platform()}
     return ExperimentReport(config.experiment, config, records, aggregates, passed, environment)
 
 

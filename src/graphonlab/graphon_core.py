@@ -92,10 +92,12 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
 class StepGraphon:
     """Symmetric step kernel on consecutive blocks of the half line.
 
-    Block ``i`` occupies the interval ``[b[i], b[i+1])`` where ``b`` is the
-    cumulative mass vector.  Beyond the last block the kernel is zero; with
-    ``ambient_infinite`` the zero tail is regarded as carrying infinite
-    measure (the trivial extension to an infinite-mass space).
+    Block ``i`` occupies the interval ``[b[i], b[i+1])`` where ``b`` is
+    ``boundaries``, the cumulative mass vector ``[0, m1, m1+m2, ...]``,
+    computed once and read-only like ``masses``.  Beyond the last block the
+    kernel is zero; with ``ambient_infinite`` the zero tail is regarded as
+    carrying infinite measure (the trivial extension to an infinite-mass
+    space).
     """
 
     masses: np.ndarray
@@ -126,15 +128,11 @@ class StepGraphon:
         object.__setattr__(self, "masses", masses)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "ambient_infinite", bool(ambient_infinite))
+        object.__setattr__(self, "boundaries", _as_readonly(np.concatenate([[0.0], np.cumsum(masses)])))
 
     @property
     def n_blocks(self) -> int:
         return self.masses.size
-
-    @property
-    def boundaries(self) -> np.ndarray:
-        """Cumulative block boundaries ``[0, m1, m1+m2, ...]``."""
-        return np.concatenate([[0.0], np.cumsum(self.masses)])
 
     @property
     def total_mass(self) -> float:

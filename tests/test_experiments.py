@@ -1,6 +1,7 @@
 """Experiment harness: determinism, aggregate consistency, rendering."""
 
 import json
+import platform
 
 import numpy as np
 import pytest
@@ -94,6 +95,9 @@ class TestCatalog:
         report = run_experiment(small_config(name))
         assert isinstance(report.passed, bool)
         assert report.environment["version"]
+        assert report.environment["python"] == platform.python_version()
+        assert report.environment["numpy"] == np.__version__
+        assert report.environment["platform"] == platform.platform()
         for key, value in report.aggregates.items():
             if key.startswith("mean_") and isinstance(value, float):
                 field = key[len("mean_"):]

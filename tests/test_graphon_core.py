@@ -62,6 +62,13 @@ class TestStepGraphonConstruction:
         assert z.n_blocks == 0
         assert l1_norm(z) == 0.0
 
+    def test_boundaries_cached_and_read_only(self):
+        w = StepGraphon([0.5, 1.5, 0.25], np.full((3, 3), 0.5))
+        assert np.array_equal(w.boundaries, np.concatenate([[0.0], np.cumsum(w.masses)]))
+        assert w.boundaries is w.boundaries
+        assert not w.boundaries.flags.writeable
+        assert np.array_equal(zero_graphon().boundaries, [0.0])
+
 
 class TestEvaluate:
     def test_constant_block(self):

@@ -8,14 +8,20 @@ import pytest
 
 from graphonlab.graphon_core import (
     CaronFoxGraphon,
+    CostLimitError,
     GraphonError,
     RegionIndicatorGraphon,
     StepGraphon,
     constant_graphon,
     l1_norm,
 )
+from graphonlab import homomorphisms
 from graphonlab.homomorphisms import (
+    MAX_CONTRACTION_WORK,
     MotifGraph,
+    _elimination_plan,
+    _exact_dtype,
+    _set_partitions,
     count_embeddings,
     h_analytic,
     motif,
@@ -23,7 +29,7 @@ from graphonlab.homomorphisms import (
     star_moment,
 )
 from graphonlab.regularity import cycle_graph
-from graphonlab.sampling import SampledGraph, sample_dense_wrandom
+from graphonlab.sampling import SampledGraph, sample_dense_wrandom, sample_graphon_process, snapshot_at
 
 
 def brute_force_counts(f: MotifGraph, g: SampledGraph) -> tuple[int, int]:
@@ -40,6 +46,82 @@ def brute_force_counts(f: MotifGraph, g: SampledGraph) -> tuple[int, int]:
             if len(set(images)) == f.num_vertices:
                 inj += 1
     return inj, hom
+
+
+# The backtracker below is the library's former count_embeddings, verbatim.
+
+
+def search_order(f: MotifGraph) -> list[int]:
+    """Vertex order where each vertex after the first touches a placed one."""
+    adj = f.adjacency_lists()
+    deg = f.degrees()
+    order = [max(range(f.num_vertices), key=lambda v: deg[v])]
+    placed = set(order)
+    while len(order) < f.num_vertices:
+        nxt = max(
+            (v for v in range(f.num_vertices) if v not in placed and any(u in placed for u in adj[v])),
+            key=lambda v: deg[v],
+        )
+        order.append(nxt)
+        placed.add(nxt)
+    return order
+
+
+def backtrack_counts(f: MotifGraph, g) -> tuple[int, int]:
+    """The backtracking counter that count_embeddings replaced, kept as its oracle.
+
+    Exact ``(inj, hom)`` counts of adjacency-preserving labeled maps.
+
+    Backtracks in an order where every motif vertex is anchored to an
+    already-placed neighbor, so candidates are intersections of adjacency
+    sets; the injective pass additionally prunes candidates by degree.
+    """
+    labels = [int(x) for x in g.labels.tolist()]
+    neighbors: dict[int, set[int]] = {lab: set() for lab in labels}
+    for u, v in g.edge_list():
+        neighbors[u].add(v)
+        neighbors[v].add(u)
+    order = search_order(f)
+    adj = f.adjacency_lists()
+    f_deg = f.degrees()
+    placed_nbrs: list[list[int]] = []
+    for rank, v in enumerate(order):
+        before = order[:rank]
+        placed_nbrs.append([before.index(u) for u in adj[v] if u in before])
+
+    def run(injective: bool) -> int:
+        total = 0
+        images: list[int] = []
+        used: set[int] = set()
+
+        def recurse(rank: int):
+            nonlocal total
+            if rank == len(order):
+                total += 1
+                return
+            anchors = placed_nbrs[rank]
+            if anchors:
+                cands = neighbors[images[anchors[0]]]
+                for a in anchors[1:]:
+                    cands = cands & neighbors[images[a]]
+            else:
+                cands = neighbors.keys()
+            want = f_deg[order[rank]]
+            for c in cands:
+                if injective:
+                    if c in used or len(neighbors[c]) < want:
+                        continue
+                    used.add(c)
+                images.append(c)
+                recurse(rank + 1)
+                images.pop()
+                if injective:
+                    used.discard(c)
+
+        recurse(0)
+        return total
+
+    return run(True), run(False)
 
 
 def brute_force_h_step(f: MotifGraph, w: StepGraphon) -> float:
@@ -114,6 +196,103 @@ class TestCountEmbeddings:
                 assert inj <= hom
 
 
+LIBRARY = ("edge", "path3", "triangle", "c4", "k4") + tuple(f"star_{k}" for k in range(1, 7))
+
+
+def random_motif(rng, k):
+    """A random connected motif on k vertices: a random tree plus extra edges."""
+    edges = {(int(rng.integers(0, v)), v) for v in range(1, k)}
+    edges |= {(i, j) for i in range(k) for j in range(i + 1, k) if rng.random() < 0.3}
+    perm = rng.permutation(k)
+    return MotifGraph(k, tuple((int(perm[u]), int(perm[v])) for u, v in edges))
+
+
+def relabeled(g, rng, isolated=0):
+    """g with labels scattered over a wide range, plus isolated vertices."""
+    labels = rng.choice(10 ** 6, size=g.num_vertices + isolated, replace=False) + 7
+    pos = np.searchsorted(g.labels, g.edges)
+    return SampledGraph(labels, labels[pos])
+
+
+class TestCountAgainstBacktracker:
+    def test_library_motifs(self):
+        rng = np.random.default_rng(0)
+        for seed in range(4):
+            g = relabeled(sample_dense_wrandom(constant_graphon(0.5), 9, seed=seed), rng, isolated=seed)
+            for name in LIBRARY:
+                assert count_embeddings(motif(name), g) == backtrack_counts(motif(name), g)
+
+    def test_random_motifs_up_to_eight_vertices(self):
+        assert len(_set_partitions(8)) == 4140
+        rng = np.random.default_rng(1)
+        for trial in range(36):
+            k = 2 + trial % 7
+            f = random_motif(rng, k)
+            g = relabeled(sample_dense_wrandom(constant_graphon(0.5), 7, seed=trial), rng, isolated=trial % 3)
+            assert count_embeddings(f, g) == backtrack_counts(f, g)
+
+    def test_isolated_vertices_and_sparse_labels(self):
+        g = SampledGraph([3, 40, 41, 500, 9000, 12], [(3, 40), (40, 41), (3, 41), (41, 9000), (12, 3)])
+        for name in ("edge", "path3", "triangle", "c4", "star_3"):
+            assert count_embeddings(motif(name), g) == backtrack_counts(motif(name), g)
+
+    def test_zero_edges(self):
+        for labels in ([], [5], [2, 9, 11]):
+            g = SampledGraph(np.array(labels, dtype=np.int64), np.zeros((0, 2), dtype=np.int64))
+            for name in ("edge", "triangle", "star_2", "k4"):
+                assert count_embeddings(motif(name), g) == backtrack_counts(motif(name), g) == (0, 0)
+
+    def test_dense_motifs_snapshot(self):
+        # the benchmark's dense_motifs graphon, cut at its 600th edge (63 vertices)
+        # rather than its 1600th, so that the backtracker takes under a second
+        w = StepGraphon([1.5, 1.5], [[0.4, 0.25], [0.25, 0.4]])
+        trace = sample_graphon_process(w, 60.0, 0)
+        g = snapshot_at(trace, float(np.sort(trace.edge_creation_times())[599]))
+        assert any(step[0] == "condition" for step in _elimination_plan(4, motif("k4").edges).steps)
+        for name in ("triangle", "path3", "c4", "star_3", "k4"):
+            assert count_embeddings(motif(name), g) == backtrack_counts(motif(name), g)
+
+
+class TestCountExactness:
+    def test_star_on_a_hub_is_exact_past_int64(self):
+        d = 2000
+        hub = SampledGraph(np.arange(d + 3), [(0, i) for i in range(1, d + 1)] + [(d + 1, d + 2)])
+        degrees = [d] + [1] * d + [1, 1]
+        assert sum(x ** 6 for x in degrees) > 2 ** 63
+        for k in range(1, 7):
+            inj, hom = count_embeddings(motif(f"star_{k}"), hub)
+            assert type(inj) is int and type(hom) is int
+            assert hom == sum(x ** k for x in degrees)
+            assert inj == sum(math.perm(x, k) for x in degrees)
+
+    def test_int64_contraction_matches_backtracker(self):
+        # 500^6 > 2^53, so the 6-cycle itself is contracted in int64
+        rng = np.random.default_rng(3)
+        n = 500
+        ring = {(i, i + 1) for i in range(n - 1)} | {(0, n - 1)}
+        chords = {tuple(sorted(rng.choice(n, 2, replace=False).tolist())) for _ in range(150)}
+        g = SampledGraph(np.arange(n), sorted(ring | chords))
+        assert _exact_dtype(n, int(g.degree_sequence().max()), 6, allow_object=False) is np.int64
+        c6 = MotifGraph(6, tuple((i, (i + 1) % 6) for i in range(6)))
+        assert count_embeddings(c6, g) == backtrack_counts(c6, g)
+
+    def test_cyclic_motif_over_the_limit_raises(self):
+        g = cycle_graph(10_000)
+        assert float(g.num_vertices) ** 3 > MAX_CONTRACTION_WORK
+        with pytest.raises(CostLimitError):
+            count_embeddings(motif("triangle"), g)
+        assert count_embeddings(motif("path3"), g) == (20_000, 40_000)
+
+    def test_cyclic_count_that_could_overflow_int64_raises(self):
+        # on K_300, C8 is cheap to contract, but 300^8 > 2^53 and its partial
+        # sums are bounded only by 300 * 299^7 > 2^63
+        n = 300
+        g = SampledGraph(np.arange(n), list(itertools.combinations(range(n), 2)))
+        c8 = MotifGraph(8, tuple((i, (i + 1) % 8) for i in range(8)))
+        with pytest.raises(CostLimitError, match="int64"):
+            count_embeddings(c8, g)
+
+
 class TestRescaledDensity:
     def test_edge_density_is_one(self):
         for seed in range(20):
@@ -157,9 +336,16 @@ class TestHAnalytic:
             vals = rng.uniform(0, 1, size=(n, n))
             vals = np.triu(vals) + np.triu(vals, 1).T
             w = StepGraphon(rng.uniform(0.3, 1.5, size=n), vals)
-            for name in ("edge", "path3", "triangle", "c4"):
+            for name in ("edge", "path3", "triangle", "c4", "star_3", "k4"):
                 got = h_analytic(motif(name), w).value
                 assert got == pytest.approx(brute_force_h_step(motif(name), w), abs=1e-12)
+
+    def test_block_sum_over_the_limit_raises(self, monkeypatch):
+        monkeypatch.setattr(homomorphisms, "MAX_CONTRACTION_WORK", 100)
+        w = StepGraphon(np.ones(5), np.full((5, 5), 0.5))
+        assert h_analytic(motif("path3"), w).value == pytest.approx(0.5 ** 2 * 5 ** 3 / (0.5 * 25) ** 1.5)
+        with pytest.raises(CostLimitError):
+            h_analytic(motif("triangle"), w)
 
     def test_edge_motif_is_one_for_any_nonneg(self):
         rng = np.random.default_rng(1)
