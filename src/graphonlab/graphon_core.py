@@ -483,9 +483,7 @@ class InfiniteBlockGraphon(AnalyticGraphon):
         self.probs = _as_readonly(p)
         self.truncation_count = k
         x_max = iv[k - 1][1]
-        residual = float(sum(p[i, j] * (iv[i][1] - iv[i][0]) * (iv[j][1] - iv[j][0])
-                             for i in range(len(iv)) for j in range(len(iv))
-                             if i >= k or j >= k))
+        residual = self.tail_l1_bound(x_max)  # the intervals with hi <= x_max are the first k
         self._trunc = Truncation(x_max, residual if residual > 0 else 0.0)
 
     @property
@@ -601,7 +599,6 @@ class MixedMembershipGraphon(AnalyticGraphon):
             inside = b[1:] <= m
             masses = np.where(inside, comp.masses, np.maximum(0.0, m - b[:-1]))
             masses = np.minimum(masses, comp.masses)
-            outside = comp.masses - masses
             ab = np.abs(comp.values)
             total = float(masses @ ab @ masses)
             full = float(comp.masses @ ab @ comp.masses)
@@ -719,6 +716,15 @@ class Partition:
         return len(self.cells)
 
 
+def _overlay(*boundary_arrays) -> tuple[np.ndarray, np.ndarray]:
+    """Left ends and widths of the pieces between the distinct points of all
+    ``boundary_arrays``, without float-dust pieces of width 1e-15 or less."""
+    edges = np.unique(np.concatenate(boundary_arrays))
+    widths = np.diff(edges)
+    keep = widths > 1e-15
+    return edges[:-1][keep], widths[keep]
+
+
 def partition_from_boundaries(w: StepGraphon, boundaries: Sequence[float]) -> tuple[StepGraphon, Partition]:
     """Split ``w`` at the given points of the half line and group the pieces.
 
@@ -727,11 +733,7 @@ def partition_from_boundaries(w: StepGraphon, boundaries: Sequence[float]) -> tu
     are clipped to the block support; 0 and the total mass are implicit).
     """
     cuts = sorted({float(b) for b in boundaries if 0.0 < float(b) < w.total_mass})
-    edges = np.unique(np.concatenate([w.boundaries, np.asarray(cuts, dtype=float)]))
-    widths = np.diff(edges)
-    keep = widths > 1e-15
-    lows = edges[:-1][keep]
-    widths = widths[keep]
+    lows, widths = _overlay(w.boundaries, np.asarray(cuts, dtype=float))
     owner = w.block_of(lows + widths / 2)
     refined = StepGraphon(widths, w.values[np.ix_(owner, owner)], w.ambient_infinite)
     cell_edges = np.concatenate([[0.0], np.asarray(cuts), [w.total_mass]])
@@ -871,22 +873,26 @@ def truncate_tail(w, eps: float) -> TailTruncation:
     raise AssertionError("unreachable: residual at full support is 0")
 
 
+def _cell_average(w: StepGraphon, assignment: np.ndarray, k: int) -> np.ndarray:
+    """``(k, k)`` averages of ``w`` over nonempty cells, block ``i`` in cell
+    ``assignment[i]``: one product ``M^T A M`` with ``M[i, assignment[i]] = m_i``."""
+    onehot = np.zeros((w.n_blocks, k))
+    onehot[np.arange(w.n_blocks), assignment] = w.masses
+    cell_masses = onehot.sum(axis=0)
+    vals = (onehot.T @ w.values @ onehot) / np.outer(cell_masses, cell_masses)
+    return 0.5 * (vals + vals.T)  # kill last-bit asymmetry from float reduction order
+
+
 def average_over_partition(w: StepGraphon, p: Partition) -> StepGraphon:
     """Average the kernel over the cells of ``p`` (an L1 and cut-norm contraction)."""
     if not isinstance(w, StepGraphon):
         raise GraphonError("average_over_partition operates on step graphons")
     if sorted(i for cell in p.cells for i in cell) != list(range(w.n_blocks)):
         raise GraphonError("partition does not match the graphon's blocks; refine first")
-    k = p.n_cells
-    vals = np.zeros((k, k))
-    for a, cell_a in enumerate(p.cells):
-        for b, cell_b in enumerate(p.cells):
-            sub = w.values[np.ix_(list(cell_a), list(cell_b))]
-            ma = w.masses[list(cell_a)]
-            mb = w.masses[list(cell_b)]
-            vals[a, b] = float(ma @ sub @ mb) / (p.masses[a] * p.masses[b])
-    vals = 0.5 * (vals + vals.T)  # kill last-bit asymmetry from float reduction order
-    return StepGraphon(np.asarray(p.masses), vals, w.ambient_infinite)
+    assignment = np.empty(w.n_blocks, dtype=np.intp)
+    for a, cell in enumerate(p.cells):
+        assignment[list(cell)] = a
+    return StepGraphon(np.asarray(p.masses), _cell_average(w, assignment, p.n_cells), w.ambient_infinite)
 
 
 def stretch(w: StepGraphon) -> StepGraphon:
@@ -925,11 +931,7 @@ def flatten_to_line(w, weight_cells: int = 3) -> StepGraphon:
             for c in row:
                 if not isinstance(c, StepGraphon):
                     raise GraphonError("flatten_to_line needs step components; got an analytic component")
-        edges = np.unique(np.concatenate([c.boundaries for row in comps for c in row]))
-        widths = np.diff(edges)
-        keep = widths > 1e-15
-        lows = edges[:-1][keep]
-        widths = widths[keep]
+        lows, widths = _overlay(*(c.boundaries for row in comps for c in row))
         mids = lows + widths / 2
         n_feat = widths.size
         comp_vals = np.zeros((w.K, w.K, n_feat, n_feat))

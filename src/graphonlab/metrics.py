@@ -35,11 +35,14 @@ from .graphon_core import (
     GraphonError,
     Partition,
     StepGraphon,
-    average_over_partition,
+    _cell_average,
+    _overlay,
+    evaluate,
     l1_norm,
     stretch,
     zero_graphon,
 )
+from .sampling import snapshot_at
 
 __all__ = [
     "Coupling",
@@ -93,26 +96,32 @@ def _block_integral_matrix(w: StepGraphon) -> np.ndarray:
     return w.values * np.outer(w.masses, w.masses)
 
 
-def _exact_cut_value(m: np.ndarray) -> float:
-    """max over block subsets U, V of |sum_{U x V} m|, by enumerating U."""
-    n = m.shape[0]
-    if n == 0:
-        return 0.0
-    best = 0.0
-    for chunk in _subset_chunks(n):
+def _exact_cut(m: np.ndarray) -> tuple[float, int, float]:
+    """max over block subsets U, V of |sum_{U x V} m|, by enumerating U.
+
+    Returns the maximum, the bitmask of the first maximizing ``U`` and the
+    sign of its rectangle sum (``V`` is then the columns of that sign).
+    """
+    best, best_u, best_sign = 0.0, 0, 1.0
+    start = 0
+    for chunk in _subset_chunks(m.shape[0]):
         s = chunk @ m
         pos = np.clip(s, 0.0, None).sum(axis=1)
         neg = np.clip(-s, 0.0, None).sum(axis=1)
-        best = max(best, float(pos.max()), float(neg.max()))
-    return best
+        for vals, sign in ((pos, 1.0), (neg, -1.0)):
+            i = int(vals.argmax())
+            if vals[i] > best:
+                best, best_u, best_sign = float(vals[i]), start + i, sign
+        start += chunk.shape[0]
+    return best, best_u, best_sign
 
 
 def _cut_upper_bound(m: np.ndarray) -> float:
-    """:func:`_exact_cut_value` up to ``EXACT_CUTNORM_MAX_BLOCKS`` blocks; above,
+    """:func:`_exact_cut` up to ``EXACT_CUTNORM_MAX_BLOCKS`` blocks; above,
     ``max(sum m+, sum m-)``, an upper bound since every rectangle sum lies
     in ``[-sum m-, sum m+]``."""
     if m.shape[0] <= EXACT_CUTNORM_MAX_BLOCKS:
-        return _exact_cut_value(m)
+        return _exact_cut(m)[0]
     return max(float(np.clip(m, 0.0, None).sum()), float(np.clip(-m, 0.0, None).sum()))
 
 
@@ -125,27 +134,6 @@ def _subset_chunks(n: int, chunk_rows: int = 1 << 14):
     for start in range(0, total, chunk_rows):
         idx = np.arange(start, min(start + chunk_rows, total), dtype=np.uint64)
         yield ((idx[:, None] >> cols) & 1).astype(float)
-
-
-def _exact_cut_with_witness(m: np.ndarray) -> CutNormResult:
-    n = m.shape[0]
-    if n == 0:
-        return CutNormResult(0.0, (), (), "exact")
-    best, best_u, best_sign = 0.0, 0, 1.0
-    start = 0
-    for chunk in _subset_chunks(n):
-        s = chunk @ m
-        pos = np.clip(s, 0.0, None).sum(axis=1)
-        neg = np.clip(-s, 0.0, None).sum(axis=1)
-        for vals, sign in ((pos, 1.0), (neg, -1.0)):
-            i = int(vals.argmax())
-            if vals[i] > best:
-                best, best_u, best_sign = float(vals[i]), start + i, sign
-        start += chunk.shape[0]
-    u = tuple(i for i in range(n) if (best_u >> i) & 1)
-    s = m[list(u), :].sum(axis=0) if u else np.zeros(n)
-    v = tuple(int(j) for j in range(n) if best_sign * s[j] > 0)
-    return CutNormResult(best, u, v, "exact")
 
 
 def _heuristic_cut(m: np.ndarray, rng: np.random.Generator, starts: int = 32) -> CutNormResult:
@@ -192,7 +180,11 @@ def cut_norm(w: StepGraphon, mode: str = "exact", seed: int = 0, starts: int = 3
                 f"exact cut norm limited to {EXACT_CUTNORM_MAX_BLOCKS} blocks, got {w.n_blocks}",
                 float(2 ** w.n_blocks) * w.n_blocks,
             )
-        return _exact_cut_with_witness(m)
+        best, best_u, sign = _exact_cut(m)
+        n = w.n_blocks
+        u = tuple(i for i in range(n) if (best_u >> i) & 1)
+        s = m[list(u), :].sum(axis=0) if u else np.zeros(n)
+        return CutNormResult(best, u, tuple(int(j) for j in range(n) if sign * s[j] > 0), "exact")
     if mode == "heuristic":
         return _heuristic_cut(m, substream(seed, TAG_HEURISTIC, 0), starts)
     raise GraphonError(f"unknown cut_norm mode {mode!r}")
@@ -253,9 +245,7 @@ def _quantize(w: StepGraphon, q: float) -> tuple[StepGraphon, float, float]:
     """
     if w.n_blocks == 0:
         return w, 0.0, 0.0
-    counts = np.round(w.masses / q).astype(int)
-    if counts.min() < 1:
-        raise GraphonError(f"quantum {q} is larger than the smallest block mass")
+    counts = _block_counts(w, q)
     idx = np.repeat(np.arange(w.n_blocks), counts)
     refined = StepGraphon(np.full(idx.size, q), w.values[np.ix_(idx, idx)], w.ambient_infinite)
     rounded_total = q * counts.sum()
@@ -294,20 +284,19 @@ def _default_quantum(w1: StepGraphon, w2: StepGraphon) -> float:
     return float(np.gcd.reduce(ints)) * DEFAULT_QUANTUM_GRID
 
 
+def _block_counts(w: StepGraphon, q: float) -> np.ndarray:
+    """Number of mass-``q`` pieces each block's mass rounds to (at least one)."""
+    counts = np.round(w.masses / q).astype(int)
+    if counts.size and counts.min() < 1:
+        raise GraphonError(f"quantum {q} is larger than the smallest block mass")
+    return counts
+
+
 def _refined_block_count(w1: StepGraphon, w2: StepGraphon, q: float) -> int:
     """Equal-mass block count of :func:`common_refinement` without building it."""
     if q <= 0:
         raise GraphonError("quantum must be positive")
-    counts = []
-    for w in (w1, w2):
-        if w.n_blocks == 0:
-            counts.append(0)
-            continue
-        per_block = np.round(w.masses / q).astype(int)
-        if per_block.min() < 1:
-            raise GraphonError(f"quantum {q} is larger than the smallest block mass")
-        counts.append(int(per_block.sum()))
-    return max(counts)
+    return max(int(_block_counts(w, q).sum()) for w in (w1, w2))
 
 
 def common_refinement(w1: StepGraphon, w2: StepGraphon, q: float) -> tuple[StepGraphon, StepGraphon, float]:
@@ -591,22 +580,16 @@ def canonical_graphons(g) -> tuple[StepGraphon, StepGraphon]:
     n = g.num_vertices
     if n == 0:
         return zero_graphon(), zero_graphon()
-    adj = _adjacency(g)
+    rows = g.edge_rows()
+    adj = np.zeros((n, n))
+    adj[rows[:, 0], rows[:, 1]] = 1.0
+    adj[rows[:, 1], rows[:, 0]] = 1.0
     canonical = StepGraphon(np.full(n, 1.0 / n), adj, ambient_infinite=True)
     e = g.num_edges
     if e == 0:
         return canonical, zero_graphon()
     stretched = StepGraphon(np.full(n, 1.0 / math.sqrt(2.0 * e)), adj, ambient_infinite=True)
     return canonical, stretched
-
-
-def _adjacency(g) -> np.ndarray:
-    """Dense 0/1 adjacency matrix of a graph, rows in ``labels`` order."""
-    rows = g.edge_rows()
-    adj = np.zeros((g.num_vertices, g.num_vertices))
-    adj[rows[:, 0], rows[:, 1]] = 1.0
-    adj[rows[:, 1], rows[:, 0]] = 1.0
-    return adj
 
 
 def _as_stretched(obj) -> StepGraphon:
@@ -637,25 +620,10 @@ def stretched_cut_distance(a, b, mode: str = "exact", budget: int = 50_000, seed
 
 def _overlap_difference(h: StepGraphon, b: StepGraphon) -> StepGraphon:
     """Difference kernel under the interval-overlap (identity) coupling."""
-    total = max(h.total_mass, b.total_mass)
-    edges = np.unique(np.concatenate([h.boundaries, b.boundaries, [total]]))
-    widths = np.diff(edges)
-    keep = widths > 1e-15
-    widths = widths[keep]
-    mids = edges[:-1][keep] + widths / 2
-    hi = h.block_of(mids)
-    bi = b.block_of(mids)
-    if h.n_blocks:
-        hv = np.where((hi[:, None] >= 0) & (hi[None, :] >= 0),
-                      h.values[np.ix_(np.maximum(hi, 0), np.maximum(hi, 0))], 0.0)
-    else:
-        hv = np.zeros((mids.size, mids.size))
-    if b.n_blocks:
-        bv = np.where((bi[:, None] >= 0) & (bi[None, :] >= 0),
-                      b.values[np.ix_(np.maximum(bi, 0), np.maximum(bi, 0))], 0.0)
-    else:
-        bv = np.zeros((mids.size, mids.size))
-    return StepGraphon(widths, hv - bv)
+    lows, widths = _overlay(h.boundaries, b.boundaries, [max(h.total_mass, b.total_mass)])
+    mids = lows + widths / 2
+    x, y = mids[:, None], mids[None, :]
+    return StepGraphon(widths, evaluate(h, x, y) - evaluate(b, x, y))
 
 
 def graph_graphon_distance_estimate(trace, w: StepGraphon, alignment: str = "feature_oracle") -> float:
@@ -669,9 +637,13 @@ def graph_graphon_distance_estimate(trace, w: StepGraphon, alignment: str = "fea
     its difference with ``stretch(w)`` is taken under the identity
     (interval-overlap) coupling: exactly up to ``EXACT_CUTNORM_MAX_BLOCKS``
     blocks, and as the upper bound ``max(sum m+, sum m-)`` above.
-    """
-    from .sampling import snapshot_at  # local import to keep modules acyclic
 
+    The average comes from counts: a group of ``n_a`` vertices has mass
+    ``n_a / sqrt(2|E|)`` and value ``e_ab / (n_a n_b)`` against group ``b``,
+    ``e_ab`` counting ordered adjacent pairs; empty groups are dropped.
+    Cost: O(|V| + |E|) (plus a degree sort under ``degree_sort``) and k^2
+    block work for ``k`` blocks, with no |V| x |V| array.
+    """
     if not isinstance(w, StepGraphon):
         raise GraphonError("distance estimate needs a step graphon reference")
     g = snapshot_at(trace, trace.horizon, keep_isolated=False)
@@ -700,13 +672,12 @@ def graph_graphon_distance_estimate(trace, w: StepGraphon, alignment: str = "fea
     else:
         raise GraphonError(f"unknown alignment {alignment!r}")
 
-    order = np.argsort(groups, kind="stable")
-    adj = _adjacency(g)[np.ix_(order, order)]
-    sorted_groups = groups[order]
-    a = StepGraphon(np.full(n, ell), adj, ambient_infinite=True)
-    cells = [np.flatnonzero(sorted_groups == blk).tolist() for blk in range(w.n_blocks)]
-    partition = Partition.from_cells(a, [c for c in cells if c])
-    h = average_over_partition(a, partition)
+    k = w.n_blocks
+    sizes = np.bincount(groups, minlength=k)
+    present = np.flatnonzero(sizes)
+    sizes = sizes[present].astype(float)
+    counts = g.group_edge_counts(groups, k)[np.ix_(present, present)]
+    h = StepGraphon(sizes * ell, counts / np.outer(sizes, sizes), ambient_infinite=True)
     return _cut_upper_bound(_block_integral_matrix(_overlap_difference(h, b)))
 
 
@@ -732,9 +703,7 @@ def weak_regularity_partition(w: StepGraphon, k: int, budget: int = 64, seed: in
         return Partition((), ()), 0.0
 
     def residual_of(assign: np.ndarray, it: int) -> tuple[float, CutNormResult]:
-        p = Partition.from_assignment(w, assign.tolist())
-        avg = average_over_partition(w, p)
-        expanded = avg.values[np.ix_(assign, assign)]
+        expanded = _cell_average(w, assign, int(assign.max()) + 1)[np.ix_(assign, assign)]
         diff = StepGraphon(w.masses, w.values - expanded, w.ambient_infinite)
         res = _heuristic_cut(_block_integral_matrix(diff), substream(seed, TAG_HEURISTIC, 10 + it), starts=16)
         return res.value, res

@@ -153,10 +153,7 @@ def upper_regularity_statistic(g: SampledGraph, partition_classes: int, k_value:
     sizes[: n % partition_classes] += 1
     class_of = np.empty(n, dtype=np.int64)
     class_of[np.argsort(g.labels, kind="stable")] = np.repeat(np.arange(partition_classes), sizes)
-    ends = class_of[g.edge_rows()]
-    counts = np.bincount(ends[:, 0] * partition_classes + ends[:, 1], minlength=partition_classes ** 2)
-    counts = counts.reshape(partition_classes, partition_classes)
-    counts = (counts + counts.T).astype(float)
+    counts = g.group_edge_counts(class_of, partition_classes).astype(float)
     norm = 2.0 * e / (n * n)  # L1 norm of the canonical graphon
     cell_sizes = sizes.astype(float)
     avg = counts / np.outer(cell_sizes, cell_sizes) / norm

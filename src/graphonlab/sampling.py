@@ -143,6 +143,14 @@ class SampledGraph:
         """Degrees aligned with ``labels``."""
         return np.bincount(self.edge_rows().ravel(), minlength=self.num_vertices)
 
+    def group_edge_counts(self, groups: np.ndarray, k: int) -> np.ndarray:
+        """``(k, k)`` counts of ordered adjacent vertex pairs ``(i, j)`` by the
+        groups of ``i`` and ``j``; ``groups`` holds a group in ``0..k-1`` per
+        vertex, aligned with ``labels``.  Diagonal entries count edges twice."""
+        ends = np.asarray(groups)[self.edge_rows()]
+        counts = np.bincount(ends[:, 0] * k + ends[:, 1], minlength=k * k).reshape(k, k)
+        return counts + counts.T
+
     def edge_list(self):
         return [tuple(e) for e in self.edges.tolist()]
 

@@ -241,7 +241,33 @@ class TestTruncateTail:
         assert res.residual == pytest.approx(0.09, abs=1e-12)
 
 
+def loop_average_over_partition(w, p):
+    """Oracle: the replaced cell-pair loop of ``average_over_partition``."""
+    k = p.n_cells
+    vals = np.zeros((k, k))
+    for a, cell_a in enumerate(p.cells):
+        for b, cell_b in enumerate(p.cells):
+            sub = w.values[np.ix_(list(cell_a), list(cell_b))]
+            ma = w.masses[list(cell_a)]
+            mb = w.masses[list(cell_b)]
+            vals[a, b] = float(ma @ sub @ mb) / (p.masses[a] * p.masses[b])
+    vals = 0.5 * (vals + vals.T)
+    return StepGraphon(np.asarray(p.masses), vals, w.ambient_infinite)
+
+
 class TestAverageOverPartition:
+    def test_matches_loop_oracle(self):
+        rng = np.random.default_rng(21)
+        for _ in range(60):
+            w = random_step(rng, n=int(rng.integers(1, 9)), signed=True, infinite=bool(rng.integers(2)))
+            labels = rng.integers(0, int(rng.integers(1, w.n_blocks + 1)), size=w.n_blocks)
+            cells = [rng.permutation(np.flatnonzero(labels == lab)).tolist() for lab in np.unique(labels)]
+            p = Partition.from_cells(w, [cells[i] for i in rng.permutation(len(cells))])
+            got, want = average_over_partition(w, p), loop_average_over_partition(w, p)
+            assert np.array_equal(got.masses, want.masses)
+            assert got.ambient_infinite == want.ambient_infinite
+            assert np.allclose(got.values, want.values, rtol=0, atol=1e-12)
+
     def test_identity_partition(self):
         p = Partition.from_cells(TWO_BLOCK, [[0], [1]])
         out = average_over_partition(TWO_BLOCK, p)

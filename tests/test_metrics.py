@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 from graphonlab.graphon_core import (
     CostLimitError,
     GraphonError,
+    Partition,
     StepGraphon,
+    average_over_partition,
     constant_graphon,
     l1_norm,
     stretch,
@@ -30,7 +33,7 @@ from graphonlab.metrics import (
 )
 from graphonlab import metrics
 from graphonlab.metrics import _subset_bits
-from graphonlab.sampling import SampledGraph, sample_graphon_process
+from graphonlab.sampling import SampledGraph, sample_graphon_process, snapshot_at
 
 
 def brute_force_cut_norm(w: StepGraphon) -> float:
@@ -72,6 +75,79 @@ def lexicographic_enumeration(a1, a2, q2, kind):
             if best <= 1e-15:
                 break
     return best, tuple(int(p) for p in best_perm)
+
+
+def dense_adjacency(g):
+    """Dense 0/1 adjacency matrix of a graph, rows in ``labels`` order."""
+    rows = g.edge_rows()
+    adj = np.zeros((g.num_vertices, g.num_vertices))
+    adj[rows[:, 0], rows[:, 1]] = 1.0
+    adj[rows[:, 1], rows[:, 0]] = 1.0
+    return adj
+
+
+def masked_overlap_difference(h, b):
+    """Difference kernel under the interval-overlap (identity) coupling."""
+    total = max(h.total_mass, b.total_mass)
+    edges = np.unique(np.concatenate([h.boundaries, b.boundaries, [total]]))
+    widths = np.diff(edges)
+    keep = widths > 1e-15
+    widths = widths[keep]
+    mids = edges[:-1][keep] + widths / 2
+    hi = h.block_of(mids)
+    bi = b.block_of(mids)
+    if h.n_blocks:
+        hv = np.where((hi[:, None] >= 0) & (hi[None, :] >= 0),
+                      h.values[np.ix_(np.maximum(hi, 0), np.maximum(hi, 0))], 0.0)
+    else:
+        hv = np.zeros((mids.size, mids.size))
+    if b.n_blocks:
+        bv = np.where((bi[:, None] >= 0) & (bi[None, :] >= 0),
+                      b.values[np.ix_(np.maximum(bi, 0), np.maximum(bi, 0))], 0.0)
+    else:
+        bv = np.zeros((mids.size, mids.size))
+    return StepGraphon(widths, hv - bv)
+
+
+def dense_distance_estimate(trace, w, alignment="feature_oracle"):
+    """Oracle: the replaced estimate, which averages a per-vertex stretched
+    canonical graphon (dense n x n adjacency) over the grouping."""
+    if not isinstance(w, StepGraphon):
+        raise GraphonError("distance estimate needs a step graphon reference")
+    g = snapshot_at(trace, trace.horizon, keep_isolated=False)
+    b = stretch(w)
+    if g.num_edges == 0:
+        return l1_norm(b)
+    ell = 1.0 / math.sqrt(2.0 * g.num_edges)
+
+    n = g.num_vertices
+    if alignment == "feature_oracle":
+        groups = w.block_of(g.features[:, 0])
+        if np.any(groups < 0):
+            raise GraphonError("feature oracle: some features fall outside the graphon's blocks "
+                               "(block structure mismatch)")
+        if isinstance(trace.graphon, StepGraphon) and trace.graphon.n_blocks != w.n_blocks:
+            raise GraphonError(
+                f"block-count mismatch: trace sampled from {trace.graphon.n_blocks} blocks, reference has {w.n_blocks}"
+            )
+    elif alignment == "degree_sort":
+        order = np.argsort(-g.degree_sequence(), kind="stable")
+        block_order = np.argsort(-w.block_degrees(), kind="stable")
+        cum = np.cumsum(w.masses[block_order]) / w.total_mass
+        cuts = np.round(cum * n).astype(int)
+        groups = np.empty(n, dtype=int)
+        groups[order] = block_order[np.searchsorted(cuts, np.arange(n), side="right")]
+    else:
+        raise GraphonError(f"unknown alignment {alignment!r}")
+
+    order = np.argsort(groups, kind="stable")
+    adj = dense_adjacency(g)[np.ix_(order, order)]
+    sorted_groups = groups[order]
+    a = StepGraphon(np.full(n, ell), adj, ambient_infinite=True)
+    cells = [np.flatnonzero(sorted_groups == blk).tolist() for blk in range(w.n_blocks)]
+    partition = Partition.from_cells(a, [c for c in cells if c])
+    h = average_over_partition(a, partition)
+    return metrics._cut_upper_bound(metrics._block_integral_matrix(masked_overlap_difference(h, b)))
 
 
 def cycles_adjacency(n, lengths):
@@ -526,6 +602,53 @@ class TestDistanceEstimate:
             graph_graphon_distance_estimate(trace, other)
 
 
+class TestDistanceEstimateAgainstDense:
+    """The count-based estimate against the dense per-vertex construction."""
+
+    TWO = StepGraphon([1.0, 1.0], [[0.9, 0.1], [0.1, 0.3]])
+    # the third block connects to nothing, so its vertices are isolated and
+    # under the feature oracle its group is always empty
+    DEAD = StepGraphon([1.0, 0.5, 0.5], [[0.6, 0.2, 0.0], [0.2, 0.5, 0.0], [0.0, 0.0, 0.0]])
+    # under degree_sort the 1e-3 block rounds to no vertex at these sizes
+    TINY = StepGraphon([1.0, 1.0, 1e-3], [[0.7, 0.2, 0.1], [0.2, 0.4, 0.0], [0.1, 0.0, 0.0]])
+
+    @pytest.mark.parametrize("alignment", ["feature_oracle", "degree_sort"])
+    @pytest.mark.parametrize("name", ["TWO", "DEAD", "TINY", "constant"])
+    def test_matches_dense(self, alignment, name):
+        w = constant_graphon(0.5, mass=2.0) if name == "constant" else getattr(self, name)
+        for seed in range(6):
+            trace = sample_graphon_process(w, 25.0, seed=seed)
+            got = graph_graphon_distance_estimate(trace, w, alignment)
+            assert abs(got - dense_distance_estimate(trace, w, alignment)) <= 1e-12
+
+    def test_references_have_empty_groups(self):
+        for seed in range(6):
+            g = snapshot_at(sample_graphon_process(self.DEAD, 25.0, seed=seed), 25.0, keep_isolated=False)
+            assert not np.any(self.DEAD.block_of(g.features[:, 0]) == 2)
+            g = snapshot_at(sample_graphon_process(self.TINY, 25.0, seed=seed), 25.0, keep_isolated=False)
+            cuts = np.round(np.cumsum(self.TINY.masses) / self.TINY.total_mass * g.num_vertices)
+            assert cuts[1] == cuts[2]  # the lowest-degree block gets no vertex under degree_sort
+
+    @pytest.mark.parametrize("alignment", ["feature_oracle", "degree_sort"])
+    def test_empty_trace(self, alignment):
+        trace = sample_graphon_process(self.TWO, 0.0, seed=0)
+        assert trace.num_edges == 0
+        got = graph_graphon_distance_estimate(trace, self.TWO, alignment)
+        assert got == dense_distance_estimate(trace, self.TWO, alignment)
+
+    def test_memory_linear_in_edges(self):
+        w = StepGraphon([100.0, 100.0], [[0.002, 0.0005], [0.0005, 0.002]])
+        trace = sample_graphon_process(w, 30.0, seed=0)
+        assert snapshot_at(trace, trace.horizon, keep_isolated=False).num_vertices >= 5000
+        tracemalloc.start()
+        try:
+            graph_graphon_distance_estimate(trace, w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2 ** 20  # one dense 5000 x 5000 float matrix alone is 200 MB
+
+
 class TestCutUpperBound:
     """Above ``EXACT_CUTNORM_MAX_BLOCKS`` a reported upper bound must not
     come from a search that can fall short of the cut norm."""
@@ -540,12 +663,12 @@ class TestCutUpperBound:
 
     def test_exact_at_or_below_limit(self):
         for m in self.kernels():
-            assert metrics._cut_upper_bound(m) == metrics._exact_cut_value(m)
+            assert metrics._cut_upper_bound(m) == metrics._exact_cut(m)[0]
 
     def test_upper_bound_above_limit(self, monkeypatch):
         monkeypatch.setattr(metrics, "EXACT_CUTNORM_MAX_BLOCKS", 0)
         for m in self.kernels():
-            exact = metrics._exact_cut_value(m)
+            exact = metrics._exact_cut(m)[0]
             bound = metrics._cut_upper_bound(m)
             assert bound >= exact - 1e-12 * np.abs(m).sum()
             assert bound <= np.abs(m).sum()
