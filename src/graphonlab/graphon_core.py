@@ -78,6 +78,9 @@ class CostLimitError(GraphonError):
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
+    # an owner that is already read-only is shared; a read-only view may still change through its base
+    if type(a) is np.ndarray and a.dtype == np.float64 and a.base is None and not a.flags.writeable:
+        return a
     out = np.array(a, dtype=float)
     out.setflags(write=False)
     return out
@@ -857,7 +860,7 @@ def truncate_tail(w, eps: float) -> TailTruncation:
     if isinstance(w, (InfiniteBlockGraphon, MixedMembershipGraphon)):
         return truncate_tail(flatten_to_line(w), eps)
     if isinstance(w, AnalyticGraphon):
-        step, _ = discretize(w, w.truncation.x_max / 256)
+        step = _grid_graphon(w, 256)
         base = w.truncation.target_l1_residual
         inner = truncate_tail(step, max(eps - base, 1e-15))
         return TailTruncation(inner.mass_bound, inner.graphon, inner.residual + base)
@@ -974,24 +977,26 @@ def discretize(w: AnalyticGraphon, grid_step: float) -> tuple[StepGraphon, float
     if n > MAX_DISCRETIZE_BLOCKS:
         raise CostLimitError(f"grid too fine: {n} cells exceed the {MAX_DISCRETIZE_BLOCKS} cell limit", float(n) ** 2)
 
-    def build(cells: int) -> StepGraphon:
-        edges = np.linspace(0.0, x_max, cells + 1)
-        if isinstance(w, RegionIndicatorGraphon):
-            vals = _region_cell_averages(w, edges)
-        else:
-            vals = _simpson_cell_averages(w, edges)
-        vals = 0.5 * (vals + vals.T)
-        return StepGraphon(np.diff(edges), vals)
-
-    coarse = build(n)
+    coarse = _grid_graphon(w, n)
     if 2 * n <= MAX_DISCRETIZE_BLOCKS:
-        fine = build(2 * n)
+        fine = _grid_graphon(w, 2 * n)
         half = np.repeat(np.repeat(coarse.values, 2, axis=0), 2, axis=1)
         diff = np.abs(half - fine.values)
         err = float(fine.masses @ diff @ fine.masses)
     else:
         err = math.nan
     return coarse, err
+
+
+def _grid_graphon(w: AnalyticGraphon, cells: int) -> StepGraphon:
+    """Cell-average step graphon of ``w`` on ``cells`` equal cells of ``[0, x_max]``."""
+    edges = np.linspace(0.0, w.truncation.x_max, cells + 1)
+    if isinstance(w, RegionIndicatorGraphon):
+        vals = _region_cell_averages(w, edges)
+    else:
+        vals = _simpson_cell_averages(w, edges)
+    vals = 0.5 * (vals + vals.T)
+    return StepGraphon(np.diff(edges), vals)
 
 
 def _simpson_cell_averages(w: AnalyticGraphon, edges: np.ndarray) -> np.ndarray:

@@ -31,6 +31,7 @@ import numpy as np
 
 from ._rng import TAG_ANNEAL, TAG_HEURISTIC, substream
 from .graphon_core import (
+    MAX_DISCRETIZE_BLOCKS,
     CostLimitError,
     GraphonError,
     Partition,
@@ -96,33 +97,33 @@ def _block_integral_matrix(w: StepGraphon) -> np.ndarray:
     return w.values * np.outer(w.masses, w.masses)
 
 
-def _exact_cut(m: np.ndarray) -> tuple[float, int, float]:
-    """max over block subsets U, V of |sum_{U x V} m|, by enumerating U.
+def _cut_values(ms: np.ndarray):
+    """max over block subsets U, V of |sum_{U x V} m| for each matrix ``m`` of
+    the stack ``ms`` (shape ``(..., n, n)``), by enumerating U.
 
-    Returns the maximum, the bitmask of the first maximizing ``U`` and the
-    sign of its rectangle sum (``V`` is then the columns of that sign).
+    Returns the maxima, the bitmask of each first maximizing ``U`` and the
+    sign of its rectangle sum (``V`` is then the columns of that sign), all
+    of shape ``ms.shape[:-2]``.  Above ``EXACT_CUTNORM_MAX_BLOCKS`` blocks it
+    returns ``max(sum m+, sum m-)``, an upper bound since every rectangle sum
+    lies in ``[-sum m-, sum m+]``, and ``None`` for the maximizer.
     """
-    best, best_u, best_sign = 0.0, 0, 1.0
+    lead, n = ms.shape[:-2], ms.shape[-1]
+    if n > EXACT_CUTNORM_MAX_BLOCKS:
+        pos, neg = (np.clip(x, 0.0, None).sum(axis=(-2, -1)) for x in (ms, -ms))
+        return np.maximum(pos, neg), None, None
+    flat = ms.reshape(math.prod(lead), n, n)
+    best, best_u, best_sign = np.zeros(len(flat)), np.zeros(len(flat), dtype=np.int64), np.ones(len(flat))
     start = 0
-    for chunk in _subset_chunks(m.shape[0]):
-        s = chunk @ m
-        pos = np.clip(s, 0.0, None).sum(axis=1)
-        neg = np.clip(-s, 0.0, None).sum(axis=1)
-        for vals, sign in ((pos, 1.0), (neg, -1.0)):
-            i = int(vals.argmax())
-            if vals[i] > best:
-                best, best_u, best_sign = float(vals[i]), start + i, sign
+    for chunk in _subset_chunks(n):
+        s = chunk @ flat
+        # -sum(min(s, 0)) equals sum(max(-s, 0)) bit for bit and allocates no negated copy
+        for vals, sign in ((np.clip(s, 0.0, None).sum(axis=2), 1.0), (-np.clip(s, None, 0.0).sum(axis=2), -1.0)):
+            i = vals.argmax(axis=1)
+            top = vals[np.arange(i.size), i]
+            better = top > best
+            best[better], best_u[better], best_sign[better] = top[better], start + i[better], sign
         start += chunk.shape[0]
-    return best, best_u, best_sign
-
-
-def _cut_upper_bound(m: np.ndarray) -> float:
-    """:func:`_exact_cut` up to ``EXACT_CUTNORM_MAX_BLOCKS`` blocks; above,
-    ``max(sum m+, sum m-)``, an upper bound since every rectangle sum lies
-    in ``[-sum m-, sum m+]``."""
-    if m.shape[0] <= EXACT_CUTNORM_MAX_BLOCKS:
-        return _exact_cut(m)[0]
-    return max(float(np.clip(m, 0.0, None).sum()), float(np.clip(-m, 0.0, None).sum()))
+    return best.reshape(lead), best_u.reshape(lead), best_sign.reshape(lead)
 
 
 def _subset_chunks(n: int, chunk_rows: int = 1 << 14):
@@ -180,7 +181,7 @@ def cut_norm(w: StepGraphon, mode: str = "exact", seed: int = 0, starts: int = 3
                 f"exact cut norm limited to {EXACT_CUTNORM_MAX_BLOCKS} blocks, got {w.n_blocks}",
                 float(2 ** w.n_blocks) * w.n_blocks,
             )
-        best, best_u, sign = _exact_cut(m)
+        best, best_u, sign = (x.item() for x in _cut_values(m))
         n = w.n_blocks
         u = tuple(i for i in range(n) if (best_u >> i) & 1)
         s = m[list(u), :].sum(axis=0) if u else np.zeros(n)
@@ -348,16 +349,6 @@ class DistanceReport:
     budget_spent: int
 
 
-def _perm_objective_factory(a1: np.ndarray, a2: np.ndarray, q2: float, kind: str):
-    def objective(perm: np.ndarray) -> float:
-        diff = a1 - a2[np.ix_(perm, perm)]
-        if kind == "l1":
-            return float(np.abs(diff).sum()) * q2
-        return _cut_upper_bound(diff * q2)
-
-    return objective
-
-
 @lru_cache(maxsize=EXACT_PERM_MAX_BLOCKS + 1)
 def _lex_permutations(n: int) -> np.ndarray:
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
@@ -366,15 +357,12 @@ def _lex_permutations(n: int) -> np.ndarray:
 
 
 def _perm_objectives(a1: np.ndarray, a2: np.ndarray, perms: np.ndarray, q2: float, kind: str) -> np.ndarray:
-    """Objective of every row of ``perms``: the L1 norm, or the exact cut norm
-    over all ``2^n`` block subsets, of ``a1 - a2[perm][:, perm]`` times ``q2``."""
+    """Objective of every row of ``perms``: the L1 norm of ``a1 - a2[perm][:, perm]``
+    times ``q2``, or the cut value (:func:`_cut_values`) of that difference times ``q2``."""
     diff = a1[None, :, :] - a2[perms[:, :, None], perms[:, None, :]]
     if kind == "l1":
         return np.abs(diff).sum(axis=(1, 2)) * q2
-    s = np.einsum("sn,pnm->psm", _subset_bits(a1.shape[0]), diff)
-    pos = np.clip(s, 0.0, None).sum(axis=2).max(axis=1)
-    neg = np.clip(-s, 0.0, None).sum(axis=2).max(axis=1)
-    return np.maximum(pos, neg) * q2
+    return _cut_values(diff * q2)[0]
 
 
 def _enumerate_permutations(a1: np.ndarray, a2: np.ndarray, q2: float, kind: str):
@@ -420,17 +408,16 @@ def _enumerate_permutations(a1: np.ndarray, a2: np.ndarray, q2: float, kind: str
 
 def _anneal_permutations(a1, a2, q2, kind, seed, budget, restarts=8):
     """Simulated annealing over block permutations with pairwise swaps; the
-    cut objective is :func:`_cut_upper_bound`, so every value is an upper bound."""
+    objective is :func:`_perm_objectives`, so every value is an upper bound."""
     n = a1.shape[0]
     if n == 0:
         return 0.0, (), 0
-    objective = _perm_objective_factory(a1, a2, q2, kind)
     steps = max(1, budget // max(1, restarts))
     best_val, best_perm, spent = math.inf, np.arange(n), 0
     for r in range(restarts):
         rng = substream(seed, TAG_ANNEAL, r)
         perm = np.arange(n) if r == 0 else rng.permutation(n)
-        val = objective(perm)
+        val = float(_perm_objectives(a1, a2, perm[None], q2, kind)[0])
         spent += 1
         if val < best_val:
             best_val, best_perm = val, perm.copy()
@@ -444,7 +431,7 @@ def _anneal_permutations(a1, a2, q2, kind, seed, budget, restarts=8):
                 continue
             cand = perm.copy()
             cand[i], cand[j] = cand[j], cand[i]
-            cand_val = objective(cand)
+            cand_val = float(_perm_objectives(a1, a2, cand[None], q2, kind)[0])
             spent += 1
             if cand_val <= val or rng.random() < math.exp(-(cand_val - val) / max(temp, 1e-300)):
                 perm, val = cand, cand_val
@@ -488,7 +475,7 @@ def _proportional_coupling_value(lo: StepGraphon, hi: StepGraphon, r: float, kin
     masses = np.concatenate([lo.masses, (r - 1.0) * lo.masses])
     if kind == "l1":
         return float(masses @ np.abs(d) @ masses)
-    return _cut_upper_bound(d * np.outer(masses, masses))
+    return float(_cut_values(d * np.outer(masses, masses))[0])
 
 
 def _distance(w1, w2, kind, mode, budget, seed, quantum) -> DistanceReport:
@@ -514,14 +501,15 @@ def _distance(w1, w2, kind, mode, budget, seed, quantum) -> DistanceReport:
         if not candidates:
             raise
         n = None
-    if n is not None and mode == "exact" and n > EXACT_PERM_MAX_BLOCKS:
+    limit = EXACT_PERM_MAX_BLOCKS if mode == "exact" else MAX_DISCRETIZE_BLOCKS
+    if n is not None and n > limit:
         if not candidates:
+            hint = " or use mode='anneal'" if mode == "exact" else ""
             raise CostLimitError(
-                f"exact mode limited to {EXACT_PERM_MAX_BLOCKS} equal-mass blocks, refinement has {n}"
-                " (pass a coarser quantum or use mode='anneal')",
-                math.factorial(min(n, 20)) * (2.0 ** min(n, 26)) * n,
+                f"{mode} mode limited to {limit} equal-mass blocks, refinement has {n} (pass a coarser quantum{hint})",
+                math.factorial(min(n, 20)) * (2.0 ** min(n, 26)) * n if hint else float(budget) * n * n,
             )
-        n = None  # the proportional certificate stands in for the infeasible enumeration
+        n = None  # the proportional certificate stands in for the infeasible search
     if n is not None:
         r1, r2, qbound = common_refinement(w1, w2, q)
         q2 = q * q
@@ -584,6 +572,7 @@ def canonical_graphons(g) -> tuple[StepGraphon, StepGraphon]:
     adj = np.zeros((n, n))
     adj[rows[:, 0], rows[:, 1]] = 1.0
     adj[rows[:, 1], rows[:, 0]] = 1.0
+    adj.setflags(write=False)  # both graphons then share it instead of copying it
     canonical = StepGraphon(np.full(n, 1.0 / n), adj, ambient_infinite=True)
     e = g.num_edges
     if e == 0:
@@ -678,7 +667,7 @@ def graph_graphon_distance_estimate(trace, w: StepGraphon, alignment: str = "fea
     sizes = sizes[present].astype(float)
     counts = g.group_edge_counts(groups, k)[np.ix_(present, present)]
     h = StepGraphon(sizes * ell, counts / np.outer(sizes, sizes), ambient_infinite=True)
-    return _cut_upper_bound(_block_integral_matrix(_overlap_difference(h, b)))
+    return float(_cut_values(_block_integral_matrix(_overlap_difference(h, b)))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,10 @@ sorted label pairs ``edges`` (E, 2) with ``u < v``.  Labels are implicit,
 with ``v <= k``, and an edge is created at ``births[v - 1]``.
 :func:`trace_from_json` rejects labels other than 1..N, births that
 decrease or leave ``[0, horizon]``, edges with ``u >= v``, unknown
-endpoints or duplicates, and feature rows of unequal width.
+endpoints or duplicates, and feature rows of unequal width.  A
+:class:`SampledGraph` sorts its labels once on construction and keeps its
+edges' rows in ``labels`` (``edge_rows()``); snapshots and subgraphs cut
+labels, edges and rows from checked arrays without revalidating them.
 """
 
 from __future__ import annotations
@@ -100,25 +103,26 @@ class SampledGraph:
     def __post_init__(self):
         labels = np.asarray(self.labels, dtype=np.int64)
         edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
-        if labels.size != np.unique(labels).size:
+        order = np.argsort(labels, kind="stable")
+        ordered = labels[order]
+        if np.any(ordered[1:] == ordered[:-1]):
             raise GraphonError("vertex labels must be unique")
-        if edges.size:
-            if np.any(edges[:, 0] == edges[:, 1]):
-                raise GraphonError("self-loops are not allowed")
-            rows = _label_rows(labels, edges)
-            unknown = np.flatnonzero((rows < 0).any(axis=1))
-            if unknown.size:
-                u, v = edges[unknown[0]].tolist()
-                raise GraphonError(f"edge ({u}, {v}) references an unknown vertex")
-            # one integer key per edge, lexicographic in the label order of (min, max)
-            n = labels.size
-            rank = np.argsort(np.argsort(labels, kind="stable"))[rows]
-            key = np.sort(np.minimum(rank[:, 0], rank[:, 1]) * n + np.maximum(rank[:, 0], rank[:, 1]))
-            if np.any(key[1:] == key[:-1]):
-                raise GraphonError("duplicate edges are not allowed")
-            edges = np.sort(labels)[np.column_stack(np.divmod(key, n))]
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "edges", edges)
+        if np.any(edges[:, 0] == edges[:, 1]):
+            raise GraphonError("self-loops are not allowed")
+        n = labels.size
+        # searched column by column: the first column of sorted edges is sorted, which searchsorted exploits
+        ranks = np.minimum(np.searchsorted(ordered, edges.T).T, n - 1)
+        unknown = np.flatnonzero((ordered[ranks] != edges).any(axis=1)) if n else np.arange(len(edges))
+        if unknown.size:
+            u, v = edges[unknown[0]].tolist()
+            raise GraphonError(f"edge ({u}, {v}) references an unknown vertex")
+        # one integer key per edge, lexicographic in the label order of (min, max)
+        key = np.sort(ranks.min(axis=1) * n + ranks.max(axis=1))
+        del ranks  # freed before the (E, 2) outputs: on large graphs it would set the peak
+        if np.any(key[1:] == key[:-1]):
+            raise GraphonError("duplicate edges are not allowed")
+        rows = order[np.column_stack(np.divmod(key, n))]
+        _set_fields(self, labels, labels[rows], rows, self.births, self.features)
 
     # -- derived statistics ---------------------------------------------------
     @property
@@ -136,8 +140,8 @@ class SampledGraph:
         return 2.0 * self.num_edges / (n * n) if n else 0.0
 
     def edge_rows(self) -> np.ndarray:
-        """Edges as ``(E, 2)`` row positions in ``labels`` instead of labels."""
-        return _label_rows(self.labels, self.edges)
+        """Edges as ``(E, 2)`` row positions in ``labels``; read-only, computed on construction."""
+        return self._rows
 
     def degree_sequence(self) -> np.ndarray:
         """Degrees aligned with ``labels``."""
@@ -162,13 +166,27 @@ class SampledGraph:
         return self._restrict(self.degree_sequence() > 0)
 
     def _restrict(self, keep: np.ndarray) -> "SampledGraph":
-        """Subgraph induced on the vertices whose rows are set in the mask ``keep``."""
-        return SampledGraph(
+        """Subgraph induced on the vertices whose rows are set in the mask ``keep``;
+        label order is kept, so the kept edges stay sorted and only their rows shift."""
+        kept = keep[self._rows].all(axis=1)
+        return _set_fields(
+            object.__new__(SampledGraph),
             self.labels[keep],
-            self.edges[keep[self.edge_rows()].all(axis=1)],
+            np.compress(kept, self.edges, axis=0),
+            (np.cumsum(keep) - 1)[np.compress(kept, self._rows, axis=0)],
             self.births[keep] if self.births is not None else None,
             self.features[keep] if self.features is not None else None,
         )
+
+
+def _set_fields(g: SampledGraph, labels, edges, rows, births, features) -> SampledGraph:
+    """Fill ``g`` from arrays that pass the :class:`SampledGraph` checks:
+    unique labels, canonically sorted edges and ``rows`` their row positions."""
+    rows.setflags(write=False)
+    for name, value in (("labels", labels), ("edges", edges), ("_rows", rows),
+                        ("births", births), ("features", features)):
+        object.__setattr__(g, name, value)
+    return g
 
 
 @dataclass(frozen=True)
@@ -228,28 +246,13 @@ class ProcessTrace:
 def _label_prefix(edges: np.ndarray, births: np.ndarray, features: np.ndarray, k: int) -> SampledGraph:
     """Graph on labels ``1..k`` cut from validated, sorted edges on labels ``1..n``.
 
-    The edges with ``v <= k`` keep their sorted order, so the result is what
-    the :class:`SampledGraph` constructor would build, without revalidating.
+    The edges with ``v <= k`` keep their sorted order and label ``i`` is row
+    ``i - 1``: what the :class:`SampledGraph` constructor would build.
     """
-    g = object.__new__(SampledGraph)
     # compress is several times faster than a boolean mask on the rows of a 2-d array
-    for name, value in (("labels", np.arange(1, k + 1, dtype=np.int64)),
-                        ("edges", np.compress(edges[:, 1] <= k, edges, axis=0)),
-                        ("births", births[:k]), ("features", features[:k])):
-        object.__setattr__(g, name, value)
-    return g
-
-
-def _label_rows(labels: np.ndarray, query) -> np.ndarray:
-    """Row of each label of ``query`` in ``labels`` (same shape); -1 where absent."""
-    query = np.asarray(query, dtype=np.int64)
-    if labels.size == 0:
-        return np.full(query.shape, -1, dtype=np.intp)
-    order = np.argsort(labels, kind="stable")
-    ordered = labels[order]
-    # searched column by column: the first column of sorted edges is sorted, which searchsorted exploits
-    ranks = np.minimum(np.searchsorted(ordered, query.T).T, labels.size - 1)
-    return np.where(ordered[ranks] == query, order[ranks], -1)
+    prefix = np.compress(edges[:, 1] <= k, edges, axis=0)
+    return _set_fields(object.__new__(SampledGraph), np.arange(1, k + 1, dtype=np.int64), prefix,
+                       prefix - 1, births[:k], features[:k])
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from graphonlab.graphon_core import CaronFoxGraphon, MixedMembershipGraphon, StepGraphon
+from graphonlab.graphon_core import CaronFoxGraphon, GraphonError, MixedMembershipGraphon, StepGraphon
 from graphonlab.regularity import (
     clique_plus_isolated,
     cycle_graph,
@@ -14,11 +14,34 @@ from graphonlab.regularity import (
     perfect_matching,
     upper_regularity_statistic,
 )
-from graphonlab.sampling import SampledGraph, sample_graphon_process, snapshot_at, xi_box_counts
+from graphonlab.sampling import (
+    ArrivalSchedule,
+    SampledGraph,
+    sample_graphon_process,
+    sample_sequential,
+    snapshot_at,
+    xi_box_counts,
+)
 
 # ---------------------------------------------------------------------------
 # Oracles: the replaced implementations
 # ---------------------------------------------------------------------------
+
+
+def _label_rows(labels: np.ndarray, query) -> np.ndarray:
+    """Row of each label of ``query`` in ``labels`` (same shape); -1 where absent."""
+    query = np.asarray(query, dtype=np.int64)
+    if labels.size == 0:
+        return np.full(query.shape, -1, dtype=np.intp)
+    order = np.argsort(labels, kind="stable")
+    ordered = labels[order]
+    # searched column by column: the first column of sorted edges is sorted, which searchsorted exploits
+    ranks = np.minimum(np.searchsorted(ordered, query.T).T, labels.size - 1)
+    return np.where(ordered[ranks] == query, order[ranks], -1)
+
+
+def oracle_edge_rows(g):
+    return _label_rows(g.labels, g.edges)
 
 
 def oracle_degree_map(g):
@@ -230,3 +253,59 @@ class TestGraphOracles:
     ])
     def test_graph_families(self, name, build, n):
         assert np.array_equal(build(n).edges, SampledGraph(build(n).labels, oracle_family_edges(name, n)).edges)
+
+
+class TestEdgeRows:
+    """``edge_rows()`` is stored on construction and carried through
+    snapshots and subgraphs; the replaced lookup recomputes it from labels."""
+
+    @staticmethod
+    def assert_rows(g):
+        rows = g.edge_rows()
+        assert rows.shape == g.edges.shape
+        assert np.array_equal(rows, oracle_edge_rows(g))
+        assert not rows.flags.writeable
+
+    @pytest.mark.parametrize("g", list(example_graphs()), ids=lambda g: f"n{g.num_vertices}")
+    def test_graphs_and_subgraphs(self, g):
+        self.assert_rows(g)
+        self.assert_rows(g.drop_isolated())
+        self.assert_rows(g.induced(g.labels[::2].tolist() + [10_000]))
+        self.assert_rows(g.induced(g.labels[1::3].tolist()).drop_isolated())
+        self.assert_rows(g.induced([]))
+
+    @pytest.mark.parametrize("keep_isolated", [False, True])
+    def test_snapshots(self, trace, keep_isolated):
+        for s in snapshot_times(trace):
+            self.assert_rows(snapshot_at(trace, s, keep_isolated))
+
+    def test_sequential_checkpoints(self):
+        w = StepGraphon([1.0, 2.0], [[0.6, 0.2], [0.2, 0.4]])
+        graphs = sample_sequential(w, ArrivalSchedule("linear", 1.0), 300, seed=3, checkpoints=[1, 40, 257, 300])
+        assert graphs[-1].num_edges > 100
+        for g in graphs:
+            self.assert_rows(g)
+            self.assert_rows(g.drop_isolated())
+
+    def test_read_only(self):
+        g = unsorted_graph()
+        with pytest.raises(ValueError):
+            g.edge_rows()[0, 0] = 0
+        assert np.array_equal(g.edge_rows(), oracle_edge_rows(g))
+
+    @pytest.mark.parametrize("labels, edges, message", [
+        ([4, 2, 4], [], "vertex labels must be unique"),
+        ([1, 2, 1], [[1, 1]], "vertex labels must be unique"),
+        ([1, 2, 3], [[2, 3], [3, 3]], "self-loops are not allowed"),
+        ([], [[1, 1]], "self-loops are not allowed"),
+        ([5, 1, 3], [[1, 3], [3, 4], [9, 5]], r"edge \(3, 4\) references an unknown vertex"),
+        ([5, 1, 3], [[1, 3], [0, 1]], r"edge \(0, 1\) references an unknown vertex"),
+        ([5, 1, 3], [[1, 3], [5, 6]], r"edge \(5, 6\) references an unknown vertex"),
+        ([], [[1, 2], [3, 4]], r"edge \(1, 2\) references an unknown vertex"),
+        ([5, 1, 3], [[1, 5], [3, 1], [5, 1]], "duplicate edges are not allowed"),
+        ([5, 1, 3], [[3, 4], [1, 5], [5, 1]], r"edge \(3, 4\) references an unknown vertex"),
+    ], ids=["duplicate_labels", "duplicate_labels_first", "self_loop", "self_loop_first", "unknown",
+            "unknown_below", "unknown_above", "edge_on_empty_labels", "duplicate_both_orders", "unknown_first"])
+    def test_rejects(self, labels, edges, message):
+        with pytest.raises(GraphonError, match=f"^{message}$"):
+            SampledGraph(np.array(labels, dtype=np.int64), np.array(edges, dtype=np.int64))

@@ -17,6 +17,7 @@ from graphonlab.graphon_core import (
     RegionIndicatorGraphon,
     SpecError,
     StepGraphon,
+    TailTruncation,
     average_over_partition,
     constant_graphon,
     degree_profile,
@@ -239,6 +240,59 @@ class TestTruncateTail:
         # dropping the light third block leaves residual 0.01*9 = 0.09 < 0.2
         assert res.mass_bound == 2.0
         assert res.residual == pytest.approx(0.09, abs=1e-12)
+
+
+def discretized_truncate_tail(w, eps):
+    """Oracle: the replaced analytic branch of ``truncate_tail``, which went
+    through :func:`discretize` and dropped its error estimate."""
+    step, _ = discretize(w, w.truncation.x_max / 256)
+    base = w.truncation.target_l1_residual
+    inner = truncate_tail(step, max(eps - base, 1e-15))
+    return TailTruncation(inner.mass_bound, inner.graphon, inner.residual + base)
+
+
+class TestTruncateTailGrid:
+    @pytest.mark.parametrize("w", [
+        CaronFoxGraphon("shifted_power", 1.0, 2.0, x_max=12.0),
+        CaronFoxGraphon("shifted_power", 2.0, 1.5, x_max=40.0),
+        RegionIndicatorGraphon(0.5, x_max=8.0),
+        RegionIndicatorGraphon(0.8, x_max=30.0),
+    ], ids=["caron_fox_12", "caron_fox_40", "region_8", "region_30"])
+    def test_bit_identical_to_discretize_path(self, w):
+        for eps in (0.05, 0.2, 1.0):
+            got, want = truncate_tail(w, eps), discretized_truncate_tail(w, eps)
+            assert (got.mass_bound, got.residual) == (want.mass_bound, want.residual)
+            assert np.array_equal(got.graphon.masses, want.graphon.masses)
+            assert np.array_equal(got.graphon.values, want.graphon.values)
+
+
+class TestReadOnlyStorage:
+    def test_shares_read_only_owner(self):
+        vals = np.array([[0.5, 0.2], [0.2, 0.1]])
+        vals.setflags(write=False)
+        w = StepGraphon([1.0, 2.0], vals)
+        assert w.values is vals
+        assert StepGraphon(w.masses, w.values).masses is w.masses
+
+    def test_copies_writable_input(self):
+        vals = np.array([[0.5, 0.2], [0.2, 0.1]])
+        w = StepGraphon([1.0, 2.0], vals)
+        vals[0, 0] = 9.0
+        assert w.values[0, 0] == 0.5 and not w.values.flags.writeable
+
+    def test_copies_read_only_view_of_writable_array(self):
+        base = np.array([[0.5, 0.2], [0.2, 0.1]])
+        view = base.view()
+        view.setflags(write=False)
+        w = StepGraphon([1.0, 2.0], view)
+        base[0, 0] = 9.0
+        assert w.values is not view and w.values[0, 0] == 0.5
+
+    def test_copies_other_dtypes(self):
+        vals = np.array([[1, 0], [0, 1]], dtype=np.int64)
+        vals.setflags(write=False)
+        w = StepGraphon([1.0, 2.0], vals)
+        assert w.values.dtype == np.float64 and not w.values.flags.writeable
 
 
 def loop_average_over_partition(w, p):

@@ -32,7 +32,8 @@ from graphonlab.metrics import (
     weak_regularity_partition,
 )
 from graphonlab import metrics
-from graphonlab.metrics import _subset_bits
+from graphonlab.metrics import _subset_bits, _subset_chunks
+from graphonlab.regularity import cycle_graph
 from graphonlab.sampling import SampledGraph, sample_graphon_process, snapshot_at
 
 
@@ -47,6 +48,26 @@ def brute_force_cut_norm(w: StepGraphon) -> float:
             v = [j for j in range(n) if v_bits[j]]
             best = max(best, abs(m[np.ix_(u, v)].sum()))
     return best
+
+
+def _exact_cut(m: np.ndarray) -> tuple[float, int, float]:
+    """max over block subsets U, V of |sum_{U x V} m|, by enumerating U.
+
+    Returns the maximum, the bitmask of the first maximizing ``U`` and the
+    sign of its rectangle sum (``V`` is then the columns of that sign).
+    """
+    best, best_u, best_sign = 0.0, 0, 1.0
+    start = 0
+    for chunk in _subset_chunks(m.shape[0]):
+        s = chunk @ m
+        pos = np.clip(s, 0.0, None).sum(axis=1)
+        neg = np.clip(-s, 0.0, None).sum(axis=1)
+        for vals, sign in ((pos, 1.0), (neg, -1.0)):
+            i = int(vals.argmax())
+            if vals[i] > best:
+                best, best_u, best_sign = float(vals[i]), start + i, sign
+        start += chunk.shape[0]
+    return best, best_u, best_sign
 
 
 def lexicographic_enumeration(a1, a2, q2, kind):
@@ -147,7 +168,7 @@ def dense_distance_estimate(trace, w, alignment="feature_oracle"):
     cells = [np.flatnonzero(sorted_groups == blk).tolist() for blk in range(w.n_blocks)]
     partition = Partition.from_cells(a, [c for c in cells if c])
     h = average_over_partition(a, partition)
-    return metrics._cut_upper_bound(metrics._block_integral_matrix(masked_overlap_difference(h, b)))
+    return float(metrics._cut_values(metrics._block_integral_matrix(masked_overlap_difference(h, b)))[0])
 
 
 def cycles_adjacency(n, lengths):
@@ -663,13 +684,16 @@ class TestCutUpperBound:
 
     def test_exact_at_or_below_limit(self):
         for m in self.kernels():
-            assert metrics._cut_upper_bound(m) == metrics._exact_cut(m)[0]
+            assert metrics._cut_values(m)[0] == _exact_cut(m)[0]
+            if m.shape[0] <= 7:  # brute force takes 13 s at 10 blocks
+                assert metrics._cut_values(m)[0] == pytest.approx(
+                    brute_force_cut_norm(StepGraphon(np.ones(m.shape[0]), m)), abs=1e-12)
 
     def test_upper_bound_above_limit(self, monkeypatch):
         monkeypatch.setattr(metrics, "EXACT_CUTNORM_MAX_BLOCKS", 0)
         for m in self.kernels():
-            exact = metrics._exact_cut(m)[0]
-            bound = metrics._cut_upper_bound(m)
+            exact = _exact_cut(m)[0]
+            bound = metrics._cut_values(m)[0]
             assert bound >= exact - 1e-12 * np.abs(m).sum()
             assert bound <= np.abs(m).sum()
 
@@ -688,6 +712,86 @@ class TestCutUpperBound:
                   graph_graphon_distance_estimate(trace, w))
         for value, bound in zip(exact, bounds):
             assert bound > value
+
+
+class TestCutValues:
+    """The stacked cut evaluator against the single-matrix enumerator it
+    replaced, kept above as the oracle ``_exact_cut``."""
+
+    @staticmethod
+    def stacks():
+        rng = np.random.default_rng(8)
+        for n in list(range(1, 13)) + [15, 17]:
+            shape = (3,) if n >= 15 else (2, 3)
+            vals = rng.uniform(-1.0, 1.0, size=shape + (n, n))
+            vals = vals + np.swapaxes(vals, -1, -2)
+            if n <= 4:
+                vals[..., 0, :] = vals[..., :, 0] = 0.0  # ties between subsets
+            yield vals
+
+    def test_matches_oracle(self):
+        for ms in self.stacks():
+            values, masks, signs = metrics._cut_values(ms)
+            assert values.shape == masks.shape == signs.shape == ms.shape[:-2]
+            for idx in np.ndindex(ms.shape[:-2]):
+                assert (values[idx], masks[idx], signs[idx]) == _exact_cut(ms[idx])
+
+    def test_single_matrix_and_zero(self):
+        rng = np.random.default_rng(2)
+        m = rng.uniform(-1.0, 1.0, size=(6, 6))
+        m = m + m.T
+        assert tuple(x.item() for x in metrics._cut_values(m)) == _exact_cut(m)
+        assert tuple(x.item() for x in metrics._cut_values(np.zeros((4, 4)))) == (0.0, 0, 1.0)
+        values, _, _ = metrics._cut_values(np.zeros((5, 0, 0)))
+        assert np.array_equal(values, np.zeros(5))
+
+    def test_bound_above_limit(self, monkeypatch):
+        monkeypatch.setattr(metrics, "EXACT_CUTNORM_MAX_BLOCKS", 3)
+        ms = next(s for s in self.stacks() if s.shape[-1] == 5)
+        values, masks, signs = metrics._cut_values(ms)
+        assert masks is None and signs is None
+        for idx in np.ndindex(ms.shape[:-2]):
+            m = ms[idx]
+            assert values[idx] == max(float(np.clip(m, 0.0, None).sum()), float(np.clip(-m, 0.0, None).sum()))
+            assert values[idx] >= _exact_cut(m)[0]
+
+
+def two_block_snapshot():
+    """2,908 non-isolated vertices: the refinement against a two-block
+    graphon has 14,540 equal-mass blocks."""
+    w = StepGraphon([100.0, 100.0], [[0.002, 0.0005], [0.0005, 0.002]])
+    return snapshot_at(sample_graphon_process(w, 15.0, seed=0), 15.0, keep_isolated=False), w
+
+
+class TestCostAndMemory:
+    def test_anneal_refinement_over_limit_raises(self):
+        g, w = two_block_snapshot()
+        assert g.num_vertices == 2908
+        with pytest.raises(CostLimitError, match="anneal mode limited to 4096 equal-mass blocks, refinement has 14540"):
+            stretched_cut_distance(g, w, mode="anneal", budget=50)
+
+    def test_anneal_over_limit_keeps_proportional_certificate(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        lo = random_step(rng, 3, signed=False)
+        hi = StepGraphon(2.0 * lo.masses, random_step(rng, 3, signed=False).values)
+        monkeypatch.setattr(metrics, "MAX_DISCRETIZE_BLOCKS", 2)
+        rep = cut_distance(lo, hi, mode="anneal", budget=100)
+        assert rep.witness["coupling"] == "proportional" and rep.budget_spent == 0
+        with pytest.raises(CostLimitError, match="anneal mode limited to 2"):
+            cut_distance(random_step(rng, 3), random_step(rng, 3), mode="anneal", budget=100)
+
+    def test_canonical_graphons_share_adjacency(self):
+        g = cycle_graph(2000)
+        matrix = 8 * g.num_vertices ** 2
+        tracemalloc.start()
+        try:
+            canonical, stretched = canonical_graphons(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * matrix
+        assert canonical.values is stretched.values
+        assert canonical.values[0, 1] == 1.0 and canonical.values.sum() == 2 * g.num_edges
 
 
 class TestWeakRegularity:
