@@ -25,7 +25,8 @@ import numpy as np
 # (tag 2, retired and not to be reused).  Its process vertex windows (tag 1)
 # and dense features (tag 5, index 0) are unchanged, so those births and
 # features are bit-identical across the two layouts; edges and sequential
-# features are not.
+# features are not.  Drawing all windows' vertices before any edges leaves
+# each stream's draws, and so this layout and its traces, unchanged.
 TAG_WINDOW = 1  # Poisson vertex windows of a graphon process
 TAG_SEQ_FEATURE = 3  # features of one arrival block of the sequential model
 TAG_SEQ_EDGE = 4  # edges of one arrival block of the sequential model

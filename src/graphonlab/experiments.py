@@ -42,7 +42,7 @@ from .regularity import (
 from .sampling import (
     ArrivalSchedule,
     ProcessTrace,
-    _window_edges,
+    _arrival_edges,
     sample_dense_wrandom,
     sample_graphon_process,
     sample_sequential,
@@ -334,17 +334,13 @@ def _sample_inhomogeneous_control(t: float, seed: int, p_early: float, p_late: f
     """
     half = t / 2.0
     kernel = StepGraphon([half, half + 1.0], [[p_early, p_late], [p_late, p_late]])  # covers births in [0, t]
-    births = np.zeros(0)
-    edges = [np.zeros((0, 2), dtype=np.int64)]
-    for k in range(int(math.ceil(t))):
-        rng = substream(seed, TAG_CONTROL, k)
-        count = int(rng.poisson(1.0))
-        window = np.sort(rng.uniform(float(k), float(k + 1), size=count))
-        kept = int(np.searchsorted(window, t, side="right"))
-        edges.append(_window_edges(kernel, births[:, None], window[:, None], kept, rng) + 1)
-        births = np.concatenate([births, window[:kept]])
-    return ProcessTrace(constant_graphon(1.0), t, seed, True,
-                        births, np.full((births.size, 1), 0.5), np.concatenate(edges))
+    streams = [substream(seed, TAG_CONTROL, k) for k in range(int(math.ceil(t)))]
+    windows = [np.sort(rng.uniform(float(k), float(k + 1), size=int(rng.poisson(1.0))))
+               for k, rng in enumerate(streams)]
+    births = np.concatenate([np.zeros(0), *windows])
+    n = int(np.searchsorted(births, t, side="right"))
+    edges = _arrival_edges(kernel, births[:, None], np.cumsum([0] + [b.size for b in windows]), n, streams)
+    return ProcessTrace(constant_graphon(1.0), t, seed, True, births[:n], np.full((n, 1), 0.5), edges)
 
 
 def _random_involution(b: int, rng: np.random.Generator) -> np.ndarray:

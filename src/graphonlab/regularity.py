@@ -167,17 +167,16 @@ def upper_regularity_statistic(g: SampledGraph, partition_classes: int, k_value:
 
 
 def _decode_upper_triangle(linear: np.ndarray, n: int) -> np.ndarray:
-    """Row-major upper-triangle linear indices to (i, j) pairs with i < j."""
-    linear = linear.astype(np.int64)
+    """Row-major upper-triangle linear indices to 1-based pairs (i, j), i < j, in one (E, 2) array."""
+    pairs = np.empty((linear.size, 2), dtype=np.int64)
+    i = pairs[:, 0]
     b = 2 * n - 1
-    i = np.floor((b - np.sqrt(b * b - 8.0 * linear)) / 2.0).astype(np.int64)
+    i[:] = np.floor((b - np.sqrt(b * b - 8.0 * linear)) / 2.0)
     # float guard: fix rows off by one
-    starts = i * (b - i) // 2
-    too_big = starts > linear
-    i[too_big] -= 1
-    starts = i * (b - i) // 2
-    j = linear - starts + i + 1
-    return np.stack([i, j], axis=1)
+    i[i * (b - i) // 2 > linear] -= 1
+    pairs[:, 1] = linear - i * (b - i) // 2 + i + 2
+    i += 1
+    return pairs
 
 
 def er_power_graph(n: int, alpha: float, seed: int) -> SampledGraph:
@@ -200,8 +199,8 @@ def er_power_graph(n: int, alpha: float, seed: int) -> SampledGraph:
         if not inside.all():
             break
         position = int(offsets[-1])
-    linear = np.concatenate(picks)
-    pairs = _decode_upper_triangle(linear, n) + 1
+    pairs = _decode_upper_triangle(np.concatenate(picks), n)
+    del picks  # freed before the constructor, whose own peak then sets the call's
     return SampledGraph(np.arange(1, n + 1, dtype=np.int64), pairs)
 
 

@@ -7,12 +7,12 @@ randomness flows through addressed substreams (see ``_rng``), which makes
 traces bit-reproducible and extendable in the horizon without
 re-randomizing history.  Sampling goes by windows: unit time windows for
 the process, blocks of ``_ARRIVAL_BLOCK`` (256) arrivals for the sequential and
-dense models.  A window draws its vertices, then every edge from them to
-all earlier vertices and among themselves (:func:`_window_edges`), for the
-whole window; the draws are then cut to the horizon or the step count, so
-a longer run only appends draws.  Caron-Fox kernels ``1 - exp(-f(x) f(y))``
-take an exact Poisson path whose cost is linear in the window's vertices
-and edges; other kernels flip one vectorized coin per pair.
+dense models.  A sampler first draws every window's vertices into one
+feature array; one edge loop (:func:`_arrival_edges`) then draws each
+window's edges, to all earlier vertices and among its own, as for the
+whole window, and cuts rows past the horizon or the step count, so a longer
+run only appends draws.  Caron-Fox kernels ``1 - exp(-f(x) f(y))`` take an
+exact Poisson path; other kernels flip one vectorized coin per pair.
 
 A trace is stored as arrays: ``births`` (N,), ``features`` (N, d) and
 sorted label pairs ``edges`` (E, 2) with ``u < v``.  Labels are implicit,
@@ -141,11 +141,14 @@ class SampledGraph:
 
     def edge_rows(self) -> np.ndarray:
         """Edges as ``(E, 2)`` row positions in ``labels``; read-only, computed on construction."""
-        return self._rows
+        rows = self._rows.view()
+        rows.setflags(write=False)
+        return rows
 
     def degree_sequence(self) -> np.ndarray:
         """Degrees aligned with ``labels``."""
-        return np.bincount(self.edge_rows().ravel(), minlength=self.num_vertices)
+        # the private rows are writable: bincount copies a read-only input
+        return np.bincount(self._rows.ravel(), minlength=self.num_vertices)
 
     def group_edge_counts(self, groups: np.ndarray, k: int) -> np.ndarray:
         """``(k, k)`` counts of ordered adjacent vertex pairs ``(i, j)`` by the
@@ -182,7 +185,6 @@ class SampledGraph:
 def _set_fields(g: SampledGraph, labels, edges, rows, births, features) -> SampledGraph:
     """Fill ``g`` from arrays that pass the :class:`SampledGraph` checks:
     unique labels, canonically sorted edges and ``rows`` their row positions."""
-    rows.setflags(write=False)
     for name, value in (("labels", labels), ("edges", edges), ("_rows", rows),
                         ("births", births), ("features", features)):
         object.__setattr__(g, name, value)
@@ -287,46 +289,49 @@ def _draw_features(w, count: int, rng: np.random.Generator) -> np.ndarray:
     return np.asarray(w.sample_features(count, rng), dtype=float).reshape(count, -1)
 
 
-def _window_edges(w, prior_features: np.ndarray, new_features: np.ndarray, kept: int,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Edges of one window: its new vertices against all earlier ones and each other.
+def _arrival_edges(w, features: np.ndarray, starts, n: int, streams) -> np.ndarray:
+    """1-based edges ``(u, v)``, ``u < v <= n``, among arrivals drawn window by window.
 
-    Rows of ``prior_features`` are the vertices ``0..P-1`` and rows of
-    ``new_features`` the vertices ``P..P+n-1``.  Returns the 0-based pairs
-    ``(u, v)`` with ``u < v`` and ``P <= v < P + kept``, drawn as for the
-    whole window and then cut to its first ``kept`` vertices; each pair is
-    present independently with probability ``evaluate(w, x_u, x_v)``.
-    Caron-Fox kernels are exactly the event Poisson(f(x) f(y)) >= 1, so
-    they draw Poisson multi-edges with endpoints proportional to f and keep
-    the distinct pairs.  Every other kernel compares one coin per pair with
-    the kernel, drawn row by row (``P + i`` coins for new vertex ``i``), so
-    rows past ``kept`` need not be drawn.
+    Window ``i`` is rows ``starts[i]:starts[i + 1]`` of ``features``, drawn
+    as for the whole window; rows from ``n`` on are cut, so only the last
+    window may hold such rows.  Its edges to all earlier rows and among its
+    own rows come from ``streams[i]``, and each pair is present
+    independently with probability ``evaluate(w, x_u, x_v)``.  Caron-Fox
+    kernels are exactly the event Poisson(f(x) f(y)) >= 1, so they draw
+    Poisson multi-edges with endpoints proportional to f and keep the
+    distinct pairs.  Every other kernel compares one coin per pair with the
+    kernel, drawn row by row (``r`` coins for row ``r``), so rows from ``n``
+    on need not be drawn.
     """
-    p = prior_features.shape[0]
-    if isinstance(w, CaronFoxGraphon):
-        pairs = _poisson_window_pairs(w, prior_features[:, 0], new_features[:, 0], rng)
-        return pairs[pairs[:, 1] < p + kept]
-    everyone = np.concatenate([prior_features, new_features[:kept]])
     pairs = [np.zeros((0, 2), dtype=np.int64)]
-    rows = max(1, _MAX_COINS // max(p + kept, 1))
-    for lo in range(0, kept, rows):
-        new = everyone[p + lo:p + min(lo + rows, kept)]
-        if new.shape[1] == 1:
-            probs = evaluate(w, new[:, 0, None], everyone[None, :, 0])
-        else:
-            probs = evaluate(w, new[:, None, :], everyone[None, :, :])
-        v = p + lo + np.arange(new.shape[0])
-        earlier = np.arange(p + kept) < v[:, None]
-        hits = np.zeros(earlier.shape, dtype=bool)
-        hits[earlier] = rng.random(np.count_nonzero(earlier)) < probs[earlier]
-        i, u = np.nonzero(hits)
-        pairs.append(np.column_stack((u, v[i])))
-    return np.concatenate(pairs)
+    poisson = isinstance(w, CaronFoxGraphon)
+    if poisson:
+        x = features[:, 0]
+        f = np.where((x >= 0) & (x <= w.truncation.x_max), w.f(x), 0.0)  # zero outside the truncation
+    for lo, hi, rng in zip(starts[:-1], starts[1:], streams):
+        if poisson:
+            new = _poisson_window_pairs(f[:lo], f[lo:hi], rng)
+            pairs.append(new[new[:, 1] < n])
+            continue
+        seen = features[:min(hi, n)]
+        rows = max(1, _MAX_COINS // max(seen.shape[0], 1))
+        for a in range(lo, seen.shape[0], rows):
+            new = seen[a:a + rows]
+            if new.shape[1] == 1:
+                probs = evaluate(w, new[:, 0, None], seen[None, :, 0])
+            else:
+                probs = evaluate(w, new[:, None, :], seen[None, :, :])
+            v = a + np.arange(new.shape[0])
+            earlier = np.arange(seen.shape[0]) < v[:, None]
+            hits = np.zeros(earlier.shape, dtype=bool)
+            hits[earlier] = rng.random(np.count_nonzero(earlier)) < probs[earlier]
+            i, u = np.nonzero(hits)
+            pairs.append(np.column_stack((u, v[i])))
+    return np.concatenate(pairs) + 1
 
 
-def _poisson_window_pairs(w: CaronFoxGraphon, prior_x: np.ndarray, new_x: np.ndarray,
-                          rng: np.random.Generator) -> np.ndarray:
-    """Distinct pairs of a Caron-Fox window, by Poisson multi-edges (see :func:`_window_edges`).
+def _poisson_window_pairs(f_prior: np.ndarray, f_new: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """0-based distinct pairs of a Caron-Fox window from f of its earlier and new vertices (see :func:`_arrival_edges`).
 
     Cross pairs: Poisson(F_new F_prior) multi-edges with endpoints drawn
     proportional to f, so pair (u, v) gets Poisson(f_u f_v).  Within the
@@ -334,8 +339,7 @@ def _poisson_window_pairs(w: CaronFoxGraphon, prior_x: np.ndarray, new_x: np.nda
     Poisson(f_u f_v / 2) from each order; self pairs are dropped.  F sums f,
     which is zero outside the truncation like the kernel.
     """
-    p = prior_x.size
-    f_prior, f_new = (np.where((x >= 0) & (x <= w.truncation.x_max), w.f(x), 0.0) for x in (prior_x, new_x))
+    p = f_prior.size
     cross = int(rng.poisson(f_new.sum() * f_prior.sum()))
     u = _proportional_draw(f_prior, cross, rng)
     v = p + _proportional_draw(f_new, cross, rng)
@@ -345,7 +349,7 @@ def _poisson_window_pairs(w: CaronFoxGraphon, prior_x: np.ndarray, new_x: np.nda
     distinct = a != b
     u = np.concatenate([u, np.minimum(a, b)[distinct]])
     v = np.concatenate([v, np.maximum(a, b)[distinct]])
-    size = p + new_x.size
+    size = p + f_new.size
     key = np.unique(u * size + v)
     return np.column_stack(np.divmod(key, size))
 
@@ -382,27 +386,26 @@ def sample_graphon_process(w, horizon: float, seed: int, keep_isolated: bool = F
         )
     mass = _sampling_region(w)
 
-    births = np.zeros(0)
-    feats = np.zeros((0, _feature_dim(w)))
-    edges = [np.zeros((0, 2), dtype=np.int64)]
-    if mass > 0:
-        for k in range(int(math.ceil(horizon))):
-            rng = substream(seed, TAG_WINDOW, k)
-            count = int(rng.poisson(mass))
-            if count == 0:
-                continue  # its edge stream would draw nothing
-            window_births = rng.uniform(float(k), float(k + 1), size=count)
-            window_feats = _draw_features(w, count, rng)
-            order = np.argsort(window_births, kind="stable")
-            window_births, window_feats = window_births[order], window_feats[order]
-            kept = int(np.searchsorted(window_births, horizon, side="right"))
-            edges.append(_window_edges(w, feats, window_feats, kept, substream(seed, TAG_WINDOW_EDGES, k)) + 1)
-            births = np.concatenate([births, window_births[:kept]])
-            feats = np.concatenate([feats, window_feats[:kept]])
+    windows, births, feats = [], [np.zeros(0)], [np.zeros((0, _feature_dim(w)))]  # the nonempty unit windows
+    for k in range(int(math.ceil(horizon)) if mass > 0 else 0):
+        rng = substream(seed, TAG_WINDOW, k)
+        count = int(rng.poisson(mass))
+        if count == 0:
+            continue  # its edge stream is never built
+        window_births = rng.uniform(float(k), float(k + 1), size=count)
+        window_feats = _draw_features(w, count, rng)
+        order = np.argsort(window_births, kind="stable")
+        windows.append(k)
+        births.append(window_births[order])
+        feats.append(window_feats[order])
+    starts = np.cumsum([b.size for b in births])  # births[0] is empty
+    births, feats = np.concatenate(births), np.concatenate(feats)
+    n = int(np.searchsorted(births, horizon, side="right"))
+    edges = _arrival_edges(w, feats, starts, n, (substream(seed, TAG_WINDOW_EDGES, k) for k in windows))
+    births, feats = births[:n], feats[:n]
     if np.any(births[1:] == births[:-1]):
         logger.info("birth-time tie broken by draw order (seed=%s horizon=%s)", seed, horizon)
-    return ProcessTrace(w, float(horizon), int(seed), bool(keep_isolated), births, feats, np.concatenate(edges),
-                        _SAMPLER_LAYOUT)
+    return ProcessTrace(w, float(horizon), int(seed), bool(keep_isolated), births, feats, edges, _SAMPLER_LAYOUT)
 
 
 def snapshot_at(trace: ProcessTrace, s: float, keep_isolated: bool | None = None) -> SampledGraph:
@@ -486,14 +489,12 @@ def sample_sequential(w, schedule: ArrivalSchedule, steps: int, seed: int,
     empty = np.flatnonzero(~(s_n[:steps] > 0))
     if empty.size:
         raise GraphonError(f"schedule gives a zero-mass prefix at step {empty[0] + 1}")
-    features = np.zeros((0, 1))
-    edges = [np.zeros((0, 2), dtype=np.int64)]
-    for b in range(blocks):
-        x = substream(seed, TAG_SEQ_FEATURE, b).uniform(0.0, s_n[b * _ARRIVAL_BLOCK:(b + 1) * _ARRIVAL_BLOCK])
-        kept = min(_ARRIVAL_BLOCK, steps - b * _ARRIVAL_BLOCK)
-        edges.append(_window_edges(w, features, x[:, None], kept, substream(seed, TAG_SEQ_EDGE, b)) + 1)
-        features = np.concatenate([features, x[:kept, None]])
-    full = SampledGraph(np.arange(1, steps + 1, dtype=np.int64), np.concatenate(edges))
+    x = np.concatenate([substream(seed, TAG_SEQ_FEATURE, b).uniform(0.0, bound)
+                        for b, bound in enumerate(s_n.reshape(blocks, _ARRIVAL_BLOCK))])
+    edges = _arrival_edges(w, x[:, None], range(0, x.size + 1, _ARRIVAL_BLOCK), steps,
+                           (substream(seed, TAG_SEQ_EDGE, b) for b in range(blocks)))
+    full = SampledGraph(np.arange(1, steps + 1, dtype=np.int64), edges)
+    features = x[:steps, None]
     births = np.arange(1, steps + 1, dtype=float)
     births.setflags(write=False)
     features.setflags(write=False)
@@ -520,13 +521,11 @@ def sample_dense_wrandom(w: StepGraphon, n: int, seed: int) -> SampledGraph:
     if n < 0:
         raise GraphonError("vertex count must be non-negative")
     feats = substream(seed, TAG_WRANDOM, 0).uniform(0.0, w.total_mass, size=(n, 1))
-    edges = [np.zeros((0, 2), dtype=np.int64)]
-    for b, lo in enumerate(range(0, n, _ARRIVAL_BLOCK)):
-        block = feats[lo:lo + _ARRIVAL_BLOCK]
-        edges.append(_window_edges(w, feats[:lo], block, block.shape[0], substream(seed, TAG_WRANDOM, 1, b)) + 1)
+    edges = _arrival_edges(w, feats, range(0, n + _ARRIVAL_BLOCK, _ARRIVAL_BLOCK), n,
+                           (substream(seed, TAG_WRANDOM, 1, b) for b in range(-(-n // _ARRIVAL_BLOCK))))
     return SampledGraph(
         np.arange(1, n + 1, dtype=np.int64),
-        np.concatenate(edges),
+        edges,
         births=np.arange(1, n + 1, dtype=float),
         features=feats,
     )

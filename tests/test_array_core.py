@@ -2,6 +2,7 @@
 implementations it replaced, which are kept here verbatim as oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -292,6 +293,18 @@ class TestEdgeRows:
         with pytest.raises(ValueError):
             g.edge_rows()[0, 0] = 0
         assert np.array_equal(g.edge_rows(), oracle_edge_rows(g))
+
+    def test_degree_sequence_does_not_copy_rows(self):
+        # numpy's bincount copies a read-only input; the degrees read the writable private rows
+        g = er_power_graph(6000, 0.5, seed=2)
+        tracemalloc.start()
+        try:
+            degrees = g.degree_sequence()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(degrees, np.bincount(g.edges.ravel() - 1, minlength=6000))
+        assert peak < 0.1 * g.edge_rows().nbytes
 
     @pytest.mark.parametrize("labels, edges, message", [
         ([4, 2, 4], [], "vertex labels must be unique"),

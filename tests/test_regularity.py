@@ -1,12 +1,14 @@
 """Tail profiles, the uniform-tail search, and degree statistics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from graphonlab.graphon_core import GraphonError
 from graphonlab.regularity import (
+    _decode_upper_triangle,
     clique_plus_isolated,
     cycle_graph,
     default_m_grid,
@@ -168,6 +170,34 @@ class TestGraphFamilies:
         assert g.edges[:, 0].min() >= 1
         assert g.edges[:, 1].max() <= 300
         assert np.all(g.edges[:, 0] < g.edges[:, 1])
+
+    def test_er_decode_matches_triangle_indices(self):
+        for n in (2, 3, 7, 64):
+            linear = np.arange(n * (n - 1) // 2)
+            assert np.array_equal(_decode_upper_triangle(linear, n), np.column_stack(np.triu_indices(n, 1)) + 1)
+        # a large triangle, both ends included: row i is the last row whose start i (2n - i - 1) / 2 <= index
+        n = 50_000
+        total = n * (n - 1) // 2
+        linear = np.concatenate([np.arange(2000), np.random.default_rng(0).integers(0, total, 5000),
+                                 np.arange(total - 2000, total)])
+        starts = np.arange(n - 1) * (2 * n - np.arange(n - 1) - 1) // 2
+        i = np.searchsorted(starts, linear, side="right") - 1
+        expected = np.column_stack((i, linear - starts[i] + i + 1)) + 1
+        assert np.array_equal(_decode_upper_triangle(linear, n), expected)
+
+    def test_er_memory_is_the_constructors(self):
+        # the picks and linear indices are freed before the constructor runs
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        g = er_power_graph(6000, 0.5, seed=2)
+        floor = peak(lambda: SampledGraph(g.labels, g.edges)) + g.edges.nbytes
+        assert peak(lambda: er_power_graph(6000, 0.5, seed=2)) <= 1.15 * floor
 
     def test_clique_family_shape(self):
         g = clique_plus_isolated(1000, 0.5)

@@ -1,4 +1,4 @@
-"""Window-row samplers against the per-arrival row samplers they replaced.
+"""Window-row samplers against the samplers they replaced.
 
 The row samplers below are the earlier ``sampling`` code, kept verbatim
 as oracles: one stream per arriving vertex (retired tag 2 for the process),
@@ -9,16 +9,31 @@ probability W.  The distribution tests check that law with one statistic
 per sampler and family, sum over a fixed set of seeds of (E - sum W)
 divided by the square root of the summed variances sum W (1 - W), held to
 +-4 (seeds and tolerance fixed before the tests were first run).
+
+The window-loop samplers below are the first ``window-v1`` code, also kept
+verbatim: each sampler ran its own window loop around ``_window_edges``
+and grew its arrays window by window.  The shared arrival loop that draws
+every vertex first must reproduce them bit for bit.
 """
 
 import hashlib
 import json
+import logging
 import math
+from typing import Sequence
 
 import numpy as np
 import pytest
 
-from graphonlab._rng import TAG_SEQ_EDGE, TAG_SEQ_FEATURE, TAG_WINDOW, TAG_WRANDOM, substream
+from graphonlab._rng import (
+    TAG_CONTROL,
+    TAG_SEQ_EDGE,
+    TAG_SEQ_FEATURE,
+    TAG_WINDOW,
+    TAG_WINDOW_EDGES,
+    TAG_WRANDOM,
+    substream,
+)
 from graphonlab.experiments import _sample_inhomogeneous_control
 from graphonlab.graphon_core import (
     CaronFoxGraphon,
@@ -26,6 +41,7 @@ from graphonlab.graphon_core import (
     MixedMembershipGraphon,
     RegionIndicatorGraphon,
     StepGraphon,
+    constant_graphon,
     evaluate,
 )
 from graphonlab.sampling import (
@@ -35,6 +51,7 @@ from graphonlab.sampling import (
     _check_probability_kernel,
     _draw_features,
     _feature_dim,
+    _label_prefix,
     _sampling_region,
     load_trace_file,
     sample_dense_wrandom,
@@ -171,6 +188,307 @@ def row_sample_dense_wrandom(w: StepGraphon, n: int, seed: int) -> SampledGraph:
         births=np.arange(1, n + 1, dtype=float),
         features=feats.reshape(-1, 1),
     )
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the window-loop samplers of layout window-v1, verbatim
+# ---------------------------------------------------------------------------
+
+logger = logging.getLogger(__name__)
+_SAMPLER_LAYOUT = "window-v1"
+_ARRIVAL_BLOCK = 256
+_MAX_COINS = 1 << 20
+
+
+def _window_edges(w, prior_features: np.ndarray, new_features: np.ndarray, kept: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Edges of one window: its new vertices against all earlier ones and each other.
+
+    Rows of ``prior_features`` are the vertices ``0..P-1`` and rows of
+    ``new_features`` the vertices ``P..P+n-1``.  Returns the 0-based pairs
+    ``(u, v)`` with ``u < v`` and ``P <= v < P + kept``, drawn as for the
+    whole window and then cut to its first ``kept`` vertices; each pair is
+    present independently with probability ``evaluate(w, x_u, x_v)``.
+    Caron-Fox kernels are exactly the event Poisson(f(x) f(y)) >= 1, so
+    they draw Poisson multi-edges with endpoints proportional to f and keep
+    the distinct pairs.  Every other kernel compares one coin per pair with
+    the kernel, drawn row by row (``P + i`` coins for new vertex ``i``), so
+    rows past ``kept`` need not be drawn.
+    """
+    p = prior_features.shape[0]
+    if isinstance(w, CaronFoxGraphon):
+        pairs = _poisson_window_pairs(w, prior_features[:, 0], new_features[:, 0], rng)
+        return pairs[pairs[:, 1] < p + kept]
+    everyone = np.concatenate([prior_features, new_features[:kept]])
+    pairs = [np.zeros((0, 2), dtype=np.int64)]
+    rows = max(1, _MAX_COINS // max(p + kept, 1))
+    for lo in range(0, kept, rows):
+        new = everyone[p + lo:p + min(lo + rows, kept)]
+        if new.shape[1] == 1:
+            probs = evaluate(w, new[:, 0, None], everyone[None, :, 0])
+        else:
+            probs = evaluate(w, new[:, None, :], everyone[None, :, :])
+        v = p + lo + np.arange(new.shape[0])
+        earlier = np.arange(p + kept) < v[:, None]
+        hits = np.zeros(earlier.shape, dtype=bool)
+        hits[earlier] = rng.random(np.count_nonzero(earlier)) < probs[earlier]
+        i, u = np.nonzero(hits)
+        pairs.append(np.column_stack((u, v[i])))
+    return np.concatenate(pairs)
+
+
+def _poisson_window_pairs(w: CaronFoxGraphon, prior_x: np.ndarray, new_x: np.ndarray,
+                          rng: np.random.Generator) -> np.ndarray:
+    """Distinct pairs of a Caron-Fox window, by Poisson multi-edges (see :func:`_window_edges`).
+
+    Cross pairs: Poisson(F_new F_prior) multi-edges with endpoints drawn
+    proportional to f, so pair (u, v) gets Poisson(f_u f_v).  Within the
+    window: Poisson(F_new^2 / 2) ordered pairs, so an unordered pair gets
+    Poisson(f_u f_v / 2) from each order; self pairs are dropped.  F sums f,
+    which is zero outside the truncation like the kernel.
+    """
+    p = prior_x.size
+    f_prior, f_new = (np.where((x >= 0) & (x <= w.truncation.x_max), w.f(x), 0.0) for x in (prior_x, new_x))
+    cross = int(rng.poisson(f_new.sum() * f_prior.sum()))
+    u = _proportional_draw(f_prior, cross, rng)
+    v = p + _proportional_draw(f_new, cross, rng)
+    within = int(rng.poisson(f_new.sum() ** 2 / 2.0))
+    a = p + _proportional_draw(f_new, within, rng)
+    b = p + _proportional_draw(f_new, within, rng)
+    distinct = a != b
+    u = np.concatenate([u, np.minimum(a, b)[distinct]])
+    v = np.concatenate([v, np.maximum(a, b)[distinct]])
+    size = p + new_x.size
+    key = np.unique(u * size + v)
+    return np.column_stack(np.divmod(key, size))
+
+
+def _proportional_draw(weights: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` iid indices with probability proportional to ``weights``."""
+    if count == 0:  # the weights may all be zero then
+        return np.zeros(0, dtype=np.int64)
+    return rng.choice(weights.size, size=count, p=weights / weights.sum())
+
+
+def window_sample_graphon_process(w, horizon: float, seed: int, keep_isolated: bool = False) -> ProcessTrace:
+    """Sample one graphon-process trace up to the horizon.
+
+    Vertices arrive as a Poisson process with intensity (time) x (region
+    measure); every unordered pair is connected independently with the
+    kernel probability of its features.  ``keep_isolated`` controls the
+    default snapshot view only -- the trace always records every vertex of
+    the truncated region, so both process variants are recoverable.
+    Rejected: infinite-mass ambient space with ``keep_isolated=True`` (the
+    process would have infinitely many isolated vertices at every time).
+
+    Unit window ``k`` draws its vertices from ``(TAG_WINDOW, k)`` and its
+    edges from ``(TAG_WINDOW_EDGES, k)``, both as for the whole window, then
+    cut to ``births <= horizon``.
+    """
+    if horizon < 0:
+        raise GraphonError("horizon must be non-negative")
+    _check_probability_kernel(w)
+    if keep_isolated and isinstance(w, StepGraphon) and w.ambient_infinite:
+        raise GraphonError(
+            "keep_isolated=True on an infinite-mass ambient space: the process has "
+            "infinitely many isolated vertices; truncate to the explicit blocks first"
+        )
+    mass = _sampling_region(w)
+
+    births = np.zeros(0)
+    feats = np.zeros((0, _feature_dim(w)))
+    edges = [np.zeros((0, 2), dtype=np.int64)]
+    if mass > 0:
+        for k in range(int(math.ceil(horizon))):
+            rng = substream(seed, TAG_WINDOW, k)
+            count = int(rng.poisson(mass))
+            if count == 0:
+                continue  # its edge stream would draw nothing
+            window_births = rng.uniform(float(k), float(k + 1), size=count)
+            window_feats = _draw_features(w, count, rng)
+            order = np.argsort(window_births, kind="stable")
+            window_births, window_feats = window_births[order], window_feats[order]
+            kept = int(np.searchsorted(window_births, horizon, side="right"))
+            edges.append(_window_edges(w, feats, window_feats, kept, substream(seed, TAG_WINDOW_EDGES, k)) + 1)
+            births = np.concatenate([births, window_births[:kept]])
+            feats = np.concatenate([feats, window_feats[:kept]])
+    if np.any(births[1:] == births[:-1]):
+        logger.info("birth-time tie broken by draw order (seed=%s horizon=%s)", seed, horizon)
+    return ProcessTrace(w, float(horizon), int(seed), bool(keep_isolated), births, feats, np.concatenate(edges),
+                        _SAMPLER_LAYOUT)
+
+
+def window_sample_sequential(w, schedule: ArrivalSchedule, steps: int, seed: int,
+                      checkpoints: Sequence[int] | None = None) -> list[SampledGraph]:
+    """One-vertex-per-step arrivals with features from renormalized prefixes.
+
+    At step ``n`` the new feature is uniform on ``S_n`` (intersected with
+    the finite block support unless the ambient space is infinite), and
+    edges to all earlier vertices are drawn independently from the kernel.
+    Returns the graph at every checkpoint (default: every step); each graph
+    is an induced subgraph of the next, cut from the final graph as a label
+    prefix like :func:`snapshot_at`.
+
+    Block ``b`` of ``_ARRIVAL_BLOCK`` steps draws its features from
+    ``(TAG_SEQ_FEATURE, b)`` and its edges from ``(TAG_SEQ_EDGE, b)``, as
+    for the whole block, so a run with fewer steps is a prefix of a longer
+    one.
+    """
+    if isinstance(w, MixedMembershipGraphon):
+        raise GraphonError("sequential arrivals need a scalar feature space")
+    _check_probability_kernel(w)
+    if steps < 1:
+        raise GraphonError("steps must be at least 1")
+    marks = sorted(set(int(c) for c in (checkpoints if checkpoints is not None else range(1, steps + 1))))
+    if any(c < 1 or c > steps for c in marks):
+        raise GraphonError("checkpoints must lie in [1, steps]")
+
+    if isinstance(w, StepGraphon):
+        support_cap = math.inf if w.ambient_infinite else w.total_mass
+    else:
+        support_cap = math.inf  # scalar analytic families live on all of R_+
+    blocks = -(-steps // _ARRIVAL_BLOCK)
+    s_n = np.minimum(schedule.bound(np.arange(1, blocks * _ARRIVAL_BLOCK + 1)), support_cap)
+    empty = np.flatnonzero(~(s_n[:steps] > 0))
+    if empty.size:
+        raise GraphonError(f"schedule gives a zero-mass prefix at step {empty[0] + 1}")
+    features = np.zeros((0, 1))
+    edges = [np.zeros((0, 2), dtype=np.int64)]
+    for b in range(blocks):
+        x = substream(seed, TAG_SEQ_FEATURE, b).uniform(0.0, s_n[b * _ARRIVAL_BLOCK:(b + 1) * _ARRIVAL_BLOCK])
+        kept = min(_ARRIVAL_BLOCK, steps - b * _ARRIVAL_BLOCK)
+        edges.append(_window_edges(w, features, x[:, None], kept, substream(seed, TAG_SEQ_EDGE, b)) + 1)
+        features = np.concatenate([features, x[:kept, None]])
+    full = SampledGraph(np.arange(1, steps + 1, dtype=np.int64), np.concatenate(edges))
+    births = np.arange(1, steps + 1, dtype=float)
+    births.setflags(write=False)
+    features.setflags(write=False)
+    return [_label_prefix(full.edges, births, features, c) for c in marks]
+
+
+# ---------------------------------------------------------------------------
+# Dense W-random graphs
+# ---------------------------------------------------------------------------
+
+
+def window_sample_dense_wrandom(w: StepGraphon, n: int, seed: int) -> SampledGraph:
+    """Classical W-random graph: n iid features from the normalized measure.
+
+    Features come from ``(TAG_WRANDOM, 0)``; block ``b`` of ``_ARRIVAL_BLOCK``
+    vertices draws its edges from ``(TAG_WRANDOM, 1, b)``, one vertex after
+    another, so a smaller ``n`` gives an induced subgraph of a larger one.
+    """
+    if not isinstance(w, StepGraphon):
+        raise GraphonError("dense W-random sampling needs a step graphon")
+    if w.ambient_infinite:
+        raise GraphonError("space has infinite total mass; truncate to the explicit blocks first")
+    _check_probability_kernel(w)
+    if n < 0:
+        raise GraphonError("vertex count must be non-negative")
+    feats = substream(seed, TAG_WRANDOM, 0).uniform(0.0, w.total_mass, size=(n, 1))
+    edges = [np.zeros((0, 2), dtype=np.int64)]
+    for b, lo in enumerate(range(0, n, _ARRIVAL_BLOCK)):
+        block = feats[lo:lo + _ARRIVAL_BLOCK]
+        edges.append(_window_edges(w, feats[:lo], block, block.shape[0], substream(seed, TAG_WRANDOM, 1, b)) + 1)
+    return SampledGraph(
+        np.arange(1, n + 1, dtype=np.int64),
+        np.concatenate(edges),
+        births=np.arange(1, n + 1, dtype=float),
+        features=feats,
+    )
+
+
+def window_sample_inhomogeneous_control(t: float, seed: int, p_early: float, p_late: float) -> ProcessTrace:
+    """Poisson arrivals on a unit-mass block, but edge probabilities switch
+    from ``p_early`` to ``p_late`` halfway through: exchangeability breaks.
+
+    A pair is joined with ``p_early`` when both endpoints were born before
+    ``t / 2`` and with ``p_late`` otherwise, a two-block step kernel on
+    births.  Window ``k`` draws its births, then its edges, from one stream.
+    """
+    half = t / 2.0
+    kernel = StepGraphon([half, half + 1.0], [[p_early, p_late], [p_late, p_late]])  # covers births in [0, t]
+    births = np.zeros(0)
+    edges = [np.zeros((0, 2), dtype=np.int64)]
+    for k in range(int(math.ceil(t))):
+        rng = substream(seed, TAG_CONTROL, k)
+        count = int(rng.poisson(1.0))
+        window = np.sort(rng.uniform(float(k), float(k + 1), size=count))
+        kept = int(np.searchsorted(window, t, side="right"))
+        edges.append(_window_edges(kernel, births[:, None], window[:, None], kept, rng) + 1)
+        births = np.concatenate([births, window[:kept]])
+    return ProcessTrace(constant_graphon(1.0), t, seed, True,
+                        births, np.full((births.size, 1), 0.5), np.concatenate(edges))
+
+
+# ---------------------------------------------------------------------------
+# One arrival loop: bit-identical to the window loops
+# ---------------------------------------------------------------------------
+
+
+def _assert_traces_equal(new: ProcessTrace, old: ProcessTrace):
+    for name in ("births", "features", "edges"):
+        assert np.array_equal(getattr(new, name), getattr(old, name)), name
+    assert (new.horizon, new.keep_isolated, new.sampler) == (old.horizon, old.keep_isolated, old.sampler)
+
+
+def _assert_graphs_equal(new: SampledGraph, old: SampledGraph):
+    for name in ("labels", "edges", "births", "features"):
+        assert np.array_equal(getattr(new, name), getattr(old, name)), name
+    assert np.array_equal(new.edge_rows(), old.edge_rows())
+
+
+@pytest.mark.parametrize("w", [STEP, CF_SHIFTED, CF_CAPPED, MIXED], ids=["step", "cf_shifted", "cf_capped", "mixed"])
+@pytest.mark.parametrize("horizon", [0.0, 0.4, 5.0, 5.5])
+@pytest.mark.parametrize("keep_isolated", [False, True])
+def test_process_equals_window_loop(w, horizon, keep_isolated):
+    for seed in range(3):
+        new = sample_graphon_process(w, horizon, seed, keep_isolated)
+        _assert_traces_equal(new, window_sample_graphon_process(w, horizon, seed, keep_isolated))
+        assert new.sampler == "window-v1"
+
+
+@pytest.mark.parametrize("w, schedule", [
+    (StepGraphon([1.0], [[0.6]], ambient_infinite=True), ArrivalSchedule("linear", 0.01)),
+    (StepGraphon([1.0, 2.0], [[0.9, 0.3], [0.3, 0.2]], ambient_infinite=True), ArrivalSchedule("exponential", 0.01)),
+    (CaronFoxGraphon("shifted_power", 1.0, 2.0, x_max=10.0), ArrivalSchedule("linear", 0.05)),
+], ids=["linear", "exponential", "caron_fox"])
+def test_sequential_equals_window_loop(w, schedule):
+    for steps in (1, 255, 256, 257, 600):
+        new, old = sample_sequential(w, schedule, steps, 3), window_sample_sequential(w, schedule, steps, 3)
+        assert len(new) == len(old) == steps
+        for a, b in zip(new, old):
+            _assert_graphs_equal(a, b)
+    assert new[-1].num_edges > 0
+
+
+def test_dense_equals_window_loop():
+    for n in (0, 1, 256, 300):
+        for seed in range(2):
+            _assert_graphs_equal(sample_dense_wrandom(STEP, n, seed), window_sample_dense_wrandom(STEP, n, seed))
+
+
+@pytest.mark.parametrize("t", [9.5, 40.0])
+def test_control_equals_window_loop(t):
+    for seed in range(5):
+        new = _sample_inhomogeneous_control(t, seed, 0.9, 0.1)
+        _assert_traces_equal(new, window_sample_inhomogeneous_control(t, seed, 0.9, 0.1))
+
+
+def test_caron_fox_f_is_evaluated_once_per_call(monkeypatch):
+    sizes = []
+    f = CaronFoxGraphon.f
+
+    def counted(self, x):
+        sizes.append(np.size(x))
+        return f(self, x)
+
+    monkeypatch.setattr(CaronFoxGraphon, "f", counted)
+    for horizon in (6.0, 6.5):
+        sizes.clear()
+        trace = sample_graphon_process(CF_SHIFTED, horizon, 1)
+        # one evaluation over every drawn row, the rows past a fractional horizon included
+        assert len(sizes) == 1 and sizes[0] >= trace.num_vertices > 0
 
 
 # ---------------------------------------------------------------------------
