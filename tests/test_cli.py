@@ -58,6 +58,7 @@ class TestCutNorm:
         payload = json.loads(stdout)
         assert payload["value"] == pytest.approx(1.0)
         assert payload["mode"] == "exact"
+        assert set(payload) == {"value", "mode", "witness"}  # the result's cost counter stays out of the report
 
     def test_heuristic_flagged(self, one_block_spec, capsys):
         code, stdout = run_cli(capsys, "cutnorm", "--spec", one_block_spec, "--mode", "heuristic")

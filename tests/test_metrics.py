@@ -1,6 +1,7 @@
 """Cut norms, couplings and invariant distances: oracles and metric axioms."""
 
 import itertools
+import logging
 import math
 import tracemalloc
 
@@ -32,7 +33,6 @@ from graphonlab.metrics import (
     weak_regularity_partition,
 )
 from graphonlab import metrics
-from graphonlab.metrics import _subset_bits, _subset_chunks
 from graphonlab.regularity import cycle_graph
 from graphonlab.sampling import SampledGraph, sample_graphon_process, snapshot_at
 
@@ -50,8 +50,18 @@ def brute_force_cut_norm(w: StepGraphon) -> float:
     return best
 
 
+def _subset_chunks(n: int, chunk_rows: int = 1 << 14):
+    """0/1 membership rows of the subsets of ``n`` blocks, by increasing bitmask."""
+    total = 1 << n
+    cols = np.arange(n, dtype=np.uint64)[None, :]
+    for start in range(0, total, chunk_rows):
+        idx = np.arange(start, min(start + chunk_rows, total), dtype=np.uint64)
+        yield ((idx[:, None] >> cols) & 1).astype(float)
+
+
 def _exact_cut(m: np.ndarray) -> tuple[float, int, float]:
-    """max over block subsets U, V of |sum_{U x V} m|, by enumerating U.
+    """max over block subsets U, V of |sum_{U x V} m|, by enumerating U and
+    clip-summing the subset sums on both sides (the kernel's former method).
 
     Returns the maximum, the bitmask of the first maximizing ``U`` and the
     sign of its rectangle sum (``V`` is then the columns of that sign).
@@ -70,26 +80,56 @@ def _exact_cut(m: np.ndarray) -> tuple[float, int, float]:
     return best, best_u, best_sign
 
 
+def cut_rounding_bound(m: np.ndarray) -> float:
+    """Bound on how far ``_cut_values(m)`` and ``_exact_cut(m)`` may differ, and
+    on how far either is from the exact maximum: ``4 n eps sum|m|``.
+
+    To first order in the unit roundoff ``u = eps / 2``, a floating sum of
+    ``N`` terms is off by at most ``(N - 1) u`` times the sum of their absolute
+    values.  A subset sum ``s_j(U)`` adds at most ``n`` entries of column ``j``
+    (the kernel's split adds its two halves, still ``n - 1`` additions), so
+    ``sum_j |error of s_j| <= n u sum|m|``.  Summing ``n`` clamped ``s_j`` adds
+    ``(n - 1) u sum|m|``: the positive side is within ``2n u sum|m|`` on both
+    methods, and so is the oracle's negative side.  The kernel's negative side
+    subtracts the row sum of ``U`` (``n``-term row sums, then at most ``n`` of
+    them: ``2n u sum|m|``) and rounds once more: within ``(4n + 2) u sum|m|``.
+    The maximum is 1-Lipschitz, so the two maxima differ by at most
+    ``(6n + 2) u sum|m| = (3n + 1) eps sum|m|``; ``4 n eps`` covers that and
+    the second-order terms.
+    """
+    return 4 * m.shape[-1] * np.finfo(float).eps * float(np.abs(m).sum())
+
+
+def rectangle_value(m: np.ndarray, mask: int, sign: float) -> float:
+    """Rectangle sum of a cut witness: ``sign`` times the sum of ``m`` over the
+    rows in ``mask`` and the columns whose sum there has that sign, with
+    exactly rounded sums (``math.fsum``)."""
+    rows = [i for i in range(m.shape[0]) if (mask >> i) & 1]
+    cols = [sign * math.fsum(m[rows, j]) for j in range(m.shape[1])]
+    return math.fsum(c for c in cols if c > 0)
+
+
 def lexicographic_enumeration(a1, a2, q2, kind):
     """Oracle for the pruned exact search: score every block permutation in
-    lexicographic order, in chunks, keeping the first strict minimum."""
+    lexicographic order, in chunks, keeping the first strict minimum.
+
+    Cut values come from ``metrics._cut_values``, whose value for a matrix
+    does not depend on the rest of its stack (``TestCutValues``), so the
+    search is checked for pruning and tie-breaking with exact equality; the
+    kernel's arithmetic is checked against ``_exact_cut`` there."""
     n = a1.shape[0]
     if n == 0:
         return 0.0, ()
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
-    bits = _subset_bits(n)
     best, best_perm = math.inf, perms[0]
-    chunk_size = max(1, (1 << 22) // max(1, bits.shape[0] * n))
+    chunk_size = max(1, (1 << 22) // max(1, (1 << n) * n))
     for start in range(0, perms.shape[0], chunk_size):
         chunk = perms[start:start + chunk_size]
         diff = a1[None, :, :] - a2[chunk[:, :, None], chunk[:, None, :]]
         if kind == "l1":
             vals = np.abs(diff).sum(axis=(1, 2)) * q2
         else:
-            s = np.einsum("sn,pnm->psm", bits, diff)
-            pos = np.clip(s, 0.0, None).sum(axis=2).max(axis=1)
-            neg = np.clip(-s, 0.0, None).sum(axis=2).max(axis=1)
-            vals = np.maximum(pos, neg) * q2
+            vals = metrics._cut_values(diff * q2)[0]
         i = int(vals.argmin())
         if vals[i] < best:
             best, best_perm = float(vals[i]), chunk[i]
@@ -224,6 +264,18 @@ class TestCutNorm:
             m = w.values * np.outer(w.masses, w.masses)
             achieved = abs(m[np.ix_(list(res.u_blocks), list(res.v_blocks))].sum())
             assert achieved == pytest.approx(res.value, abs=1e-12)
+
+    def test_evaluations_counted_and_logged(self, caplog):
+        w = random_step(np.random.default_rng(4), 6)
+        with caplog.at_level(logging.DEBUG, logger="graphonlab.metrics"):
+            exact = cut_norm(w)
+            heuristic = cut_norm(w, mode="heuristic", starts=5)
+        assert exact.evaluations == 2 ** 6
+        assert 5 <= heuristic.evaluations <= 5 * 64  # at least one and at most 64 sweeps per start
+        assert [r.getMessage() for r in caplog.records] == [
+            "cut_norm exact: 6 blocks, 64 evaluations",
+            f"cut_norm heuristic: 6 blocks, {heuristic.evaluations} evaluations",
+        ]
 
     def test_heuristic_is_lower_bound(self):
         rng = np.random.default_rng(9)
@@ -684,7 +736,7 @@ class TestCutUpperBound:
 
     def test_exact_at_or_below_limit(self):
         for m in self.kernels():
-            assert metrics._cut_values(m)[0] == _exact_cut(m)[0]
+            assert abs(metrics._cut_values(m)[0] - _exact_cut(m)[0]) <= cut_rounding_bound(m)
             if m.shape[0] <= 7:  # brute force takes 13 s at 10 blocks
                 assert metrics._cut_values(m)[0] == pytest.approx(
                     brute_force_cut_norm(StepGraphon(np.ones(m.shape[0]), m)), abs=1e-12)
@@ -715,18 +767,20 @@ class TestCutUpperBound:
 
 
 class TestCutValues:
-    """The stacked cut evaluator against the single-matrix enumerator it
-    replaced, kept above as the oracle ``_exact_cut``."""
+    """The split-sum kernel against the clip-sum enumerator it replaced, kept
+    above as the oracle ``_exact_cut``, within ``cut_rounding_bound``."""
 
     @staticmethod
     def stacks():
         rng = np.random.default_rng(8)
-        for n in list(range(1, 13)) + [15, 17]:
-            shape = (3,) if n >= 15 else (2, 3)
+        for n in list(range(1, 13)) + [15, 17, 20]:
+            shape = (1,) if n == 20 else (3,) if n >= 15 else (2, 3)
             vals = rng.uniform(-1.0, 1.0, size=shape + (n, n))
             vals = vals + np.swapaxes(vals, -1, -2)
             if n <= 4:
                 vals[..., 0, :] = vals[..., :, 0] = 0.0  # ties between subsets
+            if n >= 15:  # ties within the low blocks and across high subsets
+                vals[..., [1, n - 1], :] = vals[..., :, [1, n - 1]] = 0.0
             yield vals
 
     def test_matches_oracle(self):
@@ -734,14 +788,41 @@ class TestCutValues:
             values, masks, signs = metrics._cut_values(ms)
             assert values.shape == masks.shape == signs.shape == ms.shape[:-2]
             for idx in np.ndindex(ms.shape[:-2]):
-                assert (values[idx], masks[idx], signs[idx]) == _exact_cut(ms[idx])
+                m = ms[idx]
+                assert abs(values[idx] - _exact_cut(m)[0]) <= cut_rounding_bound(m)
+                # the witness reproduces its value from an independent rectangle sum
+                assert abs(values[idx] - rectangle_value(m, int(masks[idx]), signs[idx])) <= cut_rounding_bound(m)
+
+    def test_first_maximizer_skips_zero_rows(self):
+        # adding a zero row leaves every sum bit-identical, so the first maximizer has none
+        for ms in self.stacks():
+            masks = metrics._cut_values(ms)[1]
+            for idx in np.ndindex(ms.shape[:-2]):
+                zero_rows = sum(1 << i for i in np.flatnonzero(~ms[idx].any(axis=1)))
+                assert int(masks[idx]) & zero_rows == 0
+
+    def test_values_do_not_depend_on_the_stack(self):
+        # what lets the search oracle compare values with ==
+        for ms in self.stacks():
+            flat = ms.reshape(-1, *ms.shape[-2:])
+            whole = metrics._cut_values(flat)
+            reversed_stack = metrics._cut_values(flat[::-1])
+            for i, m in enumerate(flat):
+                alone = metrics._cut_values(m)
+                assert all(a.item() == b[i] == c[-1 - i] for a, b, c in zip(alone, whole, reversed_stack))
 
     def test_single_matrix_and_zero(self):
         rng = np.random.default_rng(2)
         m = rng.uniform(-1.0, 1.0, size=(6, 6))
         m = m + m.T
-        assert tuple(x.item() for x in metrics._cut_values(m)) == _exact_cut(m)
+        value, mask, sign = (x.item() for x in metrics._cut_values(m))
+        assert abs(value - _exact_cut(m)[0]) <= cut_rounding_bound(m)
+        assert abs(value - rectangle_value(m, mask, sign)) <= cut_rounding_bound(m)
+        # exact zeros stay exactly 0, alone, in a stack and at 0 x 0
         assert tuple(x.item() for x in metrics._cut_values(np.zeros((4, 4)))) == (0.0, 0, 1.0)
+        assert tuple(x.item() for x in metrics._cut_values(np.zeros((0, 0)))) == (0.0, 0, 1.0)
+        values, masks, signs = metrics._cut_values(np.stack([m, m - m, -m]))
+        assert (values[1], masks[1], signs[1]) == (0.0, 0, 1.0) and values[0] > 0 and values[2] > 0
         values, _, _ = metrics._cut_values(np.zeros((5, 0, 0)))
         assert np.array_equal(values, np.zeros(5))
 
@@ -770,15 +851,29 @@ class TestCostAndMemory:
         with pytest.raises(CostLimitError, match="anneal mode limited to 4096 equal-mass blocks, refinement has 14540"):
             stretched_cut_distance(g, w, mode="anneal", budget=50)
 
+    def test_anneal_work_over_limit_raises_before_any_evaluation(self, monkeypatch):
+        def evaluated(*args):
+            raise AssertionError("objective evaluated")
+
+        monkeypatch.setattr(metrics, "_perm_objectives", evaluated)
+        monkeypatch.setattr(metrics, "common_refinement", evaluated)
+        rng = np.random.default_rng(7)
+        w1, w2 = random_step(rng, 20, equal_mass=True), random_step(rng, 20, equal_mass=True)
+        with pytest.raises(CostLimitError, match="anneal mode limited to 1e\\+11 multiply-adds, 20 blocks at budget 50000 need 3.47e\\+12"):
+            cut_distance(w1, w2, mode="anneal")
+
     def test_anneal_over_limit_keeps_proportional_certificate(self, monkeypatch):
         rng = np.random.default_rng(6)
         lo = random_step(rng, 3, signed=False)
         hi = StepGraphon(2.0 * lo.masses, random_step(rng, 3, signed=False).values)
-        monkeypatch.setattr(metrics, "MAX_DISCRETIZE_BLOCKS", 2)
-        rep = cut_distance(lo, hi, mode="anneal", budget=100)
-        assert rep.witness["coupling"] == "proportional" and rep.budget_spent == 0
-        with pytest.raises(CostLimitError, match="anneal mode limited to 2"):
-            cut_distance(random_step(rng, 3), random_step(rng, 3), mode="anneal", budget=100)
+        for name, limit, message in (("MAX_DISCRETIZE_BLOCKS", 2, "anneal mode limited to 2 equal-mass blocks"),
+                                     ("MAX_ANNEAL_WORK", 1, "anneal mode limited to 1 multiply-adds")):
+            with monkeypatch.context() as patch:
+                patch.setattr(metrics, name, limit)
+                rep = cut_distance(lo, hi, mode="anneal", budget=100)
+                assert rep.witness["coupling"] == "proportional" and rep.budget_spent == 0
+                with pytest.raises(CostLimitError, match=message):
+                    cut_distance(random_step(rng, 3), random_step(rng, 3), mode="anneal", budget=100)
 
     def test_canonical_graphons_share_adjacency(self):
         g = cycle_graph(2000)
