@@ -27,13 +27,23 @@ import numpy as np
 # features are bit-identical across the two layouts; edges and sequential
 # features are not.  Drawing all windows' vertices before any edges leaves
 # each stream's draws, and so this layout and its traces, unchanged.
+# Outside the Caron-Fox Poisson path the layout defines one uniform coin per
+# pair (u, v), u < v, drawn row by row in row-major order on the stream of
+# the window holding v: v coins for row v.  The samplers read only the coins
+# a decision needs -- a pair with W = 0 or W = 1 needs none -- and skip the
+# rest with PCG64 ``bit_generator.advance`` (one 64-bit output per double),
+# so a window whose pairs are all decided never builds its stream, and the
+# layout and every trace stay those of the full draw.
 TAG_WINDOW = 1  # Poisson vertex windows of a graphon process
 TAG_SEQ_FEATURE = 3  # features of one arrival block of the sequential model
 TAG_SEQ_EDGE = 4  # edges of one arrival block of the sequential model
 TAG_WRANDOM = 5  # dense W-random graphs: (5, 0) features, (5, 1, b) edges of block b
 TAG_REPLICA = 6  # experiment replicas
 TAG_HEURISTIC = 7  # randomized cut-norm starts
-TAG_ANNEAL = 8  # annealing restarts
+# Tag 8 drew annealing restarts that took an acceptance uniform only for
+# uphill swaps, so exact ties steered which draws came next; it is retired
+# and not to be reused.  Tag 13 draws one uniform on every non-identity swap.
+TAG_ANNEAL = 13  # annealing restarts
 TAG_PERMTEST = 9  # exchangeability test permutations and sign flips
 TAG_CONTROL = 10  # time-inhomogeneous control sampler: births, then edges, of window k
 TAG_GENERIC = 11  # ad-hoc draws (demo scripts, graph families)

@@ -339,7 +339,8 @@ def _sample_inhomogeneous_control(t: float, seed: int, p_early: float, p_late: f
                for k, rng in enumerate(streams)]
     births = np.concatenate([np.zeros(0), *windows])
     n = int(np.searchsorted(births, t, side="right"))
-    edges = _arrival_edges(kernel, births[:, None], np.cumsum([0] + [b.size for b in windows]), n, streams)
+    edges = _arrival_edges(kernel, births[:, None], np.cumsum([0] + [b.size for b in windows]), n,
+                           streams.__getitem__)
     return ProcessTrace(constant_graphon(1.0), t, seed, True, births[:n], np.full((n, 1), 0.5), edges)
 
 

@@ -467,7 +467,8 @@ def _anneal_permutations(a1, a2, q2, kind, seed, budget):
             cand[i], cand[j] = cand[j], cand[i]
             cand_val = float(_perm_objectives(a1, a2, cand[None], q2, kind)[0])
             spent += 1
-            if cand_val <= val or rng.random() < math.exp(-(cand_val - val) / max(temp, 1e-300)):
+            u = rng.random()  # drawn on every step, so ties and last-bit changes leave the stream in step
+            if cand_val <= val or u < math.exp(-(cand_val - val) / max(temp, 1e-300)):
                 perm, val = cand, cand_val
                 if val < best_val:
                     best_val, best_perm = val, perm.copy()

@@ -12,7 +12,11 @@ feature array; one edge loop (:func:`_arrival_edges`) then draws each
 window's edges, to all earlier vertices and among its own, as for the
 whole window, and cuts rows past the horizon or the step count, so a longer
 run only appends draws.  Caron-Fox kernels ``1 - exp(-f(x) f(y))`` take an
-exact Poisson path; other kernels flip one vectorized coin per pair.
+exact Poisson path.  For other kernels layout ``window-v1`` defines one
+uniform coin per pair, in row-major order on each window's stream; the
+sampler reads only the coins a decision needs (pairs with 0 < W < 1) and
+skips the rest with PCG64 ``advance``, so the layout and every trace are
+those of the full coin draw.
 
 A trace is stored as arrays: ``births`` (N,), ``features`` (N, d) and
 sorted label pairs ``edges`` (E, 2) with ``u < v``.  Labels are implicit,
@@ -78,7 +82,8 @@ logger = logging.getLogger(__name__)
 _SAMPLER_LAYOUT = "window-v1"
 # Arrivals per window of the sequential and dense samplers; part of the layout.
 _ARRIVAL_BLOCK = 256
-# Most coins drawn at once; rows are drawn in order, so chunks leave the stream unchanged.
+# Most kernel values per chunk of rows (a single row may exceed it) and the longest
+# partial coin draw; coins are read in row order, so chunks leave the streams unchanged.
 _MAX_COINS = 1 << 20
 
 
@@ -289,45 +294,136 @@ def _draw_features(w, count: int, rng: np.random.Generator) -> np.ndarray:
     return np.asarray(w.sample_features(count, rng), dtype=float).reshape(count, -1)
 
 
-def _arrival_edges(w, features: np.ndarray, starts, n: int, streams) -> np.ndarray:
+def _arrival_edges(w, features: np.ndarray, starts, n: int, stream) -> np.ndarray:
     """1-based edges ``(u, v)``, ``u < v <= n``, among arrivals drawn window by window.
 
     Window ``i`` is rows ``starts[i]:starts[i + 1]`` of ``features``, drawn
     as for the whole window; rows from ``n`` on are cut, so only the last
     window may hold such rows.  Its edges to all earlier rows and among its
-    own rows come from ``streams[i]``, and each pair is present
-    independently with probability ``evaluate(w, x_u, x_v)``.  Caron-Fox
-    kernels are exactly the event Poisson(f(x) f(y)) >= 1, so they draw
-    Poisson multi-edges with endpoints proportional to f and keep the
-    distinct pairs.  Every other kernel compares one coin per pair with the
-    kernel, drawn row by row (``r`` coins for row ``r``), so rows from ``n``
-    on need not be drawn.
+    own rows come from the generator ``stream(i)``, built at most once, and
+    each pair is present independently with probability
+    ``evaluate(w, x_u, x_v)``.  Caron-Fox kernels are exactly the event
+    Poisson(f(x) f(y)) >= 1, so they draw Poisson multi-edges with
+    endpoints proportional to f and keep the distinct pairs.
+
+    Every other kernel follows layout ``window-v1``: one uniform coin per
+    pair, row by row (``v`` coins for row ``v``), the pair present when its
+    coin is below W.  Rows are taken in chunks of the whole arrival array,
+    at most ``_MAX_COINS`` kernel values each.  A pair with W = 0 or W = 1
+    is decided without its coin, and a step kernel evaluates only its
+    *live* rows, those in a block whose row of values is not all zero.  The
+    coins the other pairs need are read from a :class:`_CoinTape`, which
+    skips the rest, so every edge is the one the full coin draw gives.
     """
-    pairs = [np.zeros((0, 2), dtype=np.int64)]
-    poisson = isinstance(w, CaronFoxGraphon)
-    if poisson:
+    starts = np.asarray(starts, dtype=np.int64)
+    if isinstance(w, CaronFoxGraphon):
         x = features[:, 0]
         f = np.where((x >= 0) & (x <= w.truncation.x_max), w.f(x), 0.0)  # zero outside the truncation
-    for lo, hi, rng in zip(starts[:-1], starts[1:], streams):
-        if poisson:
-            new = _poisson_window_pairs(f[:lo], f[lo:hi], rng)
+        pairs = [np.zeros((0, 2), dtype=np.int64)]
+        for i, (lo, hi) in enumerate(zip(starts[:-1], starts[1:])):
+            new = _poisson_window_pairs(f[:lo], f[lo:hi], stream(i))
             pairs.append(new[new[:, 1] < n])
-            continue
-        seen = features[:min(hi, n)]
-        rows = max(1, _MAX_COINS // max(seen.shape[0], 1))
-        for a in range(lo, seen.shape[0], rows):
-            new = seen[a:a + rows]
-            if new.shape[1] == 1:
-                probs = evaluate(w, new[:, 0, None], seen[None, :, 0])
-            else:
-                probs = evaluate(w, new[:, None, :], seen[None, :, :])
-            v = a + np.arange(new.shape[0])
-            earlier = np.arange(seen.shape[0]) < v[:, None]
-            hits = np.zeros(earlier.shape, dtype=bool)
-            hits[earlier] = rng.random(np.count_nonzero(earlier)) < probs[earlier]
-            i, u = np.nonzero(hits)
-            pairs.append(np.column_stack((u, v[i])))
+        return np.concatenate(pairs) + 1
+    x = features[:n]
+    if isinstance(w, StepGraphon):
+        values = np.zeros((w.n_blocks + 1,) * 2)
+        values[:-1, :-1] = w.values  # block -1, beyond the support, reads 0
+        block = w.block_of(x[:, 0])
+        rows = np.flatnonzero(values.any(axis=1)[block])
+
+        def kernel(r, c):
+            return values[block[r, None], block[None, c]]
+    else:
+        rows = np.arange(x.shape[0])
+
+        def kernel(r, c):
+            if x.shape[1] == 1:
+                return evaluate(w, x[r, 0, None], x[None, c, 0])
+            return evaluate(w, x[r, None, :], x[None, c, :])
+    tape = _CoinTape(starts, stream)
+    pairs, evaluated = [np.zeros((0, 2), dtype=np.int64)], 0
+    j0 = 0
+    while j0 < rows.size:
+        # the largest chunk whose (rows x earlier live rows) values fit in _MAX_COINS
+        j1 = min(rows.size, j0 + max(1, (math.isqrt(j0 * j0 + 4 * _MAX_COINS) - j0) // 2))
+        r, c = rows[j0:j1], rows[:j1]
+        p = kernel(r, c)
+        evaluated += p.size
+        later = ~np.tri(j1 - j0, k=-1, dtype=bool)  # the chunk's own rows on and above the diagonal
+        hits = p >= 1.0  # coins lie in [0, 1): W = 1 always joins, W = 0 never
+        need = p > 0.0
+        need &= p < 1.0
+        for mask in (hits, need):
+            mask[:, j0:][later] = False
+        if need.any():
+            hits[need] = tape.read(r, c, need) < p[need]
+        i, k = np.divmod(np.flatnonzero(hits), j1)
+        pairs.append(np.column_stack((c[k], r[i])))
+        j0 = j1
+    logger.debug("arrival edges: %d kernel values, %d coins drawn, %d skipped, %d edge streams",
+                 evaluated, tape.drawn, tape.skipped, len(tape.open))
     return np.concatenate(pairs) + 1
+
+
+class _CoinTape:
+    """The coins of layout ``window-v1``, read only where a decision needs them.
+
+    Window ``i`` starting at row ``a`` draws coin ``(u, v)``, ``u < v``,
+    as number ``v (v - 1) / 2 - a (a - 1) / 2 + u`` of ``stream(i)``.  The
+    tape builds a window's generator when one of its coins is first needed
+    and passes over unneeded coins with ``bit_generator.advance``, which is
+    exact for PCG64: ``random()`` takes one 64-bit output per double.  Reads
+    come in row order.  A read draws the stretch from the first to the last
+    coin it needs in one go when it needs every coin of it (at most one
+    chunk's pairs), and otherwise in pieces shorter than ``_MAX_COINS``,
+    skipping the gaps between them.
+    """
+
+    def __init__(self, starts: np.ndarray, stream):
+        self.starts, self.stream = starts, stream
+        self.open = {}  # window -> [generator, coins consumed]
+        self.drawn = self.skipped = 0
+
+    def read(self, rows: np.ndarray, cols: np.ndarray, need: np.ndarray) -> np.ndarray:
+        """Coins of the pairs ``(cols[k], rows[i])`` with ``need[i, k]``, in row-major order.
+
+        ``rows`` ascend past the rows of earlier reads; ``cols`` are rows below them.
+        """
+        coins = []
+        first, last = np.searchsorted(self.starts, rows[[0, -1]], "right") - 1
+        for i in range(first, last + 1):
+            a, b = np.searchsorted(rows, self.starts[i:i + 2])
+            window = need[a:b]
+            count = np.count_nonzero(window)
+            if not count:
+                continue
+            lo = self.starts[i]
+            row_offsets = (rows[a:b] * (rows[a:b] - 1) - lo * (lo - 1)) // 2  # of each row's coin 0
+            ends = np.unravel_index([window.argmax(), window.size - 1 - window.ravel()[::-1].argmax()], window.shape)
+            head, tail = (int(o) for o in row_offsets[ends[0]] + cols[ends[1]])
+            if tail - head + 1 == count:  # every coin of the stretch is needed
+                coins.append(self._draw(i, head, tail + 1))
+                continue
+            ii, kk = np.nonzero(window)
+            offsets = row_offsets[ii] + cols[kk]
+            piece = (offsets - head) // _MAX_COINS
+            cuts = [0, *(np.flatnonzero(piece[1:] != piece[:-1]) + 1).tolist(), count]
+            for s, e in zip(cuts[:-1], cuts[1:]):
+                start = int(offsets[s])
+                coins.append(self._draw(i, start, int(offsets[e - 1]) + 1)[offsets[s:e] - start])
+        return np.concatenate(coins)
+
+    def _draw(self, i: int, lo: int, hi: int) -> np.ndarray:
+        """Coins ``lo:hi`` of window ``i``'s stream; the coins before ``lo`` not yet read are skipped."""
+        if i not in self.open:
+            self.open[i] = [self.stream(i), 0]
+        rng, pos = self.open[i]
+        if lo > pos:
+            rng.bit_generator.advance(lo - pos)
+        self.open[i][1] = hi
+        self.skipped += lo - pos
+        self.drawn += hi - lo
+        return rng.random(hi - lo)
 
 
 def _poisson_window_pairs(f_prior: np.ndarray, f_new: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -401,7 +497,7 @@ def sample_graphon_process(w, horizon: float, seed: int, keep_isolated: bool = F
     starts = np.cumsum([b.size for b in births])  # births[0] is empty
     births, feats = np.concatenate(births), np.concatenate(feats)
     n = int(np.searchsorted(births, horizon, side="right"))
-    edges = _arrival_edges(w, feats, starts, n, (substream(seed, TAG_WINDOW_EDGES, k) for k in windows))
+    edges = _arrival_edges(w, feats, starts, n, lambda i: substream(seed, TAG_WINDOW_EDGES, windows[i]))
     births, feats = births[:n], feats[:n]
     if np.any(births[1:] == births[:-1]):
         logger.info("birth-time tie broken by draw order (seed=%s horizon=%s)", seed, horizon)
@@ -492,7 +588,7 @@ def sample_sequential(w, schedule: ArrivalSchedule, steps: int, seed: int,
     x = np.concatenate([substream(seed, TAG_SEQ_FEATURE, b).uniform(0.0, bound)
                         for b, bound in enumerate(s_n.reshape(blocks, _ARRIVAL_BLOCK))])
     edges = _arrival_edges(w, x[:, None], range(0, x.size + 1, _ARRIVAL_BLOCK), steps,
-                           (substream(seed, TAG_SEQ_EDGE, b) for b in range(blocks)))
+                           lambda b: substream(seed, TAG_SEQ_EDGE, b))
     full = SampledGraph(np.arange(1, steps + 1, dtype=np.int64), edges)
     features = x[:steps, None]
     births = np.arange(1, steps + 1, dtype=float)
@@ -522,7 +618,7 @@ def sample_dense_wrandom(w: StepGraphon, n: int, seed: int) -> SampledGraph:
         raise GraphonError("vertex count must be non-negative")
     feats = substream(seed, TAG_WRANDOM, 0).uniform(0.0, w.total_mass, size=(n, 1))
     edges = _arrival_edges(w, feats, range(0, n + _ARRIVAL_BLOCK, _ARRIVAL_BLOCK), n,
-                           (substream(seed, TAG_WRANDOM, 1, b) for b in range(-(-n // _ARRIVAL_BLOCK))))
+                           lambda b: substream(seed, TAG_WRANDOM, 1, b))
     return SampledGraph(
         np.arange(1, n + 1, dtype=np.int64),
         edges,
@@ -568,7 +664,8 @@ def trace_to_json(trace: ProcessTrace) -> dict:
     }
     if trace.sampler is not None:
         payload["sampler"] = trace.sampler
-    payload["vertices"] = [{"label": v.label, "birth": v.birth, "feature": list(v.feature)} for v in trace.vertices]
+    payload["vertices"] = [{"label": label, "birth": birth, "feature": feature} for label, (birth, feature)
+                           in enumerate(zip(trace.births.tolist(), trace.features.tolist()), start=1)]
     payload["edges"] = [[int(u), int(v)] for u, v in trace.edges.tolist()]
     return payload
 

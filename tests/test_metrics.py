@@ -497,6 +497,31 @@ class TestCutDistance:
         assert annealed.value >= exact - 1e-12
         assert annealed.value <= exact + 0.05
 
+    @pytest.mark.parametrize("kind", ["cut", "l1"])
+    def test_anneal_draws_one_uniform_per_swap(self, monkeypatch, kind):
+        # every swap of two distinct blocks draws its acceptance uniform, taken or not, so ties
+        # and last-bit changes of the objective leave a restart's later draws where they were;
+        # against a constant matrix every swap ties, which drew no uniform under retired tag 8
+        uniforms = []
+
+        class Counting:
+            def __init__(self, rng):
+                self._rng = rng
+
+            def random(self):
+                uniforms.append(1)
+                return self._rng.random()
+
+            def __getattr__(self, name):
+                return getattr(self._rng, name)
+
+        draw = metrics.substream
+        monkeypatch.setattr(metrics, "substream", lambda *key: Counting(draw(*key)))
+        a1 = np.random.default_rng(3).uniform(size=(6, 6))
+        value, _, spent = metrics._anneal_permutations(a1 + a1.T, np.full((6, 6), 0.5), 1.0, kind, 0, 400)
+        assert value > 0 and spent > 100
+        assert len(uniforms) == spent - metrics.ANNEAL_RESTARTS  # one per evaluated swap
+
     def test_report_mode_contract(self):
         # exact label only with zero quantization error; values never negative
         rng = np.random.default_rng(22)

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from graphonlab.experiments import _sample_inhomogeneous_control
 from graphonlab.graphon_core import (
     CaronFoxGraphon,
     GraphonError,
@@ -366,6 +367,31 @@ class TestTraceSerialization:
             again = tmp_path / "again.json"
             save_trace_file(load_trace_file(path), again)
             assert again.read_bytes() == path.read_bytes()
+
+    def test_other_sampler_bytes_unchanged(self, tmp_path):
+        # SHA-256 digests of the sequential, dense and control samplers under window-v1, taken
+        # before their edge loop decided 0/1 pairs without coins; graphs hash their arrays'
+        # little-endian bytes (labels, edges, births, features), the control its trace file
+        def digest(graphs):
+            h = hashlib.sha256()
+            for g in graphs:
+                for a in (g.labels, g.edges, g.births, g.features):
+                    h.update(a.astype("<i8" if a.dtype.kind == "i" else "<f8").tobytes())
+            return h.hexdigest()
+
+        ambient_one = StepGraphon([1.0], [[1.0]], ambient_infinite=True)  # the sequential_dichotomy kernel
+        for family, expected in (
+            ("linear", "d9d9d441ca460ff2f9ef21ca4fd7582ca7c025e5f27338a2db55643ab63517d2"),
+            ("exponential", "a40b211420f9185581f11d436dab3dcc286218a9e52e66a76e8e6955309d873d"),
+        ):
+            graphs = sample_sequential(ambient_one, ArrivalSchedule(family, 1.0), 600, 5, checkpoints=[100, 600])
+            assert digest(graphs) == expected, family
+        dense = sample_dense_wrandom(StepGraphon([1.0, 2.0], [[0.9, 0.3], [0.3, 0.1]]), 600, 2)
+        assert digest([dense]) == "c56bdf84653169d01febfee21ef34805ca356bcddefa98d1dfcb24498bb701b7"
+        path = tmp_path / "control.json"
+        save_trace_file(_sample_inhomogeneous_control(40.0, 3, 0.9, 0.1), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "ce6d325a40269a5638d37254fb559b47a925e26a33fffe10b937aff41e0f8038")
 
     @pytest.mark.parametrize("corrupt, match", [
         (_relabel, "labels must be 1"),

@@ -492,6 +492,100 @@ def test_caron_fox_f_is_evaluated_once_per_call(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# The coin tape: decided pairs read no coins, the rest read the window-v1 coins
+# ---------------------------------------------------------------------------
+
+DEAD_BLOCK = StepGraphon([1.0, 1.0], [[0.0, 0.0], [0.0, 0.5]])
+ZERO_ONE_COIN = StepGraphon([1.0, 1.0], [[0.0, 1.0], [1.0, 0.3]])
+AMBIENT = StepGraphon([1.0, 2.0], [[0.9, 0.3], [0.3, 0.2]], ambient_infinite=True)
+
+
+@pytest.fixture
+def tiny_chunks(monkeypatch):
+    from graphonlab import sampling
+
+    # one row per chunk once 6 rows are live, so a skipped stretch is followed by coins of the same window
+    monkeypatch.setattr(sampling, "_MAX_COINS", 7)
+
+
+@pytest.mark.parametrize("w", [DEAD_BLOCK, ZERO_ONE_COIN, AMBIENT, MIXED], ids=["dead_block", "zero_one_coin",
+                                                                              "ambient", "mixed"])
+def test_skip_path_equals_window_loop(w, tiny_chunks):
+    for seed in range(3):
+        _assert_traces_equal(sample_graphon_process(w, 12.5, seed), window_sample_graphon_process(w, 12.5, seed))
+    if not isinstance(w, MixedMembershipGraphon):
+        for schedule in (ArrivalSchedule("linear", 0.01), ArrivalSchedule("exponential", 0.01)):
+            new, old = (f(w, schedule, 600, 1, checkpoints=[600])[0]
+                        for f in (sample_sequential, window_sample_sequential))
+            _assert_graphs_equal(new, old)
+    if isinstance(w, StepGraphon) and not w.ambient_infinite:
+        _assert_graphs_equal(sample_dense_wrandom(w, 600, 2), window_sample_dense_wrandom(w, 600, 2))
+
+
+def test_skip_path_control_equals_window_loop(tiny_chunks):
+    for seed in range(3):
+        new = _sample_inhomogeneous_control(20.0, seed, 0.9, 0.1)
+        _assert_traces_equal(new, window_sample_inhomogeneous_control(20.0, seed, 0.9, 0.1))
+
+
+def _edge_streams(monkeypatch):
+    """Tags of every edge stream built through ``sampling.substream`` from now on."""
+    from graphonlab import sampling
+
+    built = []
+
+    def counted(seed, *tags):
+        if tags[0] in (TAG_WINDOW_EDGES, TAG_SEQ_EDGE, TAG_WRANDOM) and tags[:2] != (TAG_WRANDOM, 0):
+            built.append(tags)
+        return substream(seed, *tags)
+
+    monkeypatch.setattr(sampling, "substream", counted)
+    return built
+
+
+def test_zero_one_kernels_build_no_edge_stream(monkeypatch):
+    built = _edge_streams(monkeypatch)
+    region = RegionIndicatorGraphon(0.5, x_max=4.0)
+    for w in (constant_graphon(1.0), StepGraphon([1.0, 1.0], [[0.0, 1.0], [1.0, 1.0]]), region):
+        trace = sample_graphon_process(w, 6.5, 3)
+        _assert_traces_equal(trace, window_sample_graphon_process(w, 6.5, 3))
+        assert trace.num_edges > 0
+    for schedule in (ArrivalSchedule("linear", 1.0), ArrivalSchedule("exponential", 1.0)):
+        w = StepGraphon([1.0], [[1.0]], ambient_infinite=True)
+        new = sample_sequential(w, schedule, 600, 4, checkpoints=[600])[0]
+        _assert_graphs_equal(new, window_sample_sequential(w, schedule, 600, 4, checkpoints=[600])[0])
+    dense = sample_dense_wrandom(StepGraphon([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]]), 300, 1)
+    assert dense.num_edges > 0
+    assert built == []
+    sample_graphon_process(ZERO_ONE_COIN, 6.5, 3)  # the counter does see the streams a coin needs
+    assert built and all(tags[0] == TAG_WINDOW_EDGES for tags in built)
+
+
+def _cost_counters(caplog, sample) -> list[int]:
+    """(kernel values, coins drawn, coins skipped, edge streams) that ``sample()`` logs."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="graphonlab.sampling"):
+        sample()
+    message, = [r.getMessage() for r in caplog.records if r.getMessage().startswith("arrival edges")]
+    return [int(word) for word in message.split() if word.isdigit()]
+
+
+def test_cost_counters_are_logged(caplog, monkeypatch):
+    pairs = 300 * 299 // 2
+    assert _cost_counters(caplog, lambda: sample_dense_wrandom(STEP, 300, 1)) == [90000, pairs, 0, 2]
+    diagonal = StepGraphon([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]])
+    assert _cost_counters(caplog, lambda: sample_dense_wrandom(diagonal, 300, 1)) == [90000, 0, 0, 0]
+    live = int(np.count_nonzero(sample_dense_wrandom(DEAD_BLOCK, 300, 1).features >= 1.0))
+    assert _cost_counters(caplog, lambda: sample_dense_wrandom(DEAD_BLOCK, 300, 1))[0] == live * live
+    from graphonlab import sampling
+
+    monkeypatch.setattr(sampling, "_MAX_COINS", 7)
+    values, drawn, skipped, streams = _cost_counters(caplog, lambda: sample_dense_wrandom(DEAD_BLOCK, 300, 1))
+    assert values < live * live and live * (live - 1) // 2 <= drawn < pairs and skipped > 0 and streams == 2
+    assert drawn + skipped <= pairs
+
+
+# ---------------------------------------------------------------------------
 # Births and features: unchanged streams give identical arrays
 # ---------------------------------------------------------------------------
 
