@@ -183,9 +183,15 @@ def er_power_graph(n: int, alpha: float, seed: int) -> SampledGraph:
     """Erdos-Renyi graph with edge probability ``n^(alpha-1)``.
 
     Sampled by geometric gap skipping over the upper triangle, so the cost
-    is proportional to the edge count.
+    is proportional to the edge count.  ``n = 0`` gives the empty graph.
     """
+    if n < 0:
+        raise GraphonError("vertex count must be non-negative")
+    if n == 0:
+        return SampledGraph(np.zeros(0, dtype=np.int64), np.zeros((0, 2), dtype=np.int64))
     p = float(n) ** (alpha - 1.0)
+    if not 0.0 < p <= 1.0:
+        raise GraphonError(f"edge probability n^(alpha-1) = {p} must lie in (0, 1]; got alpha={alpha} for n={n}")
     total = n * (n - 1) // 2
     rng = substream(seed, TAG_GENERIC, 23)
     picks: list[np.ndarray] = []
@@ -217,5 +223,7 @@ def perfect_matching(pairs: int) -> SampledGraph:
 
 
 def cycle_graph(n: int) -> SampledGraph:
+    if 0 < n < 3:
+        raise GraphonError(f"a cycle needs at least 3 vertices, got {n}")
     labels = np.arange(1, n + 1, dtype=np.int64)
     return SampledGraph(labels, np.sort(np.column_stack((labels, labels % n + 1)), axis=1))

@@ -26,9 +26,13 @@ with ``v <= k``, and an edge is created at ``births[v - 1]``.
 :func:`trace_from_json` rejects labels other than 1..N, births that
 decrease or leave ``[0, horizon]``, edges with ``u >= v``, unknown
 endpoints or duplicates, and feature rows of unequal width.  A
-:class:`SampledGraph` sorts its labels once on construction and keeps its
-edges' rows in ``labels`` (``edge_rows()``); snapshots and subgraphs cut
-labels, edges and rows from checked arrays without revalidating them.
+:class:`SampledGraph` validates its arrays and keeps its edges' rows in
+``labels`` (``edge_rows()``), computed once on construction: in O(|V| + |E|)
+on consecutive labels with sorted edges, with one sort of the edge keys on
+consecutive labels otherwise (traces, whose edges come in draw order),
+and by the general path of label sort and endpoint search on any other
+label set.  Snapshots and subgraphs cut labels, edges and rows from checked
+arrays without revalidating them.
 """
 
 from __future__ import annotations
@@ -98,7 +102,19 @@ class VertexRecord:
 
 @dataclass(frozen=True)
 class SampledGraph:
-    """A simple undirected labeled graph with optional sampling metadata."""
+    """A simple undirected labeled graph with optional sampling metadata.
+
+    The constructor rejects repeated labels, self-loops, endpoints that are
+    not labels and duplicate edges, in that order, and stores ``edges`` as
+    new label pairs ``(u, v)``, ``u`` before ``v`` in label order, sorted
+    lexicographically in that order, with their rows in ``labels``.  On
+    consecutive labels ``b..b+n-1`` (every graph the package builds) label
+    ``b + i`` is row ``i``: construction is O(|V| + |E|) when the edges are
+    already in that canonical order, as ``er_power_graph`` and the graph
+    families emit them, and sorts the edge keys once otherwise.  Any other
+    label set takes the general path, which sorts the labels, searches every
+    endpoint and sorts the edge keys.
+    """
 
     labels: np.ndarray
     edges: np.ndarray
@@ -108,26 +124,11 @@ class SampledGraph:
     def __post_init__(self):
         labels = np.asarray(self.labels, dtype=np.int64)
         edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
-        order = np.argsort(labels, kind="stable")
-        ordered = labels[order]
-        if np.any(ordered[1:] == ordered[:-1]):
-            raise GraphonError("vertex labels must be unique")
-        if np.any(edges[:, 0] == edges[:, 1]):
-            raise GraphonError("self-loops are not allowed")
         n = labels.size
-        # searched column by column: the first column of sorted edges is sorted, which searchsorted exploits
-        ranks = np.minimum(np.searchsorted(ordered, edges.T).T, n - 1)
-        unknown = np.flatnonzero((ordered[ranks] != edges).any(axis=1)) if n else np.arange(len(edges))
-        if unknown.size:
-            u, v = edges[unknown[0]].tolist()
-            raise GraphonError(f"edge ({u}, {v}) references an unknown vertex")
-        # one integer key per edge, lexicographic in the label order of (min, max)
-        key = np.sort(ranks.min(axis=1) * n + ranks.max(axis=1))
-        del ranks  # freed before the (E, 2) outputs: on large graphs it would set the peak
-        if np.any(key[1:] == key[:-1]):
-            raise GraphonError("duplicate edges are not allowed")
-        rows = order[np.column_stack(np.divmod(key, n))]
-        _set_fields(self, labels, labels[rows], rows, self.births, self.features)
+        # O(n): strictly increasing labels spanning n - 1 are exactly b, b+1, ..., b+n-1
+        consecutive = n > 0 and int(labels[-1]) - int(labels[0]) == n - 1 and bool(np.all(labels[1:] > labels[:-1]))
+        edges, rows = (_consecutive_rows if consecutive else _searched_rows)(labels, edges)
+        _set_fields(self, labels, edges, rows, self.births, self.features)
 
     # -- derived statistics ---------------------------------------------------
     @property
@@ -185,6 +186,73 @@ class SampledGraph:
             self.births[keep] if self.births is not None else None,
             self.features[keep] if self.features is not None else None,
         )
+
+
+def _searched_rows(labels: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical edges and their rows in ``labels``, for any label set: one sort of
+    the labels, a binary search of every endpoint and one sort of the edge keys."""
+    order = np.argsort(labels, kind="stable")
+    ordered = labels[order]
+    if np.any(ordered[1:] == ordered[:-1]):
+        raise GraphonError("vertex labels must be unique")
+    _reject_self_loops(edges)
+    n = labels.size
+    # searched column by column: the first column of sorted edges is sorted, which searchsorted exploits
+    ranks = np.minimum(np.searchsorted(ordered, edges.T).T, n - 1)
+    unknown = np.flatnonzero((ordered[ranks] != edges).any(axis=1)) if n else np.arange(len(edges))
+    if unknown.size:
+        raise _unknown_vertex(edges[unknown[0]])
+    # one integer key per edge, lexicographic in the label order of (min, max)
+    key = np.sort(ranks.min(axis=1) * n + ranks.max(axis=1))
+    del ranks  # freed before the (E, 2) outputs: on large graphs it would set the peak
+    _reject_duplicates(key)
+    rows = order[np.column_stack(np.divmod(key, n))]
+    return labels[rows], rows
+
+
+def _consecutive_rows(labels: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical edges and their rows for labels ``b, b+1, ..., b+n-1``, where
+    label ``b + i`` is row ``i``: no endpoint is searched, and edges already in
+    canonical order are not sorted, so their cost is O(|V| + |E|)."""
+    n, base = labels.size, int(labels[0])
+    _reject_self_loops(edges)
+    rows = edges - base
+    # a row outside [0, n) is at least n as an unsigned integer, negative rows included;
+    # reductions along the length-2 axis are slow, so the flat mask is searched instead
+    outside = rows.view(np.uint64) >= n
+    if outside.any():
+        raise _unknown_vertex(edges[np.argmax(outside) // 2])
+    del outside  # freed before the (E, 2) outputs
+    if not _is_canonical(rows, n):
+        key = np.sort(np.minimum(rows[:, 0], rows[:, 1]) * n + np.maximum(rows[:, 0], rows[:, 1]))
+        _reject_duplicates(key)
+        rows = np.column_stack(np.divmod(key, n))
+    return rows + base, rows
+
+
+def _is_canonical(rows: np.ndarray, n: int) -> bool:
+    """Whether row pairs are oriented ``u < v`` with strictly increasing keys
+    ``u * n + v``: sorted as the constructor sorts, and so free of duplicates."""
+    lo, hi = rows[:, 0], rows[:, 1]
+    if not np.all(lo < hi):
+        return False
+    key = lo * n + hi
+    return bool(np.all(key[1:] > key[:-1]))
+
+
+def _reject_self_loops(edges: np.ndarray) -> None:
+    if np.any(edges[:, 0] == edges[:, 1]):
+        raise GraphonError("self-loops are not allowed")
+
+
+def _unknown_vertex(edge: np.ndarray) -> GraphonError:
+    u, v = edge.tolist()
+    return GraphonError(f"edge ({u}, {v}) references an unknown vertex")
+
+
+def _reject_duplicates(sorted_keys: np.ndarray) -> None:
+    if np.any(sorted_keys[1:] == sorted_keys[:-1]):
+        raise GraphonError("duplicate edges are not allowed")
 
 
 def _set_fields(g: SampledGraph, labels, edges, rows, births, features) -> SampledGraph:

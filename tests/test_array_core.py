@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from graphonlab import sampling
 from graphonlab.graphon_core import CaronFoxGraphon, GraphonError, MixedMembershipGraphon, StepGraphon
 from graphonlab.regularity import (
     clique_plus_isolated,
@@ -17,6 +18,7 @@ from graphonlab.regularity import (
 )
 from graphonlab.sampling import (
     ArrivalSchedule,
+    ProcessTrace,
     SampledGraph,
     sample_graphon_process,
     sample_sequential,
@@ -308,6 +310,7 @@ class TestEdgeRows:
 
     @pytest.mark.parametrize("labels, edges, message", [
         ([4, 2, 4], [], "vertex labels must be unique"),
+        ([1, 2, 2, 4], [], "vertex labels must be unique"),
         ([1, 2, 1], [[1, 1]], "vertex labels must be unique"),
         ([1, 2, 3], [[2, 3], [3, 3]], "self-loops are not allowed"),
         ([], [[1, 1]], "self-loops are not allowed"),
@@ -317,8 +320,114 @@ class TestEdgeRows:
         ([], [[1, 2], [3, 4]], r"edge \(1, 2\) references an unknown vertex"),
         ([5, 1, 3], [[1, 5], [3, 1], [5, 1]], "duplicate edges are not allowed"),
         ([5, 1, 3], [[3, 4], [1, 5], [5, 1]], r"edge \(3, 4\) references an unknown vertex"),
-    ], ids=["duplicate_labels", "duplicate_labels_first", "self_loop", "self_loop_first", "unknown",
-            "unknown_below", "unknown_above", "edge_on_empty_labels", "duplicate_both_orders", "unknown_first"])
+    ], ids=["duplicate_labels", "duplicate_labels_spanning_n", "duplicate_labels_first", "self_loop",
+            "self_loop_first", "unknown", "unknown_below", "unknown_above", "edge_on_empty_labels", "duplicate_both_orders", "unknown_first"])
     def test_rejects(self, labels, edges, message):
         with pytest.raises(GraphonError, match=f"^{message}$"):
             SampledGraph(np.array(labels, dtype=np.int64), np.array(edges, dtype=np.int64))
+
+
+class TestConsecutiveLabels:
+    """Labels ``b..b+n-1`` are read as rows without a search, and canonical
+    edges are not sorted; the searched path for any other label set, kept for
+    them, is the oracle."""
+
+    @staticmethod
+    def edge_forms(n, base, form, rng):
+        """Random edges on labels ``base..base+n-1`` as one input form."""
+        pairs = np.column_stack(np.triu_indices(n, 1)).astype(np.int64)
+        edges = base + pairs[rng.random(len(pairs)) < 0.3]
+        if form == "reversed":
+            flip = rng.random(len(edges)) < 0.5
+            edges[flip] = edges[flip, ::-1]
+        elif form == "shuffled":
+            edges = rng.permutation(edges)
+        elif form == "none":
+            edges = edges[:0]
+        return edges
+
+    @staticmethod
+    def shuffled(labels):
+        """The labels out of order; from 4 labels on the ends stay, so their span is n - 1."""
+        return np.concatenate([labels[:1], labels[-2:0:-1], labels[-1:]]) if labels.size >= 4 else labels[::-1]
+
+    @pytest.mark.parametrize("form", ["sorted", "reversed", "shuffled", "none"])
+    def test_equals_searched_path(self, form):
+        rng = np.random.default_rng(len(form))
+        for n in (0, 1, 2, 9, 40):
+            for base in (1, -7, 0, 10**12):
+                labels = base + np.arange(n, dtype=np.int64)
+                edges = self.edge_forms(n, base, form, rng)
+                g = SampledGraph(labels, edges)
+                # the same labels shuffled, and the same graph on labels with gaps
+                s = SampledGraph(self.shuffled(labels), edges)
+                gapped = SampledGraph(base + 3 * (labels - base), base + 3 * (edges - base))
+                assert np.array_equal(s.edges, g.edges)
+                assert np.array_equal(s.labels[s.edge_rows()], g.labels[g.edge_rows()])
+                assert np.array_equal(s.degree_sequence()[np.argsort(s.labels)], g.degree_sequence())
+                assert np.array_equal(gapped.edges, base + 3 * (g.edges - base))
+                assert np.array_equal(gapped.edge_rows(), g.edge_rows())
+                assert np.array_equal(gapped.degree_sequence(), g.degree_sequence())
+
+    @pytest.mark.parametrize("bad", [
+        [[3, 3]],
+        [[0, 2], [2, 7]],
+        [[2, 7], [0, 2]],
+        [[1, -(2**62)]],
+        [[1, 2**62]],
+        [[2, 3], [7, 7], [0, 9]],
+        [[5, 6], [5, 6]],
+        [[1, 2], [1, 2]],
+        [[1, 2], [2, 1]],
+        [[4, 5], [2, 3], [5, 4]],
+    ], ids=["self_loop", "below_first", "above_first", "far_below", "far_above", "self_loop_first",
+            "duplicate_sorted", "duplicate", "duplicate_reversed", "duplicate_unsorted"])
+    def test_rejects_as_searched_path(self, bad):
+        labels = np.arange(1, 7, dtype=np.int64)
+        edges = np.concatenate([[[1, 3], [4, 6]], bad]).astype(np.int64)
+        messages = []
+        for ls in (labels, labels[::-1]):
+            with pytest.raises(GraphonError) as err:
+                SampledGraph(ls, edges)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        if "unknown" in messages[0]:
+            first = next(e for e in edges.tolist() if not set(e) <= set(labels.tolist()))
+            assert messages[0] == f"edge ({first[0]}, {first[1]}) references an unknown vertex"
+
+    def test_leaves_the_callers_edges_alone(self):
+        # canonical edges, which skip the key sort, and edges that need it
+        for edges in (perfect_matching(50).edges.copy(), np.array([[4, 9], [1, 2], [2, 3]], dtype=np.int64)):
+            given = edges.copy()
+            n = int(edges.max())
+            g = SampledGraph(np.arange(1, n + 1), edges)
+            t = ProcessTrace(StepGraphon([1.0], [[0.5]]), 1.0, 0, True, np.zeros(n), np.zeros((n, 1)), edges)
+            for out in (g.edges, g.edge_rows(), t.edges):
+                assert not np.shares_memory(out, edges)
+            assert edges.flags.writeable and np.array_equal(edges, given)
+            # degree_sequence reads the private rows, which must stay writable for bincount not to copy
+            assert g._rows.flags.writeable
+
+    def test_consecutive_labels_need_no_sort_or_search(self, monkeypatch):
+        # a later change must not bring back the O(|E| log |V|) construction for the package's graphs
+        calls = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                attr = getattr(np, name)
+                if name not in ("argsort", "searchsorted", "sort"):
+                    return attr
+
+                def counted(*args, **kwargs):
+                    calls.append(name)
+                    return attr(*args, **kwargs)
+                return counted
+
+        monkeypatch.setattr(sampling, "np", CountingNumpy())
+        er_power_graph(3000, 0.5, seed=4)
+        perfect_matching(500)
+        assert calls == []
+        SampledGraph(np.arange(1, 4), np.array([[2, 3], [1, 2]]))  # consecutive labels, unsorted edges
+        assert calls == ["sort"]
+        SampledGraph(np.array([3, 1, 2]), np.array([[1, 2], [2, 3]]))
+        assert set(calls) == {"argsort", "searchsorted", "sort"}

@@ -199,6 +199,16 @@ class TestGraphFamilies:
         floor = peak(lambda: SampledGraph(g.labels, g.edges)) + g.edges.nbytes
         assert peak(lambda: er_power_graph(6000, 0.5, seed=2)) <= 1.15 * floor
 
+    def test_er_empty_and_invalid_sizes(self):
+        g = er_power_graph(0, 0.5, seed=0)
+        assert g.num_vertices == 0 and g.edges.shape == (0, 2)
+        with pytest.raises(GraphonError, match="non-negative"):
+            er_power_graph(-1, 0.5, seed=0)
+        # n^(alpha-1) > 1 is not a probability; n = 1 has no pairs and takes any alpha
+        with pytest.raises(GraphonError, match="alpha=1.5"):
+            er_power_graph(5, 1.5, seed=0)
+        assert er_power_graph(1, 1.5, seed=0).num_vertices == 1
+
     def test_clique_family_shape(self):
         g = clique_plus_isolated(1000, 0.5)
         m = int(1000 ** 0.75)
@@ -209,3 +219,10 @@ class TestGraphFamilies:
         g = cycle_graph(5)
         assert g.num_edges == 5
         assert set(g.degree_sequence().tolist()) == {2}
+
+    def test_cycle_needs_three_vertices(self):
+        for n in (1, 2):
+            with pytest.raises(GraphonError, match="^a cycle needs at least 3 vertices"):
+                cycle_graph(n)
+        assert cycle_graph(0).num_vertices == 0 and cycle_graph(0).num_edges == 0
+        assert cycle_graph(3).edge_list() == [(1, 2), (1, 3), (2, 3)]

@@ -15,6 +15,7 @@ from graphonlab.graphon_core import (
     StepGraphon,
     constant_graphon,
 )
+from graphonlab.regularity import er_power_graph
 from graphonlab.sampling import (
     ArrivalSchedule,
     SampledGraph,
@@ -392,6 +393,16 @@ class TestTraceSerialization:
         save_trace_file(_sample_inhomogeneous_control(40.0, 3, 0.9, 0.1), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "ce6d325a40269a5638d37254fb559b47a925e26a33fffe10b937aff41e0f8038")
+
+    def test_er_power_graph_bytes_unchanged(self):
+        # SHA-256 digests of the edges' little-endian bytes, taken while every graph sorted
+        # its labels, searched its endpoints and sorted its edge keys
+        for seed, expected in (
+            (0, "5700c736da2e16cf1cc0210377e0ced7bd7b56fe8f613763c327136ca97b875f"),
+            (1, "0f58bfad1aa1ee8113b92e452cfd148554774504d52f65dd0c6bc591ef87600e"),
+        ):
+            edges = er_power_graph(2000, 0.5, seed).edges
+            assert hashlib.sha256(edges.astype("<i8").tobytes()).hexdigest() == expected, seed
 
     @pytest.mark.parametrize("corrupt, match", [
         (_relabel, "labels must be 1"),
