@@ -7,6 +7,15 @@ the derived seed ``replica_seed(s, r)``, so reports are bit-reproducible.
 Aggregates follow a naming convention (``mean_<field>``,
 ``median_<field>``) that makes them mechanically recomputable from the
 per-replica records.
+
+Each entry's parameters are declared once, in ``CATALOG[name].defaults``.
+A config (or ``--config`` file) may give any subset of them: the graphon,
+the horizons and every parameter it omits take the entry's defaults, a
+parameter name the entry does not declare raises ``GraphonError``, and each
+value is converted to the type of its default (element by element for
+lists).  The report records this filled config, and the runner receives the
+parameters as keyword arguments.  A config that omits ``replicas`` runs one
+replica; the entry's count applies through :func:`default_config`.
 """
 
 from __future__ import annotations
@@ -15,11 +24,11 @@ import json
 import math
 import os
 import platform
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from . import __version__
+from . import __version__, homomorphisms
 from ._rng import TAG_CONTROL, TAG_GENERIC, TAG_PERMTEST, TAG_REPLICA, substream
 from .graphon_core import (
     GraphonError,
@@ -111,6 +120,10 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(payload: dict) -> "ExperimentConfig":
+        known = [f.name for f in fields(ExperimentConfig)]
+        unknown = sorted(set(payload) - set(known))
+        if unknown:
+            raise GraphonError(f"unknown config keys {', '.join(unknown)}; known: {', '.join(known)}")
         return ExperimentConfig(
             experiment=payload["experiment"],
             replicas=int(payload.get("replicas", 1)),
@@ -120,10 +133,9 @@ class ExperimentConfig:
             params=dict(payload.get("params", {})),
         )
 
-    def graphon_object(self, default=None):
-        if self.graphon is not None:
-            return load_graphon_spec(self.graphon)
-        return default if default is not None else constant_graphon(1.0)
+    def graphon_object(self):
+        """The configured graphon; the constant 1 on unit mass when none is given."""
+        return constant_graphon(1.0) if self.graphon is None else load_graphon_spec(self.graphon)
 
 
 @dataclass(frozen=True)
@@ -154,10 +166,9 @@ def _stderr(xs) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _run_edge_growth(cfg: ExperimentConfig):
+def _run_edge_growth(cfg: ExperimentConfig, *, t, bounds):
     w = cfg.graphon_object()
-    t = float(cfg.params.get("t", 30.0))
-    lo, hi = cfg.params.get("bounds", (0.95, 1.05))
+    lo, hi = bounds
     records = []
     for r in range(cfg.replicas):
         trace = sample_graphon_process(w, t, replica_seed(cfg.seed, r))
@@ -172,11 +183,9 @@ def _run_edge_growth(cfg: ExperimentConfig):
     return records, aggregates, bool(lo <= mean <= hi)
 
 
-def _run_density_convergence(cfg: ExperimentConfig):
-    w = cfg.graphon_object(constant_graphon(0.5))
-    f = motif(cfg.params.get("motif", "triangle"))
-    t = float(cfg.params.get("t", 60.0))
-    rel_tol = float(cfg.params.get("rel_tol", 0.1))
+def _run_density_convergence(cfg: ExperimentConfig, *, motif, t, rel_tol):
+    w = cfg.graphon_object()
+    f = homomorphisms.motif(motif)
     target = 0.0 if l1_norm(w) == 0 else h_analytic(f, w).value
     records = []
     for r in range(cfg.replicas):
@@ -195,20 +204,17 @@ def _run_density_convergence(cfg: ExperimentConfig):
     return records, aggregates, bool(passed)
 
 
-def _run_metric_convergence(cfg: ExperimentConfig):
-    w = cfg.graphon_object(constant_graphon(0.5))
-    horizons = cfg.horizons or (10.0, 20.0, 40.0)
-    final_below = float(cfg.params.get("final_below", 0.1))
-    alignment = cfg.params.get("alignment", "feature_oracle")
+def _run_metric_convergence(cfg: ExperimentConfig, *, final_below):
+    w = cfg.graphon_object()
     records = []
-    for t in horizons:
+    for t in cfg.horizons:
         for r in range(cfg.replicas):
             trace = sample_graphon_process(w, t, replica_seed(cfg.seed, r))
-            est = graph_graphon_distance_estimate(trace, w, alignment=alignment)
+            est = graph_graphon_distance_estimate(trace, w)
             records.append({"horizon": t, "replica": r, "estimate": est})
     series = [
         {"x": t, "median_estimate": _median(rec["estimate"] for rec in records if rec["horizon"] == t)}
-        for t in horizons
+        for t in cfg.horizons
     ]
     medians = [pt["median_estimate"] for pt in series]
     aggregates = {"series": series, "final_below": final_below}
@@ -216,11 +222,8 @@ def _run_metric_convergence(cfg: ExperimentConfig):
     return records, aggregates, bool(passed)
 
 
-def _run_sequential_dichotomy(cfg: ExperimentConfig):
-    w = cfg.graphon_object(StepGraphon([1.0], [[1.0]], ambient_infinite=True))
-    checkpoints = [int(c) for c in cfg.params.get("checkpoints", (100, 1000))]
-    growth_factor = float(cfg.params.get("growth_factor", 2.0))
-    flat_tol = float(cfg.params.get("flat_tol", 0.2))
+def _run_sequential_dichotomy(cfg: ExperimentConfig, *, checkpoints, growth_factor, flat_tol):
+    w = cfg.graphon_object()
     steps = max(checkpoints)
     records = []
     for family in ("linear", "exponential"):
@@ -249,11 +252,7 @@ def _run_sequential_dichotomy(cfg: ExperimentConfig):
     return records, aggregates, bool(diverges and stalls)
 
 
-def _run_tail_dichotomy(cfg: ExperimentConfig):
-    alpha = float(cfg.params.get("alpha", 0.5))
-    sizes = [int(n) for n in cfg.params.get("sizes", (1000, 10000))]
-    eps = float(cfg.params.get("eps", 0.1))
-    growth = float(cfg.params.get("growth", 1.5))
+def _run_tail_dichotomy(cfg: ExperimentConfig, *, alpha, sizes, eps, growth):
     records = []
     for n in sizes:
         records.append({"family": "clique_plus_isolated", "n": n,
@@ -273,11 +272,8 @@ def _run_tail_dichotomy(cfg: ExperimentConfig):
     return records, aggregates, bool(passed)
 
 
-def _run_degree_tail(cfg: ExperimentConfig):
-    w = cfg.graphon_object(constant_graphon(0.5))
-    t = float(cfg.params.get("t", 50.0))
-    lam = float(cfg.params.get("lam", 0.5))
-    rel_tol = float(cfg.params.get("rel_tol", 0.1))
+def _run_degree_tail(cfg: ExperimentConfig, *, t, lam, rel_tol):
+    w = cfg.graphon_object()
     target = degree_profile(stretch(w))(lam)
     records = []
     for r in range(cfg.replicas):
@@ -293,10 +289,7 @@ def _run_degree_tail(cfg: ExperimentConfig):
     return records, aggregates, bool(abs(mean / target - 1.0) <= rel_tol)
 
 
-def _run_bounded_degree_null(cfg: ExperimentConfig):
-    n = int(cfg.params.get("n", 10_000))
-    tol = float(cfg.params.get("tol", 1e-9))
-    bound = float(cfg.params.get("bound", 0.02))
+def _run_bounded_degree_null(cfg: ExperimentConfig, *, n, tol, bound):
     path3 = motif("path3")
     h_big, _ = rescaled_density(path3, cycle_graph(n))
     closed_form = 4.0 * n / (2.0 * n) ** 1.5
@@ -361,15 +354,9 @@ def _signflip_pvalue(diffs: np.ndarray, resamples: int, rng: np.random.Generator
     return float((1 + (null >= observed - 1e-15).sum()) / (resamples + 1))
 
 
-def _run_exchangeability(cfg: ExperimentConfig):
+def _run_exchangeability(cfg: ExperimentConfig, *, t, bins, n_perms, resamples, level,
+                         control_p_early, control_p_late):
     w = cfg.graphon_object()
-    t = float(cfg.params.get("t", 40.0))
-    bins = int(cfg.params.get("bins", 8))
-    n_perms = int(cfg.params.get("n_perms", 3))
-    resamples = int(cfg.params.get("resamples", 2000))
-    level = float(cfg.params.get("level", 0.01))
-    p_early = float(cfg.params.get("control_p_early", 0.9))
-    p_late = float(cfg.params.get("control_p_late", 0.1))
     h = t / bins
     weights = np.outer(np.arange(1, bins + 1), np.arange(1, bins + 1)).astype(float)
     np.fill_diagonal(weights, 0.0)
@@ -385,7 +372,7 @@ def _run_exchangeability(cfg: ExperimentConfig):
         sample_graphon_process(w, t, replica_seed(cfg.seed, r)) for r in range(cfg.replicas)
     )
     control_boxes = box_stats(
-        _sample_inhomogeneous_control(t, replica_seed(cfg.seed, 500_000 + r), p_early, p_late)
+        _sample_inhomogeneous_control(t, replica_seed(cfg.seed, 500_000 + r), control_p_early, control_p_late)
         for r in range(cfg.replicas)
     )
 
@@ -412,12 +399,10 @@ def _run_exchangeability(cfg: ExperimentConfig):
     return records, aggregates, bool(process_ok and control_caught)
 
 
-def _run_avg_degree_growth(cfg: ExperimentConfig):
+def _run_avg_degree_growth(cfg: ExperimentConfig, *, growth_factor):
     w = cfg.graphon_object()
-    horizons = cfg.horizons or (10.0, 20.0, 40.0)
-    growth_factor = float(cfg.params.get("growth_factor", 2.0))
     records = []
-    for t in horizons:
+    for t in cfg.horizons:
         for r in range(cfg.replicas):
             trace = sample_graphon_process(w, t, replica_seed(cfg.seed, r))
             g = snapshot_at(trace, t)
@@ -425,7 +410,7 @@ def _run_avg_degree_growth(cfg: ExperimentConfig):
             records.append({"horizon": t, "replica": r, "avg_degree": avg})
     series = [
         {"x": t, "mean_avg_degree": _mean(rec["avg_degree"] for rec in records if rec["horizon"] == t)}
-        for t in horizons
+        for t in cfg.horizons
     ]
     means = [pt["mean_avg_degree"] for pt in series]
     aggregates = {"series": series, "growth_factor": growth_factor}
@@ -441,10 +426,7 @@ def _random_symmetric(rng, n, lo=-1.0, hi=1.0):
     return np.triu(vals) + np.triu(vals, 1).T
 
 
-def _run_cutnorm_oracle(cfg: ExperimentConfig):
-    count = int(cfg.params.get("count", 100))
-    max_blocks = int(cfg.params.get("max_blocks", 6))
-    tol = float(cfg.params.get("tol", 1e-12))
+def _run_cutnorm_oracle(cfg: ExperimentConfig, *, count, max_blocks, tol):
     rng = substream(cfg.seed, TAG_GENERIC, 1)
     records = []
     for i in range(count):
@@ -460,10 +442,7 @@ def _run_cutnorm_oracle(cfg: ExperimentConfig):
     return records, {"max_gap": worst, "tol": tol}, bool(worst <= tol)
 
 
-def _run_permutation_zero(cfg: ExperimentConfig):
-    count = int(cfg.params.get("count", 20))
-    blocks = int(cfg.params.get("blocks", 7))
-    tol = float(cfg.params.get("tol", 1e-12))
+def _run_permutation_zero(cfg: ExperimentConfig, *, count, blocks, tol):
     rng = substream(cfg.seed, TAG_GENERIC, 2)
     records = []
     for i in range(count):
@@ -478,10 +457,7 @@ def _run_permutation_zero(cfg: ExperimentConfig):
     return records, {"max_distance": worst, "tol": tol}, bool(worst <= tol and all_invert)
 
 
-def _run_edge_density_one(cfg: ExperimentConfig):
-    graphs = int(cfg.params.get("graphs", 100))
-    graphons = int(cfg.params.get("graphons", 50))
-    tol = float(cfg.params.get("tol", 1e-9))
+def _run_edge_density_one(cfg: ExperimentConfig, *, graphs, graphons, tol):
     rng = substream(cfg.seed, TAG_GENERIC, 3)
     records = []
     made = 0
@@ -509,11 +485,7 @@ def _run_edge_density_one(cfg: ExperimentConfig):
     return records, aggregates, bool(graph_worst == 0.0 and graphon_worst <= tol)
 
 
-def _run_metric_axioms(cfg: ExperimentConfig):
-    triples = int(cfg.params.get("triples", 50))
-    max_blocks = int(cfg.params.get("max_blocks", 6))
-    sym_tol = float(cfg.params.get("sym_tol", 1e-12))
-    tri_tol = float(cfg.params.get("tri_tol", 1e-9))
+def _run_metric_axioms(cfg: ExperimentConfig, *, triples, max_blocks, sym_tol, tri_tol):
     rng = substream(cfg.seed, TAG_GENERIC, 4)
     records = []
     for i in range(triples):
@@ -538,9 +510,7 @@ def _run_metric_axioms(cfg: ExperimentConfig):
     return records, aggregates, bool(sym_worst <= sym_tol and tri_worst <= tri_tol)
 
 
-def _run_perturbation_bound(cfg: ExperimentConfig):
-    count = int(cfg.params.get("count", 20))
-    eps_values = [float(e) for e in cfg.params.get("eps_values", (0.01, 0.05))]
+def _run_perturbation_bound(cfg: ExperimentConfig, *, count, eps_values):
     rng = substream(cfg.seed, TAG_GENERIC, 5)
     records = []
     for i in range(count):
@@ -689,37 +659,62 @@ def experiment_names() -> list[str]:
     return sorted(CATALOG)
 
 
-def describe_experiment(name: str) -> str:
+def _entry(name: str) -> CatalogEntry:
     if name not in CATALOG:
         raise GraphonError(f"unknown experiment {name!r}; known: {', '.join(experiment_names())}")
-    entry = CATALOG[name]
+    return CATALOG[name]
+
+
+def describe_experiment(name: str) -> str:
     defaults = default_config(name).to_json()
-    return f"{name}: {entry.doc}\ndefault config: {json.dumps(defaults, sort_keys=True)}"
+    return f"{name}: {CATALOG[name].doc}\ndefault config: {json.dumps(defaults, sort_keys=True)}"
 
 
 def default_config(name: str, seed: int = 0) -> ExperimentConfig:
-    if name not in CATALOG:
-        raise GraphonError(f"unknown experiment {name!r}; known: {', '.join(experiment_names())}")
-    d = CATALOG[name].defaults
-    return ExperimentConfig(
-        experiment=name,
-        replicas=int(d.get("replicas", 1)),
-        seed=seed,
-        graphon=d.get("graphon"),
-        horizons=tuple(d.get("horizons", ())),
-        params=dict(d.get("params", {})),
+    return _filled(ExperimentConfig(name, replicas=_entry(name).defaults.get("replicas", 1), seed=seed))
+
+
+def _typed(name: str, value, default):
+    """``value`` converted to the type of ``default``, element by element for a list."""
+    sequence = isinstance(default, (tuple, list))
+    kind = type(default[0] if sequence else default)
+    try:
+        if isinstance(value, (tuple, list)) == sequence:
+            return [kind(v) for v in value] if sequence else kind(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    expected = f"a list of {kind.__name__}" if sequence else kind.__name__
+    raise GraphonError(f"parameter {name!r} must be {expected}, got {value!r}")
+
+
+def _filled(config: ExperimentConfig) -> ExperimentConfig:
+    """``config`` completed from its CATALOG entry: the entry's graphon and
+    horizons when the config gives none, and every parameter the config
+    omits, each converted to the type of its default."""
+    defaults = _entry(config.experiment).defaults
+    known = defaults.get("params", {})
+    unknown = sorted(set(config.params) - set(known))
+    if unknown:
+        raise GraphonError(f"unknown parameters {', '.join(unknown)} for {config.experiment}; "
+                           f"known: {', '.join(sorted(known))}")
+    given = {**known, **config.params}
+    return replace(
+        config,
+        graphon=defaults.get("graphon") if config.graphon is None else config.graphon,
+        horizons=config.horizons or defaults.get("horizons", ()),
+        params={key: _typed(key, given[key], default) for key, default in known.items()},
     )
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Run one catalog entry; repeated runs with the same config are identical."""
-    if config.experiment not in CATALOG:
-        raise GraphonError(
-            f"unknown experiment {config.experiment!r}; known: {', '.join(experiment_names())}"
-        )
+    """Run one catalog entry; repeated runs with the same config are identical.
+
+    The report records the config filled from the entry's CATALOG defaults.
+    """
+    config = _filled(config)
     if config.graphon is not None:
         load_graphon_spec(config.graphon)  # validate before compute
-    records, aggregates, passed = CATALOG[config.experiment].runner(config)
+    records, aggregates, passed = CATALOG[config.experiment].runner(config, **config.params)
     environment = {"version": __version__, "seed": config.seed, "python": platform.python_version(),
                    "numpy": np.__version__, "platform": platform.platform()}
     return ExperimentReport(config.experiment, config, records, aggregates, passed, environment)

@@ -240,15 +240,13 @@ class Coupling:
             raise GraphonError("column marginals do not match")
 
 
-def build_coupling(masses1, masses2, mode: str = "product_block") -> Coupling:
+def build_coupling(masses1, masses2) -> Coupling:
     """Interval-overlap coupling of two block decompositions of the half line.
 
     Lay both mass vectors out as adjacent intervals from 0; the coupling of
     block ``i`` with block ``j`` is the length of their overlap.  Totals must
     agree (pad with zero-valued tail blocks first when they do not).
     """
-    if mode != "product_block":
-        raise GraphonError(f"unknown coupling mode {mode!r}")
     m1 = np.asarray(masses1, dtype=float)
     m2 = np.asarray(masses2, dtype=float)
     if abs(m1.sum() - m2.sum()) > MARGINAL_TOL:

@@ -223,6 +223,8 @@ def perfect_matching(pairs: int) -> SampledGraph:
 
 
 def cycle_graph(n: int) -> SampledGraph:
+    if n < 0:
+        raise GraphonError("vertex count must be non-negative")
     if 0 < n < 3:
         raise GraphonError(f"a cycle needs at least 3 vertices, got {n}")
     labels = np.arange(1, n + 1, dtype=np.int64)

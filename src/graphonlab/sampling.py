@@ -122,7 +122,7 @@ class SampledGraph:
     features: np.ndarray | None = None
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.array(self.labels, dtype=np.int64)  # a copy: the caller may reuse its array
         edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
         n = labels.size
         # O(n): strictly increasing labels spanning n - 1 are exactly b, b+1, ..., b+n-1

@@ -407,6 +407,10 @@ class TestConsecutiveLabels:
             assert edges.flags.writeable and np.array_equal(edges, given)
             # degree_sequence reads the private rows, which must stay writable for bincount not to copy
             assert g._rows.flags.writeable
+        lab = np.arange(1, 4)
+        g = SampledGraph(lab, [[1, 2], [2, 3]])
+        lab[:] = [7, 8, 9]
+        assert g.labels.tolist() == [1, 2, 3] and g.edge_list() == [(1, 2), (2, 3)]
 
     def test_consecutive_labels_need_no_sort_or_search(self, monkeypatch):
         # a later change must not bring back the O(|E| log |V|) construction for the package's graphs

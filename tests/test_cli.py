@@ -177,6 +177,14 @@ class TestExperimentCommand:
                           "--out", str(tmp_path / "r"))
         assert code == 1
 
+    @pytest.mark.parametrize("cfg", [{"params": {"T": 10.0}}, {"replica": 50}])
+    def test_misspelled_config_name_exit_code(self, tmp_path, capsys, cfg):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, _ = run_cli(capsys, "experiment", "edge_growth", "--config", str(cfg_path),
+                          "--out", str(tmp_path / "r"))
+        assert code == 2 and not (tmp_path / "r").exists()
+
     def test_config_name_mismatch(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"experiment": "degree_tail"}))

@@ -1,7 +1,9 @@
 """Experiment harness: determinism, aggregate consistency, rendering."""
 
+import inspect
 import json
 import platform
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -58,6 +60,10 @@ class TestConfig:
         again = ExperimentConfig.from_json(json.loads(json.dumps(cfg.to_json())))
         assert again.to_json() == cfg.to_json()
 
+    def test_from_json_rejects_unknown_keys(self):
+        with pytest.raises(GraphonError, match="^unknown config keys replica; known: experiment, replicas,"):
+            ExperimentConfig.from_json({"experiment": "edge_growth", "replica": 50})
+
     def test_zero_replicas_rejected(self):
         with pytest.raises(GraphonError, match="replica"):
             ExperimentConfig(experiment="edge_growth", replicas=0)
@@ -77,6 +83,35 @@ class TestConfig:
     def test_replica_seed_stable(self):
         assert replica_seed(7, 3) == replica_seed(7, 3)
         assert replica_seed(7, 3) != replica_seed(7, 4)
+
+
+class TestParameterContract:
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_runner_keywords_are_the_declared_params(self, name):
+        params = inspect.signature(CATALOG[name].runner).parameters.values()
+        keywords = sorted(p.name for p in params if p.kind is p.KEYWORD_ONLY)
+        assert keywords == sorted(CATALOG[name].defaults["params"])
+        assert all(p.default is p.empty for p in params)
+
+    def test_misspelled_param_rejected(self):
+        with pytest.raises(GraphonError, match="^unknown parameters T for edge_growth; known: bounds, t$"):
+            run_experiment(ExperimentConfig("edge_growth", replicas=3, params={"T": 10.0}))
+
+    def test_partial_config_reports_filled_config(self):
+        full = default_config("metric_convergence", seed=3)
+        partial = ExperimentConfig("metric_convergence", seed=3, params={"final_below": 1})
+        rep = run_experiment(partial)
+        assert rep.config == replace(full, replicas=1, params={"final_below": 1.0})
+        assert type(rep.config.params["final_below"]) is float
+        assert rep.records == run_experiment(replace(full, replicas=1)).records
+
+    @pytest.mark.parametrize("name, params, message", [
+        ("cutnorm_oracle", {"count": "abc"}, "parameter 'count' must be int, got 'abc'"),
+        ("tail_dichotomy", {"sizes": 1000}, "parameter 'sizes' must be a list of int, got 1000"),
+    ])
+    def test_value_of_wrong_type_rejected(self, name, params, message):
+        with pytest.raises(GraphonError, match=f"^{message}$"):
+            run_experiment(ExperimentConfig(name, params=params))
 
 
 class TestCatalog:

@@ -225,4 +225,6 @@ class TestGraphFamilies:
             with pytest.raises(GraphonError, match="^a cycle needs at least 3 vertices"):
                 cycle_graph(n)
         assert cycle_graph(0).num_vertices == 0 and cycle_graph(0).num_edges == 0
+        with pytest.raises(GraphonError, match="^vertex count must be non-negative$"):
+            cycle_graph(-1)
         assert cycle_graph(3).edge_list() == [(1, 2), (1, 3), (2, 3)]
