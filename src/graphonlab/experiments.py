@@ -105,6 +105,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.replicas < 1:
             raise GraphonError("replica count must be at least 1")
+        object.__setattr__(self, "graphon", _jsonify(self.graphon))  # a copy: CATALOG's dicts stay unshared
         object.__setattr__(self, "horizons", tuple(float(t) for t in self.horizons))
         object.__setattr__(self, "params", _jsonify(dict(self.params)))
 
@@ -124,10 +125,14 @@ class ExperimentConfig:
         unknown = sorted(set(payload) - set(known))
         if unknown:
             raise GraphonError(f"unknown config keys {', '.join(unknown)}; known: {', '.join(known)}")
+        try:
+            replicas, seed = int(payload.get("replicas", 1)), int(payload.get("seed", 0))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise GraphonError(f"config replicas and seed must be integers: {exc}") from exc
         return ExperimentConfig(
             experiment=payload["experiment"],
-            replicas=int(payload.get("replicas", 1)),
-            seed=int(payload.get("seed", 0)),
+            replicas=replicas,
+            seed=seed,
             graphon=payload.get("graphon"),
             horizons=tuple(payload.get("horizons", ())),
             params=dict(payload.get("params", {})),

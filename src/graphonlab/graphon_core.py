@@ -1,11 +1,16 @@
 """Graphon representations over sigma-finite measure spaces.
 
-Two families of kernels are supported:
+A graphon is an integrable symmetric kernel W on a measure space.  Every
+family answers one interface, :class:`Graphon`: ``kernel(x, y)``,
+``feature_dim``, ``region_mass()`` and ``sample_features(count, rng)`` for
+the region where features are drawn, ``l1_truncated(tol)`` and
+``tail_l1_bound(m)`` for its L1 mass, and ``degree_function(xs)`` and
+``star_tail_exponents()`` for its degrees.  Two kinds implement it:
 
 * :class:`StepGraphon` -- a finite symmetric step kernel over ordered,
   mass-weighted blocks of the half line, with an implicit zero-valued
-  tail of infinite mass when ``ambient_infinite`` is set.  This is the
-  computational workhorse: every metric computation reduces to it.
+  tail of infinite mass when ``ambient_infinite`` is set.  Its answers are
+  exact block arithmetic, and every metric computation reduces to it.
 * :class:`AnalyticGraphon` -- a closed enumeration of closed-form kernel
   families (Caron-Fox style ``1 - exp(-f(x) f(y))`` kernels, a region
   indicator under a power-law boundary curve, infinite block models and
@@ -28,6 +33,7 @@ __all__ = [
     "GraphonError",
     "SpecError",
     "CostLimitError",
+    "Graphon",
     "StepGraphon",
     "AnalyticGraphon",
     "CaronFoxGraphon",
@@ -86,13 +92,49 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
+class Graphon:
+    """The questions every graphon answers, on scalar features unless
+    ``feature_dim`` says otherwise."""
+
+    feature_dim: int = 1
+
+    def kernel(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """``W(x, y)`` elementwise on broadcast feature arrays."""
+        raise NotImplementedError
+
+    def region_mass(self) -> float:
+        """Mass of the sampling region (the explicit blocks or the truncation)."""
+        raise NotImplementedError
+
+    def sample_features(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        """Draw ``count`` features uniformly from the sampling region."""
+        raise NotImplementedError
+
+    def l1_truncated(self, tol: float = QUAD_DEFAULT_TOL) -> "QuadratureEstimate":
+        """L1 norm over the sampling region, with its error bound."""
+        raise NotImplementedError
+
+    def tail_l1_bound(self, m: float) -> float:
+        """Certified bound on the L1 mass outside ``[0, m]^2`` in the scalar feature."""
+        raise NotImplementedError
+
+    def degree_function(self, xs: np.ndarray) -> np.ndarray:
+        """``D_W`` on the sampling region, tabulated at scalar features ``xs``."""
+        raise NotImplementedError
+
+    def star_tail_exponents(self) -> tuple[float, float] | None:
+        """Exponents ``(p0, p_inf)`` with ``D_W(x) ~ x^-p0`` near ``0`` and
+        ``~ x^-p_inf`` near infinity, or None when unknown or bounded."""
+        return None
+
+
 # ---------------------------------------------------------------------------
 # Step graphons
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
-class StepGraphon:
+class StepGraphon(Graphon):
     """Symmetric step kernel on consecutive blocks of the half line.
 
     Block ``i`` occupies the interval ``[b[i], b[i+1])`` where ``b`` is
@@ -149,6 +191,41 @@ class StepGraphon:
         idx = np.where((x >= 0) & (idx < self.n_blocks), idx, -1)
         return idx
 
+    def kernel(self, x, y) -> np.ndarray:
+        """The value of the blocks holding ``x`` and ``y``; 0 beyond the last block."""
+        i, j = self.block_of(x), self.block_of(y)
+        if self.n_blocks == 0:
+            return np.zeros(np.broadcast(i, j).shape)
+        return np.where((i >= 0) & (j >= 0), self.values[np.maximum(i, 0), np.maximum(j, 0)], 0.0)
+
+    def region_mass(self) -> float:
+        return self.total_mass
+
+    def sample_features(self, count, rng):
+        return rng.uniform(0.0, self.total_mass, size=count)
+
+    def l1_truncated(self, tol: float = QUAD_DEFAULT_TOL) -> "QuadratureEstimate":
+        """Exact block arithmetic, so the error bound is 0 whatever ``tol``."""
+        value = float(self.masses @ np.abs(self.values) @ self.masses) if self.n_blocks else 0.0
+        return QuadratureEstimate(value, 0.0, True)
+
+    def tail_l1_bound(self, m: float) -> float:
+        # exact: the blocks' mass inside [0, m] gives the L1 mass kept
+        b = self.boundaries
+        inside = b[1:] <= m
+        masses = np.where(inside, self.masses, np.maximum(0.0, m - b[:-1]))
+        masses = np.minimum(masses, self.masses)
+        ab = np.abs(self.values)
+        total = float(masses @ ab @ masses)
+        full = float(self.masses @ ab @ self.masses)
+        return full - total
+
+    def degree_function(self, xs) -> np.ndarray:
+        idx = self.block_of(xs)
+        if self.n_blocks == 0:
+            return np.zeros(idx.shape)
+        return np.where(idx >= 0, self.block_degrees()[np.maximum(idx, 0)], 0.0)
+
     def block_degrees(self) -> np.ndarray:
         """Per-block degree function values ``D_i = sum_j a_ij m_j``."""
         if self.n_blocks == 0:
@@ -204,45 +281,26 @@ class Truncation:
             raise GraphonError("truncation target_l1_residual must be non-negative")
 
 
-class AnalyticGraphon:
-    """Base class for the closed enumeration of closed-form families."""
+class AnalyticGraphon(Graphon):
+    """Base class for the closed enumeration of closed-form families.
+
+    Each family stores its :class:`Truncation` as ``_trunc``.  Unless a
+    family says otherwise, the sampling region is ``[0, x_max]`` and
+    features are uniform on it.
+    """
 
     family: str = "abstract"
-    feature_dim: int = 1
-
-    # -- kernel ------------------------------------------------------------
-    def kernel(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+    _trunc: Truncation
 
     @property
     def truncation(self) -> Truncation:
-        raise NotImplementedError
+        return self._trunc
 
-    # -- measure bookkeeping ------------------------------------------------
     def region_mass(self) -> float:
-        """Mass of the truncated sampling region."""
-        raise NotImplementedError
+        return self._trunc.x_max
 
-    def tail_l1_bound(self, m: float) -> float:
-        """Certified bound on the L1 mass outside ``[0, m]^2`` in the scalar feature."""
-        raise NotImplementedError
-
-    def l1_truncated(self, tol: float = QUAD_DEFAULT_TOL) -> "QuadratureEstimate":
-        """L1 norm over the truncated region, by refinement-based quadrature."""
-        raise NotImplementedError
-
-    def degree_function(self, xs: np.ndarray) -> np.ndarray:
-        """``D_W`` on the truncated region, tabulated at scalar features ``xs``."""
-        raise NotImplementedError
-
-    def star_tail_exponents(self) -> tuple[float, float] | None:
-        """Exponents ``(p0, p_inf)`` with ``D_W(x) ~ x^-p0`` near ``0`` and
-        ``~ x^-p_inf`` near infinity, or None when unknown."""
-        return None
-
-    def sample_features(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw ``count`` features uniformly from the truncated region."""
-        raise NotImplementedError
+    def sample_features(self, count, rng):
+        return rng.uniform(0.0, self._trunc.x_max, size=count)
 
 
 def _solve_x_max(tail_bound, target: float, lo: float = 1e-9, hi: float = 1e12) -> float:
@@ -329,10 +387,6 @@ class CaronFoxGraphon(AnalyticGraphon):
         self.gamma = float(gamma)
         self._trunc = _resolve_truncation(self.tail_l1_bound, x_max, target_l1_residual)
 
-    @property
-    def truncation(self) -> Truncation:
-        return self._trunc
-
     def f(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.f_kind == "shifted_power":
@@ -351,9 +405,6 @@ class CaronFoxGraphon(AnalyticGraphon):
 
     def kernel(self, x, y):
         return 1.0 - np.exp(-self.f(np.asarray(x, dtype=float)) * self.f(np.asarray(y, dtype=float)))
-
-    def region_mass(self) -> float:
-        return self._trunc.x_max
 
     def tail_l1_bound(self, m: float) -> float:
         # W <= f(x) f(y), so the mass of the L-shaped complement of [0,m]^2
@@ -379,9 +430,6 @@ class CaronFoxGraphon(AnalyticGraphon):
         # D_W(x) ~ f(x) * int f  ~  x^-gamma at infinity; bounded near 0.
         return (0.0, self.gamma)
 
-    def sample_features(self, count, rng):
-        return rng.uniform(0.0, self._trunc.x_max, size=count)
-
 
 class RegionIndicatorGraphon(AnalyticGraphon):
     """Indicator of the region under an involutive power-law boundary.
@@ -401,10 +449,6 @@ class RegionIndicatorGraphon(AnalyticGraphon):
         self.b = 1.0 / float(a)
         self._trunc = _resolve_truncation(self.tail_l1_bound, x_max, target_l1_residual)
 
-    @property
-    def truncation(self) -> Truncation:
-        return self._trunc
-
     def f(self, x):
         x = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore", over="ignore"):
@@ -416,9 +460,6 @@ class RegionIndicatorGraphon(AnalyticGraphon):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         return (y <= self.f(x)).astype(float)
-
-    def region_mass(self) -> float:
-        return self._trunc.x_max
 
     def tail_l1_bound(self, m: float) -> float:
         # For m >= 1 the region mass outside [0,m]^2 is exactly 2 int_m^inf f.
@@ -445,9 +486,6 @@ class RegionIndicatorGraphon(AnalyticGraphon):
 
     def star_tail_exponents(self):
         return (self.a, self.b)
-
-    def sample_features(self, count, rng):
-        return rng.uniform(0.0, self._trunc.x_max, size=count)
 
 
 class InfiniteBlockGraphon(AnalyticGraphon):
@@ -488,10 +526,6 @@ class InfiniteBlockGraphon(AnalyticGraphon):
         x_max = iv[k - 1][1]
         residual = self.tail_l1_bound(x_max)  # the intervals with hi <= x_max are the first k
         self._trunc = Truncation(x_max, residual if residual > 0 else 0.0)
-
-    @property
-    def truncation(self) -> Truncation:
-        return self._trunc
 
     def _locate(self, x):
         x = np.asarray(x, dtype=float)
@@ -539,7 +573,8 @@ class MixedMembershipGraphon(AnalyticGraphon):
     ``K-1``-simplex (community weights, uniform a priori) and ``x`` a scalar
     role feature.  The kernel is the bilinear mixture
     ``sum_{k1,k2} w1_{k1} w2_{k2} W_{k1,k2}(x1, x2)`` of component kernels,
-    each a StepGraphon or a CaronFoxGraphon.
+    each a StepGraphon or a CaronFoxGraphon.  The sampling region is the
+    simplex, under its uniform probability, times ``[0, x_max]``.
     """
 
     family = "mixed_membership"
@@ -562,16 +597,6 @@ class MixedMembershipGraphon(AnalyticGraphon):
         self.feature_dim = k + 1
         self._trunc = _resolve_truncation(self.tail_l1_bound, x_max, target_l1_residual)
 
-    @property
-    def truncation(self) -> Truncation:
-        return self._trunc
-
-    def _component_value(self, i, j, x, y):
-        comp = self.components[i][j]
-        if isinstance(comp, StepGraphon):
-            return evaluate(comp, x, y)
-        return comp.kernel(x, y)
-
     def kernel(self, u, v):
         """Kernel on packed features of shape ``(..., K+1)``.
 
@@ -585,61 +610,34 @@ class MixedMembershipGraphon(AnalyticGraphon):
         w2, x2 = v[..., : self.K], v[..., self.K]
         out = np.zeros(np.broadcast(x1, x2).shape)
         for i in range(self.K):
-            out = out + w1[..., i] * w2[..., i] * self._component_value(i, i, x1, x2)
+            out = out + w1[..., i] * w2[..., i] * self.components[i][i].kernel(x1, x2)
         for i in range(self.K):
             for j in range(i + 1, self.K):
                 cross = w1[..., i] * w2[..., j] + w1[..., j] * w2[..., i]
-                out = out + cross * self._component_value(i, j, x1, x2)
+                out = out + cross * self.components[i][j].kernel(x1, x2)
         return out
-
-    def region_mass(self) -> float:
-        # Probability measure on the simplex times Lebesgue on [0, x_max].
-        return self._trunc.x_max
-
-    def _component_tail(self, comp, m: float) -> float:
-        if isinstance(comp, StepGraphon):
-            b = comp.boundaries
-            inside = b[1:] <= m
-            masses = np.where(inside, comp.masses, np.maximum(0.0, m - b[:-1]))
-            masses = np.minimum(masses, comp.masses)
-            ab = np.abs(comp.values)
-            total = float(masses @ ab @ masses)
-            full = float(comp.masses @ ab @ comp.masses)
-            return full - total
-        return comp.tail_l1_bound(m)
 
     def tail_l1_bound(self, m: float) -> float:
         # E[w_{k1}] = 1/K per coordinate, and weights are independent of x.
-        tails = [self._component_tail(self.components[i][j], m)
-                 for i in range(self.K) for j in range(self.K)]
+        tails = [self.components[i][j].tail_l1_bound(m) for i in range(self.K) for j in range(self.K)]
         return float(sum(tails)) / (self.K * self.K)
 
     def l1_truncated(self, tol: float = QUAD_DEFAULT_TOL) -> QuadratureEstimate:
         total, err, ok = 0.0, 0.0, True
-        for i in range(self.K):
-            for j in range(self.K):
-                comp = self.components[i][j]
-                if isinstance(comp, StepGraphon):
-                    total += l1_norm(comp)
-                else:
-                    est = comp.l1_truncated(tol)
-                    total += est.value
-                    err += est.error_bound
-                    ok = ok and est.converged
+        for row in self.components:
+            for comp in row:
+                est = comp.l1_truncated(tol)
+                total += est.value
+                err += est.error_bound
+                ok = ok and est.converged
         return QuadratureEstimate(total / (self.K * self.K), err / (self.K * self.K), ok)
 
     def degree_function(self, xs):
         xs = np.asarray(xs, dtype=float)
         out = np.zeros(xs.shape)
-        for i in range(self.K):
-            for j in range(self.K):
-                comp = self.components[i][j]
-                if isinstance(comp, StepGraphon):
-                    d = comp.block_degrees()
-                    idx = comp.block_of(xs)
-                    out = out + np.where(idx >= 0, d[np.maximum(idx, 0)], 0.0)
-                else:
-                    out = out + comp.degree_function(xs)
+        for row in self.components:
+            for comp in row:
+                out = out + comp.degree_function(xs)
         return out / (self.K * self.K)
 
     def simplex_cells(self, n_cells: int):
@@ -785,46 +783,29 @@ def evaluate(w, x, y):
     ``(..., K+1)`` arrays for mixed-membership graphons.  Points beyond the
     block support or the truncation cutoff evaluate to 0.
     """
-    if isinstance(w, StepGraphon):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        i = w.block_of(x)
-        j = w.block_of(y)
-        if w.n_blocks == 0:
-            return np.zeros(np.broadcast(i, j).shape) if i.ndim or j.ndim else 0.0
-        vals = np.where((i >= 0) & (j >= 0), w.values[np.maximum(i, 0), np.maximum(j, 0)], 0.0)
-        return vals if vals.ndim else float(vals)
-    if isinstance(w, MixedMembershipGraphon):
+    if isinstance(w, (StepGraphon, MixedMembershipGraphon)):
         vals = w.kernel(x, y)
-        return vals if np.ndim(vals) else float(vals)
-    if isinstance(w, AnalyticGraphon):
+    elif isinstance(w, AnalyticGraphon):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         m = w.truncation.x_max
         inside = (x >= 0) & (x <= m) & (y >= 0) & (y <= m)
         vals = np.where(inside, w.kernel(x, y), 0.0)
-        return vals if vals.ndim else float(vals)
-    raise GraphonError(f"not a graphon: {type(w).__name__}")
+    else:
+        raise GraphonError(f"not a graphon: {type(w).__name__}")
+    return vals if np.ndim(vals) else float(vals)
 
 
 def l1_norm(w) -> float:
     """L1 norm; exact block arithmetic for step graphons, quadrature otherwise."""
-    if isinstance(w, StepGraphon):
-        if w.n_blocks == 0:
-            return 0.0
-        return float(w.masses @ np.abs(w.values) @ w.masses)
-    if isinstance(w, AnalyticGraphon):
-        return w.l1_truncated().value
-    raise GraphonError(f"not a graphon: {type(w).__name__}")
+    return l1_norm_report(w).value
 
 
 def l1_norm_report(w, tol: float = QUAD_DEFAULT_TOL) -> QuadratureEstimate:
     """L1 norm with its error bound (exact, hence 0, for step graphons)."""
-    if isinstance(w, StepGraphon):
-        return QuadratureEstimate(l1_norm(w), 0.0, True)
-    if isinstance(w, AnalyticGraphon):
-        return w.l1_truncated(tol)
-    raise GraphonError(f"not a graphon: {type(w).__name__}")
+    if not isinstance(w, Graphon):
+        raise GraphonError(f"not a graphon: {type(w).__name__}")
+    return w.l1_truncated(tol)
 
 
 def degree_profile(w, grid_points: int = 1024) -> DegreeProfile:

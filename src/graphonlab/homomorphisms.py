@@ -28,12 +28,10 @@ import numpy as np
 from ._rng import TAG_GENERIC, substream
 from .graphon_core import (
     AnalyticGraphon,
-    CaronFoxGraphon,
     CostLimitError,
+    Graphon,
     GraphonError,
     InfiniteBlockGraphon,
-    MixedMembershipGraphon,
-    RegionIndicatorGraphon,
     StepGraphon,
     degree_profile,
     flatten_to_line,
@@ -428,21 +426,15 @@ def star_moment(w, k: int) -> StarMoment:
     """
     if k < 1:
         raise GraphonError("star moments need k >= 1")
-    if isinstance(w, StepGraphon):
-        d = w.block_degrees()
-        return StarMoment("finite", float((w.masses * d ** k).sum()))
-    if isinstance(w, InfiniteBlockGraphon):
-        return star_moment(flatten_to_line(w), k)
-    if isinstance(w, (CaronFoxGraphon, RegionIndicatorGraphon, MixedMembershipGraphon)):
-        if isinstance(w, RegionIndicatorGraphon):
-            p0, _ = w.star_tail_exponents()
-            if k * p0 >= 1.0:
-                return StarMoment("infinite", math.inf)
-        # Caron-Fox tails decay like x^-gamma with gamma > 1, so every moment
-        # of the degree function is finite.
-        prof = degree_profile(w, grid_points=2048)
-        return StarMoment("finite", float((prof.weights * prof.degrees ** k).sum()))
-    raise GraphonError(f"not a graphon: {type(w).__name__}")
+    if not isinstance(w, Graphon):
+        raise GraphonError(f"not a graphon: {type(w).__name__}")
+    # D_W ~ x^-p0 puts D_W^k out of L1 near 0 once k p0 >= 1; where D_W is
+    # bounded, D_W^k <= sup(D_W)^(k-1) D_W is integrable
+    tails = w.star_tail_exponents()
+    if tails is not None and k * tails[0] >= 1.0:
+        return StarMoment("infinite", math.inf)
+    prof = degree_profile(w, grid_points=2048)  # exact for step and block graphons
+    return StarMoment("finite", float((prof.weights * prof.degrees ** k).sum()))
 
 
 def _step_density_numerator(f: MotifGraph, w: StepGraphon) -> float:

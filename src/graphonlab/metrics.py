@@ -655,8 +655,10 @@ def _overlap_difference(h: StepGraphon, b: StepGraphon) -> StepGraphon:
 
 
 def graph_graphon_distance_estimate(trace, w: StepGraphon, alignment: str = "feature_oracle") -> float:
-    """Measurable upper-bound surrogate for the stretched distance of a
-    sampled process snapshot to its generating graphon.
+    """Measurable surrogate for the stretched distance of a sampled process
+    snapshot to its generating graphon.  It is neither an upper nor a lower
+    bound on that distance: the graph is averaged over vertex groups before
+    the cut norm is taken, so the within-group term is dropped.
 
     Vertices of the final snapshot (isolated vertices removed) are grouped
     into blocks -- by their true features (``feature_oracle``) or by sorting

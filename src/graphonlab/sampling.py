@@ -54,10 +54,9 @@ from ._rng import (
     substream,
 )
 from .graphon_core import (
-    AnalyticGraphon,
     CaronFoxGraphon,
+    Graphon,
     GraphonError,
-    MixedMembershipGraphon,
     StepGraphon,
     evaluate,
     graphon_to_spec,
@@ -335,31 +334,16 @@ def _label_prefix(edges: np.ndarray, births: np.ndarray, features: np.ndarray, k
 # ---------------------------------------------------------------------------
 
 
-def _sampling_region(w) -> float:
-    """Mass of the materialized sampling region (explicit blocks / truncation)."""
-    if isinstance(w, StepGraphon):
-        return w.total_mass
-    if isinstance(w, AnalyticGraphon):
-        return w.region_mass()
-    raise GraphonError(f"not a graphon: {type(w).__name__}")
-
-
 def _check_probability_kernel(w) -> None:
+    if not isinstance(w, Graphon):
+        raise GraphonError(f"not a graphon: {type(w).__name__}")
     if isinstance(w, StepGraphon) and not w.is_probability_kernel():
         raise GraphonError("sampling requires a [0,1]-valued kernel")
 
 
-def _feature_dim(w) -> int:
-    return w.feature_dim if isinstance(w, AnalyticGraphon) else 1
-
-
 def _draw_features(w, count: int, rng: np.random.Generator) -> np.ndarray:
     """iid features from the normalized region measure, as (count, dim) array."""
-    if count == 0:
-        return np.zeros((0, _feature_dim(w)))
-    if isinstance(w, StepGraphon):
-        return rng.uniform(0.0, w.total_mass, size=(count, 1))
-    return np.asarray(w.sample_features(count, rng), dtype=float).reshape(count, -1)
+    return np.asarray(w.sample_features(count, rng), dtype=float).reshape(count, w.feature_dim)
 
 
 def _arrival_edges(w, features: np.ndarray, starts, n: int, stream) -> np.ndarray:
@@ -444,7 +428,9 @@ class _CoinTape:
     come in row order.  A read draws the stretch from the first to the last
     coin it needs in one go when it needs every coin of it (at most one
     chunk's pairs), and otherwise in pieces shorter than ``_MAX_COINS``,
-    skipping the gaps between them.
+    skipping the gaps between them: a new piece starts at every
+    ``_MAX_COINS`` boundary and at every needed coin that lies more than
+    its row's coin count past the previous one.
     """
 
     def __init__(self, starts: np.ndarray, stream):
@@ -475,7 +461,8 @@ class _CoinTape:
             ii, kk = np.nonzero(window)
             offsets = row_offsets[ii] + cols[kk]
             piece = (offsets - head) // _MAX_COINS
-            cuts = [0, *(np.flatnonzero(piece[1:] != piece[:-1]) + 1).tolist(), count]
+            skip = np.diff(offsets) > rows[a:b][ii[1:]]  # the next coin lies over a row's coin count ahead
+            cuts = [0, *(np.flatnonzero((piece[1:] != piece[:-1]) | skip) + 1).tolist(), count]
             for s, e in zip(cuts[:-1], cuts[1:]):
                 start = int(offsets[s])
                 coins.append(self._draw(i, start, int(offsets[e - 1]) + 1)[offsets[s:e] - start])
@@ -548,9 +535,9 @@ def sample_graphon_process(w, horizon: float, seed: int, keep_isolated: bool = F
             "keep_isolated=True on an infinite-mass ambient space: the process has "
             "infinitely many isolated vertices; truncate to the explicit blocks first"
         )
-    mass = _sampling_region(w)
+    mass = w.region_mass()
 
-    windows, births, feats = [], [np.zeros(0)], [np.zeros((0, _feature_dim(w)))]  # the nonempty unit windows
+    windows, births, feats = [], [np.zeros(0)], [np.zeros((0, w.feature_dim))]  # the nonempty unit windows
     for k in range(int(math.ceil(horizon)) if mass > 0 else 0):
         rng = substream(seed, TAG_WINDOW, k)
         count = int(rng.poisson(mass))
@@ -635,9 +622,9 @@ def sample_sequential(w, schedule: ArrivalSchedule, steps: int, seed: int,
     for the whole block, so a run with fewer steps is a prefix of a longer
     one.
     """
-    if isinstance(w, MixedMembershipGraphon):
-        raise GraphonError("sequential arrivals need a scalar feature space")
     _check_probability_kernel(w)
+    if w.feature_dim != 1:
+        raise GraphonError("sequential arrivals need a scalar feature space")
     if steps < 1:
         raise GraphonError("steps must be at least 1")
     marks = sorted(set(int(c) for c in (checkpoints if checkpoints is not None else range(1, steps + 1))))
@@ -750,7 +737,7 @@ def trace_from_json(payload: dict) -> ProcessTrace:
         if [int(v["label"]) for v in records] != list(range(1, len(records) + 1)):
             raise GraphonError(f"vertex labels must be 1..{len(records)} in birth order")
         # feature rows of unequal width make np.array raise ValueError
-        features = np.array([v["feature"] for v in records] or np.zeros((0, _feature_dim(graphon))), dtype=float)
+        features = np.array([v["feature"] for v in records] or np.zeros((0, graphon.feature_dim)), dtype=float)
         edges = np.array(payload["edges"], dtype=np.int64).reshape(-1, 2)
         return ProcessTrace(
             graphon,

@@ -1,9 +1,14 @@
 """Command line surface: every subcommand, file formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import graphonlab
 from graphonlab.cli import main
 from graphonlab.graphon_core import StepGraphon, save_graphon_file
 from graphonlab.sampling import load_trace_file
@@ -185,9 +190,38 @@ class TestExperimentCommand:
                           "--out", str(tmp_path / "r"))
         assert code == 2 and not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("cfg", [{"replicas": "abc"}, {"seed": "x"}])
+    def test_non_integer_count_exit_code(self, tmp_path, capsys, cfg):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = main(["experiment", "edge_growth", "--config", str(cfg_path), "--out", str(tmp_path / "r")])
+        assert code == 2 and not (tmp_path / "r").exists()
+        assert "must be integers" in capsys.readouterr().err
+
     def test_config_name_mismatch(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"experiment": "degree_tail"}))
         code, _ = run_cli(capsys, "experiment", "edge_growth", "--config", str(cfg_path),
                           "--out", str(tmp_path / "r"))
         assert code == 2
+
+
+def test_no_scipy_or_networkx_loaded():
+    """Every module and the CLI run on numpy alone: a fresh interpreter that
+    imports them all has loaded neither scipy nor networkx."""
+    script = (
+        "import importlib, pkgutil, sys\n"
+        "import graphonlab\n"
+        "for mod in pkgutil.iter_modules(graphonlab.__path__):\n"
+        "    importlib.import_module('graphonlab.' + mod.name)\n"
+        "from graphonlab import cli\n"
+        "try:\n"
+        "    cli.main(['--version'])\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "print(sorted(m for m in ('scipy', 'networkx') if m in sys.modules))\n"
+    )
+    src = str(Path(graphonlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == [f"graphonlab {graphonlab.__version__}", "[]"]

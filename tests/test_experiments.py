@@ -80,6 +80,19 @@ class TestConfig:
         with pytest.raises(GraphonError):
             run_experiment(cfg)
 
+    def test_filled_config_does_not_share_catalog_dicts(self):
+        before = describe_experiment("degree_tail"), json.dumps(CATALOG["degree_tail"].defaults, sort_keys=True)
+        cfg = default_config("degree_tail")
+        cfg.graphon["values"][0][0] = 0.9
+        cfg.params["lam"] = -1.0
+        assert (describe_experiment("degree_tail"), json.dumps(CATALOG["degree_tail"].defaults, sort_keys=True)) == before
+        assert default_config("degree_tail").graphon["values"][0][0] != 0.9
+
+    @pytest.mark.parametrize("key, value", [("replicas", "abc"), ("seed", "1.5"), ("seed", None), ("replicas", [2])])
+    def test_from_json_rejects_non_integer_counts(self, key, value):
+        with pytest.raises(GraphonError, match="^config replicas and seed must be integers"):
+            ExperimentConfig.from_json({"experiment": "edge_growth", key: value})
+
     def test_replica_seed_stable(self):
         assert replica_seed(7, 3) == replica_seed(7, 3)
         assert replica_seed(7, 3) != replica_seed(7, 4)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphonlab.graphon_core import (
+    AnalyticGraphon,
     CaronFoxGraphon,
     CostLimitError,
     GraphonError,
@@ -120,6 +121,95 @@ class TestEvaluate:
         u = w.sample_features(500, rng)
         v = w.sample_features(500, rng)
         assert np.array_equal(evaluate(w, u, v), evaluate(w, v, u))
+
+
+def step_tail_l1(comp, m):
+    """Oracle: the replaced step branch of ``MixedMembershipGraphon._component_tail``."""
+    b = comp.boundaries
+    inside = b[1:] <= m
+    masses = np.where(inside, comp.masses, np.maximum(0.0, m - b[:-1]))
+    masses = np.minimum(masses, comp.masses)
+    ab = np.abs(comp.values)
+    total = float(masses @ ab @ masses)
+    full = float(comp.masses @ ab @ comp.masses)
+    return full - total
+
+
+CF_SHIFTED = CaronFoxGraphon("shifted_power", 2.0, 1.5, x_max=6.0)
+INTERFACE_GRAPHONS = {
+    "empty_step": zero_graphon(),
+    "finite_step": TWO_BLOCK,
+    "ambient_step": StepGraphon([1.0, 0.5], [[0.4, 0.0], [0.0, 0.9]], ambient_infinite=True),
+    "caron_fox_shifted": CF_SHIFTED,
+    "caron_fox_capped": CaronFoxGraphon("capped_power", 1.5, 2.0, x_max=5.0),
+    "region_indicator": RegionIndicatorGraphon(0.5, x_max=6.0),
+    "infinite_block": InfiniteBlockGraphon([(0.0, 1.0), (1.5, 3.0), (3.0, 4.0)],
+                                           [[0.9, 0.2, 0.1], [0.2, 0.4, 0.0], [0.1, 0.0, 0.3]], 2),
+    "mixed": MixedMembershipGraphon(
+        [[StepGraphon([1.0], [[0.5]]), CF_SHIFTED],
+         [CF_SHIFTED, StepGraphon([0.5, 0.5], [[0.8, 0.1], [0.1, 0.3]])]], x_max=3.0),
+}
+STEP_GRAPHONS = ["empty_step", "finite_step", "ambient_step"]
+
+
+class TestGraphonInterface:
+    """Step and analytic graphons answer the same questions, and the step
+    answers are the block formulas they replaced."""
+
+    @pytest.mark.parametrize("name", sorted(INTERFACE_GRAPHONS))
+    def test_evaluate_is_the_kernel(self, name):
+        w = INTERFACE_GRAPHONS[name]
+        rng = np.random.default_rng(5)
+        # features in the sampling region and up to twice as far out
+        x = w.sample_features(400, rng).reshape(400, w.feature_dim)
+        y = w.sample_features(400, rng).reshape(400, w.feature_dim)
+        x[200:, -1] *= 2.0
+        y[::2, -1] *= 2.0
+        if w.feature_dim == 1:
+            x, y = x[:, 0], y[:, 0]
+        want = w.kernel(x, y)
+        if isinstance(w, AnalyticGraphon) and not isinstance(w, MixedMembershipGraphon):
+            m = w.truncation.x_max
+            want = np.where((x <= m) & (y <= m), want, 0.0)
+        assert np.array_equal(evaluate(w, x, y), want)
+        assert type(evaluate(w, x[0], y[0])) is float
+
+    @pytest.mark.parametrize("name", sorted(INTERFACE_GRAPHONS))
+    def test_l1_norm_is_l1_truncated(self, name):
+        w = INTERFACE_GRAPHONS[name]
+        assert l1_norm(w) == w.l1_truncated().value == l1_norm_report(w).value
+
+    @pytest.mark.parametrize("name", STEP_GRAPHONS)
+    def test_step_answers_are_the_block_formulas(self, name):
+        w = INTERFACE_GRAPHONS[name]
+        assert w.feature_dim == 1 and w.star_tail_exponents() is None
+        assert w.region_mass() == w.total_mass
+        est = w.l1_truncated(tol=1e-300)
+        assert (est.error_bound, est.converged) == (0.0, True)
+        for m in (0.0, 0.25, 1.0, 1.2, w.total_mass, w.total_mass + 3.0):
+            assert w.tail_l1_bound(m) == step_tail_l1(w, m)
+        xs = np.array([-1.0, 0.0, 0.4, 1.0, 1.4, 2.9, 3.0, 7.0])
+        if w.n_blocks:
+            d, idx = w.block_degrees(), w.block_of(xs)
+            assert np.array_equal(w.degree_function(xs), np.where(idx >= 0, d[np.maximum(idx, 0)], 0.0))
+        else:
+            assert np.array_equal(w.degree_function(xs), np.zeros(xs.size))
+        for count in (0, 1, 300):
+            old = np.random.default_rng(9).uniform(0.0, w.total_mass, size=(count, 1))
+            new = w.sample_features(count, np.random.default_rng(9))
+            assert np.array_equal(new.reshape(count, 1), old)
+
+    def test_mixed_membership_asks_its_components(self):
+        w = INTERFACE_GRAPHONS["mixed"]
+        comps = [c for row in w.components for c in row]
+        xs = np.linspace(0.0, 4.0, 41)
+        assert w.tail_l1_bound(0.7) == sum(c.tail_l1_bound(0.7) for c in comps) / 4
+        assert np.array_equal(w.degree_function(xs), sum(c.degree_function(xs) for c in comps) / 4)
+
+    def test_non_graphons_rejected(self):
+        for call in (lambda: evaluate("w", 0.0, 0.0), lambda: l1_norm("w"), lambda: l1_norm_report(None)):
+            with pytest.raises(GraphonError, match="^not a graphon"):
+                call()
 
 
 class TestL1Norm:

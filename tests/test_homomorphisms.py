@@ -10,15 +10,18 @@ from graphonlab.graphon_core import (
     CaronFoxGraphon,
     CostLimitError,
     GraphonError,
+    InfiniteBlockGraphon,
     RegionIndicatorGraphon,
     StepGraphon,
     constant_graphon,
+    flatten_to_line,
     l1_norm,
 )
 from graphonlab import homomorphisms
 from graphonlab.homomorphisms import (
     MAX_CONTRACTION_WORK,
     MotifGraph,
+    StarMoment,
     _elimination_plan,
     _exact_dtype,
     _set_partitions,
@@ -413,6 +416,20 @@ class TestStarMoment:
         assert star_moment(w, 1).verdict == "finite"
         assert star_moment(w, 2).verdict == "infinite"
         assert star_moment(w, 3).verdict == "infinite"
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_step_moment_is_the_block_sum(self, k):
+        rng = np.random.default_rng(k)
+        vals = rng.uniform(0.0, 1.0, size=(5, 5))
+        blocks = InfiniteBlockGraphon([(0.0, 1.0), (2.0, 4.0)], [[0.9, 0.3], [0.3, 0.2]])
+        for w, step in ((StepGraphon([], []),) * 2, (blocks, flatten_to_line(blocks)),
+                        (StepGraphon(rng.uniform(0.2, 2.0, size=5), np.triu(vals) + np.triu(vals, 1).T),) * 2):
+            # the replaced step branch, which the block family took through flatten_to_line
+            assert star_moment(w, k) == StarMoment("finite", float((step.masses * step.block_degrees() ** k).sum()))
+
+    def test_non_graphon_rejected(self):
+        with pytest.raises(GraphonError, match="^not a graphon"):
+            star_moment([[1.0]], 2)
 
     def test_caron_fox_always_finite(self):
         w = CaronFoxGraphon("shifted_power", 1.0, 2.0, x_max=10.0)

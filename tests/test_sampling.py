@@ -250,6 +250,15 @@ class TestSequentialModel:
         with pytest.raises(GraphonError, match="zero-mass"):
             sample_sequential(ONES, ArrivalSchedule("constant", 0.0), 5, seed=0)
 
+    def test_non_scalar_features_and_non_graphons_rejected(self):
+        comp = StepGraphon([1.0], [[0.5]])
+        with pytest.raises(GraphonError, match="scalar feature space"):
+            sample_sequential(MixedMembershipGraphon([[comp]], x_max=1.0), ArrivalSchedule("linear", 1.0), 5, seed=0)
+        for sample in (lambda w: sample_sequential(w, ArrivalSchedule("linear", 1.0), 5, seed=0),
+                       lambda w: sample_graphon_process(w, 3.0, seed=0)):
+            with pytest.raises(GraphonError, match="^not a graphon"):
+                sample({"type": "step"})
+
 
 class TestDenseWRandom:
     def test_all_ones_gives_complete_graph(self):

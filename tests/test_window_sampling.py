@@ -50,9 +50,7 @@ from graphonlab.sampling import (
     SampledGraph,
     _check_probability_kernel,
     _draw_features,
-    _feature_dim,
     _label_prefix,
-    _sampling_region,
     load_trace_file,
     sample_dense_wrandom,
     sample_graphon_process,
@@ -99,10 +97,10 @@ def row_sample_graphon_process(w, horizon: float, seed: int, keep_isolated: bool
             "keep_isolated=True on an infinite-mass ambient space: the process has "
             "infinitely many isolated vertices; truncate to the explicit blocks first"
         )
-    mass = _sampling_region(w)
+    mass = w.region_mass()
 
     births = [np.zeros(0)]
-    feats = [np.zeros((0, _feature_dim(w)))]
+    feats = [np.zeros((0, w.feature_dim))]
     if mass > 0:
         for k in range(int(math.ceil(horizon))):
             rng = substream(seed, TAG_WINDOW, k)
@@ -293,10 +291,10 @@ def window_sample_graphon_process(w, horizon: float, seed: int, keep_isolated: b
             "keep_isolated=True on an infinite-mass ambient space: the process has "
             "infinitely many isolated vertices; truncate to the explicit blocks first"
         )
-    mass = _sampling_region(w)
+    mass = w.region_mass()
 
     births = np.zeros(0)
-    feats = np.zeros((0, _feature_dim(w)))
+    feats = np.zeros((0, w.feature_dim))
     edges = [np.zeros((0, 2), dtype=np.int64)]
     if mass > 0:
         for k in range(int(math.ceil(horizon))):
@@ -576,7 +574,9 @@ def test_cost_counters_are_logged(caplog, monkeypatch):
     diagonal = StepGraphon([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]])
     assert _cost_counters(caplog, lambda: sample_dense_wrandom(diagonal, 300, 1)) == [90000, 0, 0, 0]
     live = int(np.count_nonzero(sample_dense_wrandom(DEAD_BLOCK, 300, 1).features >= 1.0))
-    assert _cost_counters(caplog, lambda: sample_dense_wrandom(DEAD_BLOCK, 300, 1))[0] == live * live
+    values, drawn, skipped, _ = _cost_counters(caplog, lambda: sample_dense_wrandom(DEAD_BLOCK, 300, 1))
+    assert values == live * live
+    assert live * (live - 1) // 2 <= drawn < 0.6 * pairs and drawn + skipped <= pairs  # gaps past dead rows are skipped
     from graphonlab import sampling
 
     monkeypatch.setattr(sampling, "_MAX_COINS", 7)
