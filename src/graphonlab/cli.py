@@ -15,7 +15,7 @@ from .experiments import (
     render_report,
     run_experiment,
 )
-from .graphon_core import GraphonError, load_graphon_file
+from .graphon_core import GraphonError, load_graphon_file, read_json_file
 from .homomorphisms import MotifGraph, h_analytic, motif, rescaled_density
 from .metrics import cut_distance, cut_norm
 from .regularity import (
@@ -151,14 +151,12 @@ def _cmd_experiment(args) -> int:
         sys.stdout.write(describe_experiment(args.name) + "\n")
         return 0
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        payload.setdefault("experiment", args.name)
-        if payload["experiment"] != args.name:
-            raise GraphonError(
-                f"config is for {payload['experiment']!r}, command line says {args.name!r}"
-            )
+        payload = read_json_file(args.config)
+        if isinstance(payload, dict):  # from_json rejects anything else
+            payload.setdefault("experiment", args.name)
         config = ExperimentConfig.from_json(payload)
+        if config.experiment != args.name:
+            raise GraphonError(f"config is for {config.experiment!r}, command line says {args.name!r}")
     else:
         config = default_config(args.name, seed=args.seed)
     report = run_experiment(config)
@@ -236,7 +234,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except GraphonError as exc:
+    except (GraphonError, OSError) as exc:  # malformed or unreadable input
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

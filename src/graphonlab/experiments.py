@@ -121,22 +121,24 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(payload: dict) -> "ExperimentConfig":
+        if not isinstance(payload, dict):
+            raise GraphonError("a config must be a JSON object")
         known = [f.name for f in fields(ExperimentConfig)]
         unknown = sorted(set(payload) - set(known))
         if unknown:
             raise GraphonError(f"unknown config keys {', '.join(unknown)}; known: {', '.join(known)}")
         try:
-            replicas, seed = int(payload.get("replicas", 1)), int(payload.get("seed", 0))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise GraphonError(f"config replicas and seed must be integers: {exc}") from exc
-        return ExperimentConfig(
-            experiment=payload["experiment"],
-            replicas=replicas,
-            seed=seed,
-            graphon=payload.get("graphon"),
-            horizons=tuple(payload.get("horizons", ())),
-            params=dict(payload.get("params", {})),
-        )
+            return ExperimentConfig(
+                experiment=payload["experiment"],
+                replicas=int(payload.get("replicas", 1)),
+                seed=int(payload.get("seed", 0)),
+                graphon=payload.get("graphon"),
+                horizons=tuple(payload.get("horizons", ())),
+                params=dict(payload.get("params", {})),
+            )
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise GraphonError("config replicas and seed must be integers, horizons a list of numbers and params "
+                               f"an object: {exc}") from exc
 
     def graphon_object(self):
         """The configured graphon; the constant 1 on unit mass when none is given."""

@@ -59,6 +59,7 @@ __all__ = [
     "constant_graphon",
     "load_graphon_spec",
     "graphon_to_spec",
+    "read_json_file",
     "load_graphon_file",
     "save_graphon_file",
 ]
@@ -96,6 +97,7 @@ class Graphon:
     """The questions every graphon answers, on scalar features unless
     ``feature_dim`` says otherwise."""
 
+    family: str  # the spec ``"type"``
     feature_dim: int = 1
 
     def kernel(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -145,6 +147,7 @@ class StepGraphon(Graphon):
     space).
     """
 
+    family = "step"
     masses: np.ndarray
     values: np.ndarray
     ambient_infinite: bool = False
@@ -289,7 +292,6 @@ class AnalyticGraphon(Graphon):
     features are uniform on it.
     """
 
-    family: str = "abstract"
     _trunc: Truncation
 
     @property
@@ -598,7 +600,7 @@ class MixedMembershipGraphon(AnalyticGraphon):
         self._trunc = _resolve_truncation(self.tail_l1_bound, x_max, target_l1_residual)
 
     def kernel(self, u, v):
-        """Kernel on packed features of shape ``(..., K+1)``.
+        """Kernel on packed features ``(..., K+1)``; 0 where a role feature lies outside ``[0, x_max]``.
 
         Terms are accumulated diagonal-first with paired cross terms so that
         swapping the two arguments reproduces the exact same float ops
@@ -615,7 +617,8 @@ class MixedMembershipGraphon(AnalyticGraphon):
             for j in range(i + 1, self.K):
                 cross = w1[..., i] * w2[..., j] + w1[..., j] * w2[..., i]
                 out = out + cross * self.components[i][j].kernel(x1, x2)
-        return out
+        m = self._trunc.x_max
+        return np.where((x1 >= 0) & (x1 <= m) & (x2 >= 0) & (x2 <= m), out, 0.0)
 
     def tail_l1_bound(self, m: float) -> float:
         # E[w_{k1}] = 1/K per coordinate, and weights are independent of x.
@@ -1021,105 +1024,100 @@ def _region_cell_averages(w: RegionIndicatorGraphon, edges: np.ndarray) -> np.nd
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
+# A family is a class with a ``family`` name plus one entry in _SPEC_TABLE:
+# a reader from the spec object and a writer of every key but ``"type"``, in
+# the order the files have always had (traces dump the spec unsorted).
+
+
+def _read_truncation(spec) -> dict:
+    trunc = spec.get("truncation", {})
+    return {"x_max": trunc.get("x_max"), "target_l1_residual": trunc.get("target_l1_residual")}
+
+
+def _write_truncation(w: AnalyticGraphon) -> dict:
+    return {"x_max": w.truncation.x_max, "target_l1_residual": w.truncation.target_l1_residual}
+
+
+def _read_step(spec) -> StepGraphon:
+    ambient = spec.get("ambient_infinite", False)
+    if not isinstance(ambient, bool):
+        raise SpecError(f"ambient_infinite must be true or false, not {ambient!r}")
+    masses = [float(m) for m in spec["masses"]]
+    return StepGraphon(masses, [[float(v) for v in row] for row in spec["values"]], ambient)
+
+
+def _read_caron_fox(spec) -> CaronFoxGraphon:
+    f = spec.get("f", {})
+    return CaronFoxGraphon(f.get("kind", "shifted_power"), float(f["c"]), float(f["gamma"]), **_read_truncation(spec))
+
+
+def _read_region_indicator(spec) -> RegionIndicatorGraphon:
+    return RegionIndicatorGraphon(float(spec.get("f", {}).get("a", 0.5)), **_read_truncation(spec))
+
+
+def _read_mixed_membership(spec) -> MixedMembershipGraphon:
+    rows = [[load_graphon_spec(sub) for sub in row] for row in spec["components"]]
+    if any(len(row) != len(rows) for row in rows):
+        raise SpecError("components must form a K x K matrix")
+    for i in range(len(rows)):
+        for j in range(i):
+            if graphon_to_spec(rows[i][j]) != graphon_to_spec(rows[j][i]):
+                raise SpecError(f"components[{i}][{j}] must equal components[{j}][{i}]")
+            rows[i][j] = rows[j][i]
+    return MixedMembershipGraphon(rows, **_read_truncation(spec))
+
+
+_SPEC_TABLE = {cls.family: (read, write) for cls, read, write in [
+    (StepGraphon, _read_step,
+     lambda w: {"masses": w.masses.tolist(), "values": w.values.tolist(), "ambient_infinite": w.ambient_infinite}),
+    (CaronFoxGraphon, _read_caron_fox,
+     lambda w: {"f": {"kind": w.f_kind, "c": w.c, "gamma": w.gamma}, "truncation": _write_truncation(w)}),
+    (RegionIndicatorGraphon, _read_region_indicator,
+     lambda w: {"f": {"kind": "power_involution", "a": w.a}, "truncation": _write_truncation(w)}),
+    (InfiniteBlockGraphon,
+     lambda spec: InfiniteBlockGraphon(spec["intervals"], spec["probs"], spec.get("truncation_count")),
+     lambda w: {"intervals": [list(iv) for iv in w.intervals], "probs": w.probs.tolist(),
+                "truncation_count": w.truncation_count}),
+    (MixedMembershipGraphon, _read_mixed_membership,
+     lambda w: {"components": [[graphon_to_spec(c) for c in row] for row in w.components],
+                "truncation": _write_truncation(w)}),
+]}
 
 
 def load_graphon_spec(spec: dict):
-    """Build a graphon from its JSON object form; errors name the offending field."""
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise SpecError("graphon spec must be an object with a 'type' field")
-    kind = spec["type"]
-    if kind == "step":
-        try:
-            masses = [float(m) for m in spec["masses"]]
-            values = [[float(v) for v in row] for row in spec["values"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SpecError(f"malformed step spec: {exc}") from exc
-        try:
-            return StepGraphon(masses, values, bool(spec.get("ambient_infinite", False)))
-        except GraphonError as exc:
-            raise SpecError(str(exc)) from exc
-    trunc = spec.get("truncation", {})
-    x_max = trunc.get("x_max")
-    target = trunc.get("target_l1_residual")
-    if kind == "caron_fox":
-        f = spec.get("f", {})
-        try:
-            return CaronFoxGraphon(f.get("kind", "shifted_power"), float(f["c"]), float(f["gamma"]),
-                                   x_max=x_max, target_l1_residual=target)
-        except (KeyError, TypeError, ValueError, GraphonError) as exc:
-            raise SpecError(f"malformed caron_fox spec: {exc}") from exc
-    if kind == "region_indicator":
-        f = spec.get("f", {})
-        try:
-            return RegionIndicatorGraphon(float(f.get("a", 0.5)), x_max=x_max, target_l1_residual=target)
-        except (TypeError, ValueError, GraphonError) as exc:
-            raise SpecError(f"malformed region_indicator spec: {exc}") from exc
-    if kind == "infinite_block":
-        try:
-            return InfiniteBlockGraphon(spec["intervals"], spec["probs"], spec.get("truncation_count"))
-        except (KeyError, TypeError, ValueError, GraphonError) as exc:
-            raise SpecError(f"malformed infinite_block spec: {exc}") from exc
-    if kind == "mixed_membership":
-        rows = spec.get("components")
-        if not rows:
-            raise SpecError("mixed_membership spec needs a components matrix")
-        built: dict[tuple[int, int], object] = {}
-        comps = []
-        for i, row in enumerate(rows):
-            out_row = []
-            for j, sub in enumerate(row):
-                if (j, i) in built:
-                    out_row.append(built[(j, i)])
-                else:
-                    out_row.append(load_graphon_spec(sub))
-                    built[(i, j)] = out_row[-1]
-            comps.append(out_row)
-        try:
-            return MixedMembershipGraphon(comps, x_max=x_max, target_l1_residual=target)
-        except GraphonError as exc:
-            raise SpecError(str(exc)) from exc
-    raise SpecError(f"unknown graphon type {kind!r}")
+    """Build a graphon from its JSON object form; every malformed spec raises
+    :class:`SpecError`, whose message names the offending field or index."""
+    kind = spec.get("type") if isinstance(spec, dict) else None
+    if not isinstance(kind, str) or kind not in _SPEC_TABLE:
+        raise SpecError(f"unknown graphon type {kind!r}; a spec is an object with 'type' in {list(_SPEC_TABLE)}")
+    try:
+        return _SPEC_TABLE[kind][0](spec)
+    except SpecError:
+        raise  # a nested spec's own message
+    # GraphonError is a ValueError, so the constructors' own checks land here too
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise SpecError(f"malformed {kind} spec: {exc}") from exc
 
 
 def graphon_to_spec(w) -> dict:
-    if isinstance(w, StepGraphon):
-        return {
-            "type": "step",
-            "masses": [float(m) for m in w.masses],
-            "values": [[float(v) for v in row] for row in w.values],
-            "ambient_infinite": w.ambient_infinite,
-        }
-    if isinstance(w, CaronFoxGraphon):
-        return {
-            "type": "caron_fox",
-            "f": {"kind": w.f_kind, "c": w.c, "gamma": w.gamma},
-            "truncation": {"x_max": w.truncation.x_max, "target_l1_residual": w.truncation.target_l1_residual},
-        }
-    if isinstance(w, RegionIndicatorGraphon):
-        return {
-            "type": "region_indicator",
-            "f": {"kind": "power_involution", "a": w.a},
-            "truncation": {"x_max": w.truncation.x_max, "target_l1_residual": w.truncation.target_l1_residual},
-        }
-    if isinstance(w, InfiniteBlockGraphon):
-        return {
-            "type": "infinite_block",
-            "intervals": [[lo, hi] for lo, hi in w.intervals],
-            "probs": [[float(v) for v in row] for row in w.probs],
-            "truncation_count": w.truncation_count,
-        }
-    if isinstance(w, MixedMembershipGraphon):
-        return {
-            "type": "mixed_membership",
-            "components": [[graphon_to_spec(c) for c in row] for row in w.components],
-            "truncation": {"x_max": w.truncation.x_max, "target_l1_residual": w.truncation.target_l1_residual},
-        }
-    raise GraphonError(f"not a graphon: {type(w).__name__}")
+    """JSON object form of ``w``, ``"type"`` first; :func:`load_graphon_spec` reads it back."""
+    entry = _SPEC_TABLE.get(getattr(w, "family", None)) if isinstance(w, Graphon) else None
+    if entry is None:
+        raise GraphonError(f"no spec form for {type(w).__name__}")
+    return {"type": w.family, **entry[1](w)}
+
+
+def read_json_file(path, error=GraphonError):
+    """The JSON value in the file at ``path``; a file that is not JSON raises ``error``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8 text
+            raise error(f"{path} is not a JSON file: {exc}") from exc
 
 
 def load_graphon_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_graphon_spec(json.load(fh))
+    return load_graphon_spec(read_json_file(path, SpecError))
 
 
 def save_graphon_file(w, path) -> None:

@@ -61,6 +61,7 @@ from .graphon_core import (
     evaluate,
     graphon_to_spec,
     load_graphon_spec,
+    read_json_file,
 )
 
 __all__ = [
@@ -760,5 +761,4 @@ def save_trace_file(trace: ProcessTrace, path) -> None:
 
 
 def load_trace_file(path) -> ProcessTrace:
-    with open(path, "r", encoding="utf-8") as fh:
-        return trace_from_json(json.load(fh))
+    return trace_from_json(read_json_file(path))

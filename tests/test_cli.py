@@ -182,7 +182,8 @@ class TestExperimentCommand:
                           "--out", str(tmp_path / "r"))
         assert code == 1
 
-    @pytest.mark.parametrize("cfg", [{"params": {"T": 10.0}}, {"replica": 50}])
+    @pytest.mark.parametrize("cfg", [{"params": {"T": 10.0}}, {"replica": 50}, [], {"params": [1]},
+                                     {"horizons": 5}, {"horizons": ["a"]}])
     def test_misspelled_config_name_exit_code(self, tmp_path, capsys, cfg):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
@@ -204,6 +205,26 @@ class TestExperimentCommand:
         code, _ = run_cli(capsys, "experiment", "edge_growth", "--config", str(cfg_path),
                           "--out", str(tmp_path / "r"))
         assert code == 2
+
+
+@pytest.mark.parametrize("content", [None, b"{not json", b'{"type": "step", "masses": [1],', b"\xff\xfe"],
+                         ids=["missing", "not_json", "cut_short", "not_utf8"])
+@pytest.mark.parametrize("command", [
+    ["sample", "--spec", "{path}", "--t", "1", "--out", "{out}"],
+    ["cutnorm", "--spec", "{path}"],
+    ["cutdist", "--a", "{path}", "--b", "{path}"],
+    ["hom", "--motif", "edge", "--graph", "{path}"],
+    ["experiment", "edge_growth", "--config", "{path}", "--out", "{out}"],
+])
+def test_unreadable_input_exit_code(tmp_path, capsys, command, content):
+    """A missing file, or one that is not JSON, is reported in one line with exit 2."""
+    path, out = tmp_path / "input.json", tmp_path / "out"
+    if content is not None:
+        path.write_bytes(content)
+    code = main([arg.format(path=path, out=out) for arg in command])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_no_scipy_or_networkx_loaded():

@@ -11,6 +11,7 @@ from graphonlab.graphon_core import (
     AnalyticGraphon,
     CaronFoxGraphon,
     CostLimitError,
+    Graphon,
     GraphonError,
     InfiniteBlockGraphon,
     MixedMembershipGraphon,
@@ -28,6 +29,7 @@ from graphonlab.graphon_core import (
     graphon_to_spec,
     l1_norm,
     l1_norm_report,
+    load_graphon_file,
     load_graphon_spec,
     partition_from_boundaries,
     stretch,
@@ -165,12 +167,14 @@ class TestGraphonInterface:
         y = w.sample_features(400, rng).reshape(400, w.feature_dim)
         x[200:, -1] *= 2.0
         y[::2, -1] *= 2.0
+        role_x, role_y = x[:, -1], y[:, -1]
         if w.feature_dim == 1:
             x, y = x[:, 0], y[:, 0]
         want = w.kernel(x, y)
-        if isinstance(w, AnalyticGraphon) and not isinstance(w, MixedMembershipGraphon):
+        assert np.array_equal(want, w.kernel(y, x))
+        if isinstance(w, AnalyticGraphon):
             m = w.truncation.x_max
-            want = np.where((x <= m) & (y <= m), want, 0.0)
+            want = np.where((role_x <= m) & (role_y <= m), want, 0.0)
         assert np.array_equal(evaluate(w, x, y), want)
         assert type(evaluate(w, x[0], y[0])) is float
 
@@ -630,17 +634,31 @@ class TestDiscretize:
                 assert step.values[i, j] == pytest.approx(area / 0.25, abs=1e-6)
 
 
+ROUNDTRIP_GRAPHONS = [
+    TWO_BLOCK,
+    StepGraphon([0.5], [[1.0]], ambient_infinite=True),
+    CaronFoxGraphon("capped_power", 0.8, 2.5, x_max=6.0),
+    RegionIndicatorGraphon(0.4, x_max=9.0),
+    InfiniteBlockGraphon([(0.0, 1.0), (2.0, 3.5)], [[0.3, 0.6], [0.6, 0.0]]),
+]
+STEP_SPEC = graphon_to_spec(TWO_BLOCK)
+CF_SPEC = graphon_to_spec(CaronFoxGraphon("shifted_power", 1.0, 2.0, target_l1_residual=0.1))
+MIXED_SPEC = graphon_to_spec(MixedMembershipGraphon(
+    [[TWO_BLOCK.restrict_blocks([0]), CF_SHIFTED], [CF_SHIFTED, constant_graphon(0.5)]], x_max=3.0))
+VALID_SPECS = [graphon_to_spec(w) for w in ROUNDTRIP_GRAPHONS] + [
+    graphon_to_spec(MixedMembershipGraphon([[StepGraphon([1.0], [[0.5]])] * 2] * 2, x_max=1.0)),
+    CF_SPEC,
+    MIXED_SPEC,
+]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=8,
+)
+
+
 class TestSpecRoundtrip:
-    @pytest.mark.parametrize(
-        "w",
-        [
-            TWO_BLOCK,
-            StepGraphon([0.5], [[1.0]], ambient_infinite=True),
-            CaronFoxGraphon("capped_power", 0.8, 2.5, x_max=6.0),
-            RegionIndicatorGraphon(0.4, x_max=9.0),
-            InfiniteBlockGraphon([(0.0, 1.0), (2.0, 3.5)], [[0.3, 0.6], [0.6, 0.0]]),
-        ],
-    )
+    @pytest.mark.parametrize("w", ROUNDTRIP_GRAPHONS)
     def test_roundtrip(self, w):
         again = load_graphon_spec(graphon_to_spec(w))
         assert graphon_to_spec(again) == graphon_to_spec(w)
@@ -658,3 +676,65 @@ class TestSpecRoundtrip:
     def test_loader_rejects_unknown_type(self):
         with pytest.raises(SpecError, match="unknown"):
             load_graphon_spec({"type": "mystery"})
+
+    @pytest.mark.parametrize("spec", [
+        dict(CF_SPEC, truncation=[6.0]),
+        dict(CF_SPEC, f="shifted_power"),
+        dict(MIXED_SPEC, components=5),
+        dict(STEP_SPEC, ambient_infinite="false"),
+        dict(STEP_SPEC, ambient_infinite=1),
+        dict(STEP_SPEC, masses=[10 ** 400]),
+        dict(MIXED_SPEC, components=[[STEP_SPEC, CF_SPEC], [STEP_SPEC, STEP_SPEC]]),
+        dict(MIXED_SPEC, components=[[STEP_SPEC, CF_SPEC], [{"type": "mystery"}, STEP_SPEC]]),
+        dict(MIXED_SPEC, components=[[STEP_SPEC, CF_SPEC], [CF_SPEC]]),
+        {"type": ["step"]},
+        [STEP_SPEC],
+    ])
+    def test_malformed_spec_raises_spec_error(self, spec):
+        with pytest.raises(SpecError):
+            load_graphon_spec(spec)
+
+    def test_file_that_is_not_json(self, tmp_path):
+        path = tmp_path / "w.json"
+        path.write_text("{not json")
+        with pytest.raises(SpecError, match="not a JSON file"):
+            load_graphon_file(path)
+
+    @pytest.mark.parametrize("w", [object(), Graphon()])
+    def test_writer_rejects_graphons_without_a_family(self, w):
+        with pytest.raises(GraphonError, match="no spec form"):
+            graphon_to_spec(w)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_any_one_field_replaced(self, data):
+        """Whatever one field of a valid spec becomes, the loader returns a
+        graphon whose spec round-trips or raises SpecError."""
+        spec = data.draw(st.sampled_from(VALID_SPECS))
+        path = data.draw(st.sampled_from(_field_paths(spec)))
+        spec = _replaced(spec, path, data.draw(JSON_VALUES))
+        try:
+            w = load_graphon_spec(spec)
+        except SpecError:
+            return
+        assert graphon_to_spec(load_graphon_spec(graphon_to_spec(w))) == graphon_to_spec(w)
+
+
+def _field_paths(value, prefix=()):
+    """Key and index paths to every field below ``value``, at any depth."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return []
+    return [path for key, sub in items for path in [prefix + (key,), *_field_paths(sub, prefix + (key,))]]
+
+
+def _replaced(value, path, new):
+    """A copy of ``value`` with the field at ``path`` set to ``new``."""
+    if not path:
+        return new
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    copy[path[0]] = _replaced(value[path[0]], path[1:], new)
+    return copy
