@@ -77,11 +77,16 @@ def _cmd_cutdist(args) -> int:
 
 
 def _parse_motif(text: str) -> MotifGraph:
-    if text.startswith("["):
-        edges = [tuple(int(x) for x in e) for e in json.loads(text)]
-        k = max(max(e) for e in edges) + 1
-        return MotifGraph(k, tuple(edges))
-    return motif(text)
+    """A library motif name, or a JSON list of vertex pairs such as '[[0,1],[1,2]]'."""
+    if not text.startswith("["):
+        return motif(text)
+    try:
+        edges = [(int(u), int(v)) for u, v in json.loads(text)]
+    except (ValueError, TypeError) as exc:
+        raise GraphonError(f"--motif {text!r} is not a JSON list of vertex pairs") from exc
+    if not edges:
+        raise GraphonError("--motif needs at least one edge")
+    return MotifGraph(max(max(e) for e in edges) + 1, tuple(edges))
 
 
 def _cmd_hom(args) -> int:
@@ -109,10 +114,15 @@ def _parse_graph_family(text: str, seed: int):
     family = parts[0]
     kv = {}
     for part in parts[1:]:
-        key, value = part.split("=", 1)
+        key, sep, value = part.partition("=")
+        if not sep:
+            raise GraphonError(f"--graphs part {part!r} is not key=value")
         kv[key] = value
-    alpha = float(kv.get("alpha", 0.5))
-    sizes = [int(x) for x in kv.get("n", "1000").split(",")]
+    try:
+        alpha = float(kv.get("alpha", 0.5))
+        sizes = [int(x) for x in kv.get("n", "1000").split(",")]
+    except ValueError as exc:
+        raise GraphonError(f"--graphs {text!r}: alpha takes a number and n a comma-separated list of integers") from exc
     graphs = []
     for i, n in enumerate(sizes):
         if family == "er_example1":

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import __version__, homomorphisms
-from ._rng import TAG_CONTROL, TAG_GENERIC, TAG_PERMTEST, TAG_REPLICA, substream
+from ._rng import TAG_CONTROL, TAG_GENERIC, TAG_PERMTEST, TAG_REPLICA, Streams, stream_states, substream
 from .graphon_core import (
     GraphonError,
     StepGraphon,
@@ -69,13 +69,22 @@ __all__ = [
     "run_experiment",
     "render_report",
     "replica_seed",
+    "replica_seeds",
 ]
 
 
+def replica_seeds(master: int, indices) -> list[int]:
+    """Derived integer seeds of the replicas ``indices`` (documented, stable).
+
+    Replica ``r`` gets ``SeedSequence(master, spawn_key=(TAG_REPLICA,
+    r)).generate_state(1, np.uint64)[0]``, the first word of its stream state.
+    """
+    return stream_states(master, (TAG_REPLICA,), indices)[:, 0].tolist()
+
+
 def replica_seed(master: int, index: int) -> int:
-    """Derived integer seed of one replica (documented, stable)."""
-    ss = np.random.SeedSequence(entropy=int(master), spawn_key=(TAG_REPLICA, int(index)))
-    return int(ss.generate_state(1, np.uint64)[0])
+    """Derived integer seed of one replica, as in :func:`replica_seeds`."""
+    return replica_seeds(master, [index])[0]
 
 
 def _jsonify(value):
@@ -177,8 +186,8 @@ def _run_edge_growth(cfg: ExperimentConfig, *, t, bounds):
     w = cfg.graphon_object()
     lo, hi = bounds
     records = []
-    for r in range(cfg.replicas):
-        trace = sample_graphon_process(w, t, replica_seed(cfg.seed, r))
+    for r, seed in enumerate(replica_seeds(cfg.seed, range(cfg.replicas))):
+        trace = sample_graphon_process(w, t, seed)
         records.append({"replica": r, "edges": trace.num_edges, "ratio": 2.0 * trace.num_edges / t**2})
     mean = _mean(rec["ratio"] for rec in records)
     aggregates = {
@@ -195,8 +204,8 @@ def _run_density_convergence(cfg: ExperimentConfig, *, motif, t, rel_tol):
     f = homomorphisms.motif(motif)
     target = 0.0 if l1_norm(w) == 0 else h_analytic(f, w).value
     records = []
-    for r in range(cfg.replicas):
-        trace = sample_graphon_process(w, t, replica_seed(cfg.seed, r))
+    for r, seed in enumerate(replica_seeds(cfg.seed, range(cfg.replicas))):
+        trace = sample_graphon_process(w, t, seed)
         g = snapshot_at(trace, t)
         density = rescaled_density(f, g)[1] if g.num_edges else 0.0
         records.append({"replica": r, "h_inj": density})
@@ -214,9 +223,10 @@ def _run_density_convergence(cfg: ExperimentConfig, *, motif, t, rel_tol):
 def _run_metric_convergence(cfg: ExperimentConfig, *, final_below):
     w = cfg.graphon_object()
     records = []
+    seeds = replica_seeds(cfg.seed, range(cfg.replicas))
     for t in cfg.horizons:
-        for r in range(cfg.replicas):
-            trace = sample_graphon_process(w, t, replica_seed(cfg.seed, r))
+        for r, seed in enumerate(seeds):
+            trace = sample_graphon_process(w, t, seed)
             est = graph_graphon_distance_estimate(trace, w)
             records.append({"horizon": t, "replica": r, "estimate": est})
     series = [
@@ -233,10 +243,11 @@ def _run_sequential_dichotomy(cfg: ExperimentConfig, *, checkpoints, growth_fact
     w = cfg.graphon_object()
     steps = max(checkpoints)
     records = []
+    seeds = replica_seeds(cfg.seed, range(cfg.replicas))
     for family in ("linear", "exponential"):
         schedule = ArrivalSchedule(family, 1.0)
-        for r in range(cfg.replicas):
-            graphs = sample_sequential(w, schedule, steps, replica_seed(cfg.seed, r), checkpoints=checkpoints)
+        for r, seed in enumerate(seeds):
+            graphs = sample_sequential(w, schedule, steps, seed, checkpoints=checkpoints)
             rec = {"schedule": family, "replica": r}
             for c, g in zip(checkpoints, graphs):
                 rec[f"edges_{c}"] = g.num_edges
@@ -264,8 +275,8 @@ def _run_tail_dichotomy(cfg: ExperimentConfig, *, alpha, sizes, eps, growth):
     for n in sizes:
         records.append({"family": "clique_plus_isolated", "n": n,
                         "m_required": required_m(clique_plus_isolated(n, alpha), eps)})
-    for i, n in enumerate(sizes):
-        g = er_power_graph(n, alpha, replica_seed(cfg.seed, i))
+    for n, seed in zip(sizes, replica_seeds(cfg.seed, range(len(sizes)))):
+        g = er_power_graph(n, alpha, seed)
         records.append({"family": "er", "n": n, "m_required": required_m(g, eps)})
     clique_ms = [rec["m_required"] for rec in records if rec["family"] == "clique_plus_isolated"]
     er_ms = [rec["m_required"] for rec in records if rec["family"] == "er"]
@@ -283,8 +294,8 @@ def _run_degree_tail(cfg: ExperimentConfig, *, t, lam, rel_tol):
     w = cfg.graphon_object()
     target = degree_profile(stretch(w))(lam)
     records = []
-    for r in range(cfg.replicas):
-        trace = sample_graphon_process(w, t, replica_seed(cfg.seed, r))
+    for r, seed in enumerate(replica_seeds(cfg.seed, range(cfg.replicas))):
+        trace = sample_graphon_process(w, t, seed)
         g = snapshot_at(trace, t)
         if g.num_edges == 0:
             records.append({"replica": r, "normalized_count": 0.0})
@@ -334,13 +345,12 @@ def _sample_inhomogeneous_control(t: float, seed: int, p_early: float, p_late: f
     """
     half = t / 2.0
     kernel = StepGraphon([half, half + 1.0], [[p_early, p_late], [p_late, p_late]])  # covers births in [0, t]
-    streams = [substream(seed, TAG_CONTROL, k) for k in range(int(math.ceil(t)))]
+    streams = Streams(seed, (TAG_CONTROL,), range(int(math.ceil(t))))
     windows = [np.sort(rng.uniform(float(k), float(k + 1), size=int(rng.poisson(1.0))))
                for k, rng in enumerate(streams)]
     births = np.concatenate([np.zeros(0), *windows])
     n = int(np.searchsorted(births, t, side="right"))
-    edges = _arrival_edges(kernel, births[:, None], np.cumsum([0] + [b.size for b in windows]), n,
-                           streams.__getitem__)
+    edges = _arrival_edges(kernel, births[:, None], np.cumsum([0] + [b.size for b in windows]), n, streams)
     return ProcessTrace(constant_graphon(1.0), t, seed, True, births[:n], np.full((n, 1), 0.5), edges)
 
 
@@ -376,11 +386,11 @@ def _run_exchangeability(cfg: ExperimentConfig, *, t, bins, n_perms, resamples, 
         return stats
 
     null_boxes = box_stats(
-        sample_graphon_process(w, t, replica_seed(cfg.seed, r)) for r in range(cfg.replicas)
+        sample_graphon_process(w, t, seed) for seed in replica_seeds(cfg.seed, range(cfg.replicas))
     )
     control_boxes = box_stats(
-        _sample_inhomogeneous_control(t, replica_seed(cfg.seed, 500_000 + r), control_p_early, control_p_late)
-        for r in range(cfg.replicas)
+        _sample_inhomogeneous_control(t, seed, control_p_early, control_p_late)
+        for seed in replica_seeds(cfg.seed, range(500_000, 500_000 + cfg.replicas))
     )
 
     perm_rng = substream(cfg.seed, TAG_PERMTEST, 0)
@@ -409,9 +419,10 @@ def _run_exchangeability(cfg: ExperimentConfig, *, t, bins, n_perms, resamples, 
 def _run_avg_degree_growth(cfg: ExperimentConfig, *, growth_factor):
     w = cfg.graphon_object()
     records = []
+    seeds = replica_seeds(cfg.seed, range(cfg.replicas))
     for t in cfg.horizons:
-        for r in range(cfg.replicas):
-            trace = sample_graphon_process(w, t, replica_seed(cfg.seed, r))
+        for r, seed in enumerate(seeds):
+            trace = sample_graphon_process(w, t, seed)
             g = snapshot_at(trace, t)
             avg = 2.0 * g.num_edges / g.num_vertices if g.num_vertices else 0.0
             records.append({"horizon": t, "replica": r, "avg_degree": avg})

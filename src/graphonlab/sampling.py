@@ -51,6 +51,9 @@ from ._rng import (
     TAG_WINDOW,
     TAG_WINDOW_EDGES,
     TAG_WRANDOM,
+    Streams,
+    generator,
+    stream_states,
     substream,
 )
 from .graphon_core import (
@@ -347,13 +350,13 @@ def _draw_features(w, count: int, rng: np.random.Generator) -> np.ndarray:
     return np.asarray(w.sample_features(count, rng), dtype=float).reshape(count, w.feature_dim)
 
 
-def _arrival_edges(w, features: np.ndarray, starts, n: int, stream) -> np.ndarray:
+def _arrival_edges(w, features: np.ndarray, starts, n: int, streams: Streams) -> np.ndarray:
     """1-based edges ``(u, v)``, ``u < v <= n``, among arrivals drawn window by window.
 
     Window ``i`` is rows ``starts[i]:starts[i + 1]`` of ``features``, drawn
     as for the whole window; rows from ``n`` on are cut, so only the last
     window may hold such rows.  Its edges to all earlier rows and among its
-    own rows come from the generator ``stream(i)``, built at most once, and
+    own rows come from the generator ``streams[i]``, built when first used, and
     each pair is present independently with probability
     ``evaluate(w, x_u, x_v)``.  Caron-Fox kernels are exactly the event
     Poisson(f(x) f(y)) >= 1, so they draw Poisson multi-edges with
@@ -374,8 +377,10 @@ def _arrival_edges(w, features: np.ndarray, starts, n: int, stream) -> np.ndarra
         f = np.where((x >= 0) & (x <= w.truncation.x_max), w.f(x), 0.0)  # zero outside the truncation
         pairs = [np.zeros((0, 2), dtype=np.int64)]
         for i, (lo, hi) in enumerate(zip(starts[:-1], starts[1:])):
-            new = _poisson_window_pairs(f[:lo], f[lo:hi], stream(i))
+            new = _poisson_window_pairs(f[:lo], f[lo:hi], streams[i])
             pairs.append(new[new[:, 1] < n])
+        logger.debug("arrival edges: Poisson path, %d stream states derived, %d generators built",
+                     len(streams), len(streams.built))
         return np.concatenate(pairs) + 1
     x = features[:n]
     if isinstance(w, StepGraphon):
@@ -393,7 +398,7 @@ def _arrival_edges(w, features: np.ndarray, starts, n: int, stream) -> np.ndarra
             if x.shape[1] == 1:
                 return evaluate(w, x[r, 0, None], x[None, c, 0])
             return evaluate(w, x[r, None, :], x[None, c, :])
-    tape = _CoinTape(starts, stream)
+    tape = _CoinTape(starts, streams)
     pairs, evaluated = [np.zeros((0, 2), dtype=np.int64)], 0
     j0 = 0
     while j0 < rows.size:
@@ -413,8 +418,9 @@ def _arrival_edges(w, features: np.ndarray, starts, n: int, stream) -> np.ndarra
         i, k = np.divmod(np.flatnonzero(hits), j1)
         pairs.append(np.column_stack((c[k], r[i])))
         j0 = j1
-    logger.debug("arrival edges: %d kernel values, %d coins drawn, %d skipped, %d edge streams",
-                 evaluated, tape.drawn, tape.skipped, len(tape.open))
+    logger.debug("arrival edges: %d kernel values, %d coins drawn, %d skipped, "
+                 "%d stream states derived, %d generators built",
+                 evaluated, tape.drawn, tape.skipped, len(streams), len(streams.built))
     return np.concatenate(pairs) + 1
 
 
@@ -422,21 +428,22 @@ class _CoinTape:
     """The coins of layout ``window-v1``, read only where a decision needs them.
 
     Window ``i`` starting at row ``a`` draws coin ``(u, v)``, ``u < v``,
-    as number ``v (v - 1) / 2 - a (a - 1) / 2 + u`` of ``stream(i)``.  The
+    as number ``v (v - 1) / 2 - a (a - 1) / 2 + u`` of ``streams[i]``.  The
     tape builds a window's generator when one of its coins is first needed
     and passes over unneeded coins with ``bit_generator.advance``, which is
     exact for PCG64: ``random()`` takes one 64-bit output per double.  Reads
-    come in row order.  A read draws the stretch from the first to the last
-    coin it needs in one go when it needs every coin of it (at most one
-    chunk's pairs), and otherwise in pieces shorter than ``_MAX_COINS``,
-    skipping the gaps between them: a new piece starts at every
-    ``_MAX_COINS`` boundary and at every needed coin that lies more than
-    its row's coin count past the previous one.
+    come in row order.  A read that needs every coin of its rows draws each
+    window's coins in one go.  Any other read finds its needed coins with
+    one ``np.nonzero`` and draws them in pieces shorter than ``_MAX_COINS``,
+    skipping the gaps between them: a new piece starts at every window, at
+    every ``_MAX_COINS`` boundary counted from the window's first needed
+    coin, and at every needed coin that lies more than its row's coin count
+    past the previous one.
     """
 
-    def __init__(self, starts: np.ndarray, stream):
-        self.starts, self.stream = starts, stream
-        self.open = {}  # window -> [generator, coins consumed]
+    def __init__(self, starts: np.ndarray, streams: Streams):
+        self.starts, self.streams = starts, streams
+        self.consumed = {}  # window -> coins read or skipped
         self.drawn = self.skipped = 0
 
     def read(self, rows: np.ndarray, cols: np.ndarray, need: np.ndarray) -> np.ndarray:
@@ -444,39 +451,38 @@ class _CoinTape:
 
         ``rows`` ascend past the rows of earlier reads; ``cols`` are rows below them.
         """
+        windows = np.searchsorted(self.starts, rows, "right") - 1
+        lo = self.starts[windows]
+        row_offsets = (rows * (rows - 1) - lo * (lo - 1)) // 2  # of each row's coin 0 in its window
+        if np.count_nonzero(need) == rows.sum():
+            # every coin of every row, so no row is missing: each window's coins form one stretch, drawn whole
+            tail = np.r_[np.flatnonzero(np.diff(windows)), rows.size - 1]  # each window's last row
+            head = np.r_[0, tail[:-1] + 1]
+            stretches = zip(windows[head].tolist(), row_offsets[head].tolist(), (row_offsets + rows)[tail].tolist())
+            return np.concatenate([self._draw(i, start, stop) for i, start, stop in stretches if start < stop])
+        ii, kk = np.nonzero(need)
+        window, row = windows[ii], rows[ii]
+        offsets = row_offsets[ii] + cols[kk]
+        new_window = window[1:] != window[:-1]
+        first = np.zeros(ii.size, dtype=np.intp)  # index of the window's first needed coin
+        first[1:][new_window] = np.flatnonzero(new_window) + 1
+        piece = (offsets - offsets[np.maximum.accumulate(first)]) // _MAX_COINS
+        # a piece ends at a window change, a _MAX_COINS boundary or a gap over a row's coin count
+        cut = new_window | (piece[1:] != piece[:-1]) | (np.diff(offsets) > row[1:])
+        bounds = [0, *(np.flatnonzero(cut) + 1).tolist(), ii.size]
         coins = []
-        first, last = np.searchsorted(self.starts, rows[[0, -1]], "right") - 1
-        for i in range(first, last + 1):
-            a, b = np.searchsorted(rows, self.starts[i:i + 2])
-            window = need[a:b]
-            count = np.count_nonzero(window)
-            if not count:
-                continue
-            lo = self.starts[i]
-            row_offsets = (rows[a:b] * (rows[a:b] - 1) - lo * (lo - 1)) // 2  # of each row's coin 0
-            ends = np.unravel_index([window.argmax(), window.size - 1 - window.ravel()[::-1].argmax()], window.shape)
-            head, tail = (int(o) for o in row_offsets[ends[0]] + cols[ends[1]])
-            if tail - head + 1 == count:  # every coin of the stretch is needed
-                coins.append(self._draw(i, head, tail + 1))
-                continue
-            ii, kk = np.nonzero(window)
-            offsets = row_offsets[ii] + cols[kk]
-            piece = (offsets - head) // _MAX_COINS
-            skip = np.diff(offsets) > rows[a:b][ii[1:]]  # the next coin lies over a row's coin count ahead
-            cuts = [0, *(np.flatnonzero((piece[1:] != piece[:-1]) | skip) + 1).tolist(), count]
-            for s, e in zip(cuts[:-1], cuts[1:]):
-                start = int(offsets[s])
-                coins.append(self._draw(i, start, int(offsets[e - 1]) + 1)[offsets[s:e] - start])
+        for s, e in zip(bounds[:-1], bounds[1:]):
+            start, stop = int(offsets[s]), int(offsets[e - 1]) + 1
+            drawn = self._draw(int(window[s]), start, stop)
+            coins.append(drawn if stop - start == e - s else drawn[offsets[s:e] - start])
         return np.concatenate(coins)
 
     def _draw(self, i: int, lo: int, hi: int) -> np.ndarray:
         """Coins ``lo:hi`` of window ``i``'s stream; the coins before ``lo`` not yet read are skipped."""
-        if i not in self.open:
-            self.open[i] = [self.stream(i), 0]
-        rng, pos = self.open[i]
+        rng, pos = self.streams[i], self.consumed.get(i, 0)
         if lo > pos:
             rng.bit_generator.advance(lo - pos)
-        self.open[i][1] = hi
+        self.consumed[i] = hi
         self.skipped += lo - pos
         self.drawn += hi - lo
         return rng.random(hi - lo)
@@ -539,8 +545,9 @@ def sample_graphon_process(w, horizon: float, seed: int, keep_isolated: bool = F
     mass = w.region_mass()
 
     windows, births, feats = [], [np.zeros(0)], [np.zeros((0, w.feature_dim))]  # the nonempty unit windows
-    for k in range(int(math.ceil(horizon)) if mass > 0 else 0):
-        rng = substream(seed, TAG_WINDOW, k)
+    states = stream_states(seed, (TAG_WINDOW,), range(int(math.ceil(horizon)) if mass > 0 else 0))
+    for k, state in enumerate(states):
+        rng = generator(state)
         count = int(rng.poisson(mass))
         if count == 0:
             continue  # its edge stream is never built
@@ -553,7 +560,7 @@ def sample_graphon_process(w, horizon: float, seed: int, keep_isolated: bool = F
     starts = np.cumsum([b.size for b in births])  # births[0] is empty
     births, feats = np.concatenate(births), np.concatenate(feats)
     n = int(np.searchsorted(births, horizon, side="right"))
-    edges = _arrival_edges(w, feats, starts, n, lambda i: substream(seed, TAG_WINDOW_EDGES, windows[i]))
+    edges = _arrival_edges(w, feats, starts, n, Streams(seed, (TAG_WINDOW_EDGES,), windows))
     births, feats = births[:n], feats[:n]
     if np.any(births[1:] == births[:-1]):
         logger.info("birth-time tie broken by draw order (seed=%s horizon=%s)", seed, horizon)
@@ -641,10 +648,11 @@ def sample_sequential(w, schedule: ArrivalSchedule, steps: int, seed: int,
     empty = np.flatnonzero(~(s_n[:steps] > 0))
     if empty.size:
         raise GraphonError(f"schedule gives a zero-mass prefix at step {empty[0] + 1}")
-    x = np.concatenate([substream(seed, TAG_SEQ_FEATURE, b).uniform(0.0, bound)
-                        for b, bound in enumerate(s_n.reshape(blocks, _ARRIVAL_BLOCK))])
+    states = stream_states(seed, (TAG_SEQ_FEATURE,), range(blocks))
+    x = np.concatenate([generator(state).uniform(0.0, bound)
+                        for state, bound in zip(states, s_n.reshape(blocks, _ARRIVAL_BLOCK))])
     edges = _arrival_edges(w, x[:, None], range(0, x.size + 1, _ARRIVAL_BLOCK), steps,
-                           lambda b: substream(seed, TAG_SEQ_EDGE, b))
+                           Streams(seed, (TAG_SEQ_EDGE,), range(blocks)))
     full = SampledGraph(np.arange(1, steps + 1, dtype=np.int64), edges)
     features = x[:steps, None]
     births = np.arange(1, steps + 1, dtype=float)
@@ -674,7 +682,7 @@ def sample_dense_wrandom(w: StepGraphon, n: int, seed: int) -> SampledGraph:
         raise GraphonError("vertex count must be non-negative")
     feats = substream(seed, TAG_WRANDOM, 0).uniform(0.0, w.total_mass, size=(n, 1))
     edges = _arrival_edges(w, feats, range(0, n + _ARRIVAL_BLOCK, _ARRIVAL_BLOCK), n,
-                           lambda b: substream(seed, TAG_WRANDOM, 1, b))
+                           Streams(seed, (TAG_WRANDOM, 1), range(-(-n // _ARRIVAL_BLOCK))))
     return SampledGraph(
         np.arange(1, n + 1, dtype=np.int64),
         edges,

@@ -227,6 +227,27 @@ def test_unreadable_input_exit_code(tmp_path, capsys, command, content):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["hom", "--motif", "[]", "--graph", "{path}"],
+    ["hom", "--motif", "[[0,1]", "--graph", "{path}"],
+    ["hom", "--motif", "[[0,1,2]]", "--graph", "{path}"],
+    ["hom", "--motif", '[[0,"a"]]', "--graph", "{path}"],
+    ["hom", "--motif", "[5]", "--graph", "{path}"],
+    ["tailreg", "--graphs", "er_example1:alpha", "--eps", "0.1", "--out", "{out}"],
+    ["tailreg", "--graphs", "er_example1:n=abc", "--eps", "0.1", "--out", "{out}"],
+    ["tailreg", "--graphs", "er_example1:alpha=x", "--eps", "0.1", "--out", "{out}"],
+], ids=["empty_motif", "motif_cut_short", "motif_triple", "motif_not_integer", "motif_not_pairs",
+        "family_no_value", "family_size_not_integer", "family_alpha_not_number"])
+def test_malformed_argument_exit_code(tmp_path, capsys, command):
+    """A malformed --motif or --graphs argument is reported in one line with exit 2, before any file is read."""
+    path, out = tmp_path / "missing.json", tmp_path / "out.csv"
+    code = main([arg.format(path=path, out=out) for arg in command])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+    assert "--motif" in err or "--graphs" in err
+    assert not out.exists()
+
+
 def test_no_scipy_or_networkx_loaded():
     """Every module and the CLI run on numpy alone: a fresh interpreter that
     imports them all has loaded neither scipy nor networkx."""

@@ -25,6 +25,7 @@ from typing import Sequence
 import numpy as np
 import pytest
 
+from graphonlab import sampling
 from graphonlab._rng import (
     TAG_CONTROL,
     TAG_SEQ_EDGE,
@@ -32,6 +33,7 @@ from graphonlab._rng import (
     TAG_WINDOW,
     TAG_WINDOW_EDGES,
     TAG_WRANDOM,
+    Streams,
     substream,
 )
 from graphonlab.experiments import _sample_inhomogeneous_control
@@ -526,63 +528,121 @@ def test_skip_path_control_equals_window_loop(tiny_chunks):
         _assert_traces_equal(new, window_sample_inhomogeneous_control(20.0, seed, 0.9, 0.1))
 
 
-def _edge_streams(monkeypatch):
-    """Tags of every edge stream built through ``sampling.substream`` from now on."""
-    from graphonlab import sampling
+def _logged(caplog, sample):
+    """``sample()`` and the numbers in the "arrival edges" line it logs.
 
-    built = []
-
-    def counted(seed, *tags):
-        if tags[0] in (TAG_WINDOW_EDGES, TAG_SEQ_EDGE, TAG_WRANDOM) and tags[:2] != (TAG_WRANDOM, 0):
-            built.append(tags)
-        return substream(seed, *tags)
-
-    monkeypatch.setattr(sampling, "substream", counted)
-    return built
-
-
-def test_zero_one_kernels_build_no_edge_stream(monkeypatch):
-    built = _edge_streams(monkeypatch)
-    region = RegionIndicatorGraphon(0.5, x_max=4.0)
-    for w in (constant_graphon(1.0), StepGraphon([1.0, 1.0], [[0.0, 1.0], [1.0, 1.0]]), region):
-        trace = sample_graphon_process(w, 6.5, 3)
-        _assert_traces_equal(trace, window_sample_graphon_process(w, 6.5, 3))
-        assert trace.num_edges > 0
-    for schedule in (ArrivalSchedule("linear", 1.0), ArrivalSchedule("exponential", 1.0)):
-        w = StepGraphon([1.0], [[1.0]], ambient_infinite=True)
-        new = sample_sequential(w, schedule, 600, 4, checkpoints=[600])[0]
-        _assert_graphs_equal(new, window_sample_sequential(w, schedule, 600, 4, checkpoints=[600])[0])
-    dense = sample_dense_wrandom(StepGraphon([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]]), 300, 1)
-    assert dense.num_edges > 0
-    assert built == []
-    sample_graphon_process(ZERO_ONE_COIN, 6.5, 3)  # the counter does see the streams a coin needs
-    assert built and all(tags[0] == TAG_WINDOW_EDGES for tags in built)
+    The coin path logs (kernel values, coins drawn, coins skipped, stream
+    states derived, generators built).
+    """
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="graphonlab.sampling"):
+        result = sample()
+    message, = [r.getMessage() for r in caplog.records if r.getMessage().startswith("arrival edges")]
+    return result, [int(word) for word in message.split() if word.isdigit()]
 
 
 def _cost_counters(caplog, sample) -> list[int]:
-    """(kernel values, coins drawn, coins skipped, edge streams) that ``sample()`` logs."""
-    caplog.clear()
-    with caplog.at_level(logging.DEBUG, logger="graphonlab.sampling"):
-        sample()
-    message, = [r.getMessage() for r in caplog.records if r.getMessage().startswith("arrival edges")]
-    return [int(word) for word in message.split() if word.isdigit()]
+    return _logged(caplog, sample)[1]
+
+
+def test_zero_one_kernels_build_no_edge_stream(caplog):
+    region = RegionIndicatorGraphon(0.5, x_max=4.0)
+    for w in (constant_graphon(1.0), StepGraphon([1.0, 1.0], [[0.0, 1.0], [1.0, 1.0]]), region):
+        trace, counters = _logged(caplog, lambda: sample_graphon_process(w, 6.5, 3))
+        _assert_traces_equal(trace, window_sample_graphon_process(w, 6.5, 3))
+        assert trace.num_edges > 0
+        assert counters[3] > 0 and counters[4] == 0
+    for schedule in (ArrivalSchedule("linear", 1.0), ArrivalSchedule("exponential", 1.0)):
+        w = StepGraphon([1.0], [[1.0]], ambient_infinite=True)
+        new, counters = _logged(caplog, lambda: sample_sequential(w, schedule, 600, 4, checkpoints=[600])[0])
+        _assert_graphs_equal(new, window_sample_sequential(w, schedule, 600, 4, checkpoints=[600])[0])
+        assert counters[3:] == [3, 0]
+    dense, counters = _logged(caplog, lambda: sample_dense_wrandom(StepGraphon([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]]),
+                                                                   300, 1))
+    assert dense.num_edges > 0
+    assert counters[3:] == [2, 0]
+    # the counter does see the streams a coin needs
+    _, counters = _logged(caplog, lambda: sample_graphon_process(ZERO_ONE_COIN, 6.5, 3))
+    assert 0 < counters[4] <= counters[3]
 
 
 def test_cost_counters_are_logged(caplog, monkeypatch):
     pairs = 300 * 299 // 2
-    assert _cost_counters(caplog, lambda: sample_dense_wrandom(STEP, 300, 1)) == [90000, pairs, 0, 2]
+    assert _cost_counters(caplog, lambda: sample_dense_wrandom(STEP, 300, 1)) == [90000, pairs, 0, 2, 2]
     diagonal = StepGraphon([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]])
-    assert _cost_counters(caplog, lambda: sample_dense_wrandom(diagonal, 300, 1)) == [90000, 0, 0, 0]
+    assert _cost_counters(caplog, lambda: sample_dense_wrandom(diagonal, 300, 1)) == [90000, 0, 0, 2, 0]
     live = int(np.count_nonzero(sample_dense_wrandom(DEAD_BLOCK, 300, 1).features >= 1.0))
-    values, drawn, skipped, _ = _cost_counters(caplog, lambda: sample_dense_wrandom(DEAD_BLOCK, 300, 1))
+    values, drawn, skipped, _, _ = _cost_counters(caplog, lambda: sample_dense_wrandom(DEAD_BLOCK, 300, 1))
     assert values == live * live
     assert live * (live - 1) // 2 <= drawn < 0.6 * pairs and drawn + skipped <= pairs  # gaps past dead rows are skipped
     from graphonlab import sampling
 
     monkeypatch.setattr(sampling, "_MAX_COINS", 7)
-    values, drawn, skipped, streams = _cost_counters(caplog, lambda: sample_dense_wrandom(DEAD_BLOCK, 300, 1))
-    assert values < live * live and live * (live - 1) // 2 <= drawn < pairs and skipped > 0 and streams == 2
+    values, drawn, skipped, states, streams = _cost_counters(caplog, lambda: sample_dense_wrandom(DEAD_BLOCK, 300, 1))
+    assert values < live * live and live * (live - 1) // 2 <= drawn < pairs and skipped > 0 and states == streams == 2
     assert drawn + skipped <= pairs
+
+
+class _WindowLoopTape(sampling._CoinTape):
+    """The coin tape whose read loops over windows, each in about ten numpy calls, verbatim."""
+
+    def read(self, rows: np.ndarray, cols: np.ndarray, need: np.ndarray) -> np.ndarray:
+        coins = []
+        first, last = np.searchsorted(self.starts, rows[[0, -1]], "right") - 1
+        for i in range(first, last + 1):
+            a, b = np.searchsorted(rows, self.starts[i:i + 2])
+            window = need[a:b]
+            count = np.count_nonzero(window)
+            if not count:
+                continue
+            lo = self.starts[i]
+            row_offsets = (rows[a:b] * (rows[a:b] - 1) - lo * (lo - 1)) // 2  # of each row's coin 0
+            ends = np.unravel_index([window.argmax(), window.size - 1 - window.ravel()[::-1].argmax()], window.shape)
+            head, tail = (int(o) for o in row_offsets[ends[0]] + cols[ends[1]])
+            if tail - head + 1 == count:  # every coin of the stretch is needed
+                coins.append(self._draw(i, head, tail + 1))
+                continue
+            ii, kk = np.nonzero(window)
+            offsets = row_offsets[ii] + cols[kk]
+            piece = (offsets - head) // sampling._MAX_COINS
+            skip = np.diff(offsets) > rows[a:b][ii[1:]]  # the next coin lies over a row's coin count ahead
+            cuts = [0, *(np.flatnonzero((piece[1:] != piece[:-1]) | skip) + 1).tolist(), count]
+            for s, e in zip(cuts[:-1], cuts[1:]):
+                start = int(offsets[s])
+                coins.append(self._draw(i, start, int(offsets[e - 1]) + 1)[offsets[s:e] - start])
+        return np.concatenate(coins)
+
+
+@pytest.mark.parametrize("density", [0.03, 0.4, 0.97, 1.0])
+@pytest.mark.parametrize("max_coins", [7, 40, 1 << 20])
+def test_batched_read_equals_window_loop(monkeypatch, density, max_coins):
+    monkeypatch.setattr(sampling, "_MAX_COINS", max_coins)
+    rng = np.random.default_rng(int(density * 100) + max_coins)
+    for trial in range(12):
+        n = int(rng.integers(2, 400))
+        starts = np.unique(np.r_[0, rng.integers(1, n, size=int(rng.integers(0, 6))), n, n + 256 * (trial % 2)])
+        rows = np.arange(n) if trial % 3 else np.flatnonzero(rng.random(n) < 0.7)  # dead rows leave gaps
+        tapes = [tape(starts, Streams(trial, (TAG_WINDOW_EDGES,), range(starts.size - 1)))
+                 for tape in (sampling._CoinTape, _WindowLoopTape)]
+        j0 = 0
+        while j0 < rows.size:
+            j1 = min(rows.size, j0 + int(rng.integers(1, 60)))
+            r, c = rows[j0:j1], rows[:j1]
+            need = (rng.random((r.size, c.size)) < density) & (c[None, :] < r[:, None])
+            if need.any():
+                new, old = (tape.read(r, c, need) for tape in tapes)
+                assert new.size == np.count_nonzero(need) and np.array_equal(new, old)
+            j0 = j1
+        batched, loop = tapes
+        assert (batched.drawn, batched.skipped) == (loop.drawn, loop.skipped)
+        assert batched.consumed == loop.consumed
+        assert batched.streams.built.keys() == loop.streams.built.keys()
+
+
+def test_poisson_path_logs_its_streams(caplog):
+    trace, counters = _logged(caplog, lambda: sample_graphon_process(CF_SHIFTED, 6.5, 1))
+    assert trace.num_edges > 0
+    assert counters[0] == counters[1] > 0  # every window's edge stream is built
 
 
 # ---------------------------------------------------------------------------
