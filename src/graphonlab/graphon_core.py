@@ -1,11 +1,15 @@
 """Graphon representations over sigma-finite measure spaces.
 
 A graphon is an integrable symmetric kernel W on a measure space.  Every
-family answers one interface, :class:`Graphon`: ``kernel(x, y)``,
-``feature_dim``, ``region_mass()`` and ``sample_features(count, rng)`` for
-the region where features are drawn, ``l1_truncated(tol)`` and
-``tail_l1_bound(m)`` for its L1 mass, and ``degree_function(xs)`` and
-``star_tail_exponents()`` for its degrees.  Two kinds implement it:
+family answers one interface, :class:`Graphon`: ``kernel(x, y)``, which is 0
+outside the sampling region, ``feature_dim``, ``region_mass()`` and
+``sample_features(count, rng)`` for the region where features are drawn,
+``l1_truncated(tol)`` and ``tail_l1_bound(m)`` for its L1 mass,
+``degree_function(xs)`` and ``star_tail_exponents()`` for its degrees, and
+``step_form()``, a step graphon on the line together with the L1 residual
+it leaves out.  Every exact computation reduces to that step form, so the
+operations below make one call on the graphon instead of switching on its
+family.  Two kinds implement the interface:
 
 * :class:`StepGraphon` -- a finite symmetric step kernel over ordered,
   mass-weighted blocks of the half line, with an implicit zero-valued
@@ -99,9 +103,10 @@ class Graphon:
 
     family: str  # the spec ``"type"``
     feature_dim: int = 1
+    exact_step_form = False  # whether ``step_form()`` is W on its sampling region, laid out on the line
 
     def kernel(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """``W(x, y)`` elementwise on broadcast feature arrays."""
+        """``W(x, y)`` elementwise on broadcast feature arrays; 0 outside the sampling region."""
         raise NotImplementedError
 
     def region_mass(self) -> float:
@@ -129,6 +134,18 @@ class Graphon:
         ``~ x^-p_inf`` near infinity, or None when unknown or bounded."""
         return None
 
+    def step_form(self) -> tuple["StepGraphon", float]:
+        """A step graphon on the line and the L1 mass of W it leaves out."""
+        raise NotImplementedError
+
+    def _flatten(self, weight_cells: int) -> "StepGraphon":
+        """:func:`flatten_to_line` of this family."""
+        raise GraphonError(f"flatten_to_line does not support {type(self).__name__}")
+
+    def _cell_averages(self, edges: np.ndarray) -> np.ndarray:
+        """Averages of W over the cells of the grid ``edges`` squared, for :func:`discretize`."""
+        raise GraphonError("discretize operates on analytic graphons")
+
 
 # ---------------------------------------------------------------------------
 # Step graphons
@@ -148,6 +165,7 @@ class StepGraphon(Graphon):
     """
 
     family = "step"
+    exact_step_form = True
     masses: np.ndarray
     values: np.ndarray
     ambient_infinite: bool = False
@@ -201,8 +219,13 @@ class StepGraphon(Graphon):
             return np.zeros(np.broadcast(i, j).shape)
         return np.where((i >= 0) & (j >= 0), self.values[np.maximum(i, 0), np.maximum(j, 0)], 0.0)
 
+    _kernel = kernel  # the formula is already 0 outside the blocks
+
     def region_mass(self) -> float:
         return self.total_mass
+
+    def step_form(self) -> tuple["StepGraphon", float]:
+        return self, 0.0
 
     def sample_features(self, count, rng):
         return rng.uniform(0.0, self.total_mass, size=count)
@@ -287,9 +310,11 @@ class Truncation:
 class AnalyticGraphon(Graphon):
     """Base class for the closed enumeration of closed-form families.
 
-    Each family stores its :class:`Truncation` as ``_trunc``.  Unless a
-    family says otherwise, the sampling region is ``[0, x_max]`` and
-    features are uniform on it.
+    Each family stores its :class:`Truncation` as ``_trunc`` and its kernel
+    formula as ``_kernel``.  Unless a family says otherwise, the sampling
+    region is ``[0, x_max]`` in the role feature (the last coordinate),
+    features are uniform on it, and the step form is the cell-average grid
+    of 256 equal cells, with Simpson cell averages.
     """
 
     _trunc: Truncation
@@ -298,11 +323,27 @@ class AnalyticGraphon(Graphon):
     def truncation(self) -> Truncation:
         return self._trunc
 
+    def kernel(self, x, y):
+        """``_kernel``, cut to 0 where a role feature lies outside ``[0, x_max]``."""
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        rx, ry = (x, y) if self.feature_dim == 1 else (x[..., -1], y[..., -1])
+        m = self._trunc.x_max
+        return np.where((rx >= 0) & (rx <= m) & (ry >= 0) & (ry <= m), self._kernel(x, y), 0.0)
+
     def region_mass(self) -> float:
         return self._trunc.x_max
 
     def sample_features(self, count, rng):
         return rng.uniform(0.0, self._trunc.x_max, size=count)
+
+    def step_form(self) -> tuple["StepGraphon", float]:
+        return _grid_graphon(self, 256), self._trunc.target_l1_residual
+
+    def _flatten(self, weight_cells):
+        raise GraphonError(f"{self.family} has no block structure; use discretize instead")
+
+    def _cell_averages(self, edges):
+        return _simpson_cell_averages(self, edges)
 
 
 def _solve_x_max(tail_bound, target: float, lo: float = 1e-9, hi: float = 1e12) -> float:
@@ -405,7 +446,7 @@ class CaronFoxGraphon(AnalyticGraphon):
             return c * lo ** (1.0 - g) / (g - 1.0)
         return c * (1.0 - lo) + c / (g - 1.0)
 
-    def kernel(self, x, y):
+    def _kernel(self, x, y):
         return 1.0 - np.exp(-self.f(np.asarray(x, dtype=float)) * self.f(np.asarray(y, dtype=float)))
 
     def tail_l1_bound(self, m: float) -> float:
@@ -458,10 +499,13 @@ class RegionIndicatorGraphon(AnalyticGraphon):
             large = np.where(x > 1.0, x, 1.0) ** (-self.b)
         return np.where(x <= 1.0, small, large)
 
-    def kernel(self, x, y):
+    def _kernel(self, x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         return (y <= self.f(x)).astype(float)
+
+    def _cell_averages(self, edges):
+        return _region_cell_averages(self, edges)
 
     def tail_l1_bound(self, m: float) -> float:
         # For m >= 1 the region mass outside [0,m]^2 is exactly 2 int_m^inf f.
@@ -499,6 +543,7 @@ class InfiniteBlockGraphon(AnalyticGraphon):
     """
 
     family = "infinite_block"
+    exact_step_form = True
 
     def __init__(self, intervals: Sequence[tuple[float, float]], probs, truncation_count: int | None = None):
         iv = [(float(lo), float(hi)) for lo, hi in intervals]
@@ -536,11 +581,10 @@ class InfiniteBlockGraphon(AnalyticGraphon):
             out = np.where((x >= lo) & (x < hi), k, out)
         return out
 
-    def kernel(self, x, y):
+    def _kernel(self, x, y):
         i = self._locate(x)
         j = self._locate(y)
-        vals = np.where((i >= 0) & (j >= 0), self.probs[np.maximum(i, 0), np.maximum(j, 0)], 0.0)
-        return vals
+        return np.where((i >= 0) & (j >= 0), self.probs[np.maximum(i, 0), np.maximum(j, 0)], 0.0)
 
     def region_mass(self) -> float:
         return float(sum(hi - lo for lo, hi in self.intervals[: self.truncation_count]))
@@ -551,13 +595,24 @@ class InfiniteBlockGraphon(AnalyticGraphon):
         return float(sum(p[i, j] * (iv[i][1] - iv[i][0]) * (iv[j][1] - iv[j][0])
                          for i in range(len(iv)) for j in range(len(iv)) if i >= k or j >= k))
 
+    def step_form(self) -> tuple[StepGraphon, float]:
+        """The kept intervals laid end to end; exact up to the dropped blocks."""
+        k = self.truncation_count
+        masses = [hi - lo for lo, hi in self.intervals[:k]]
+        return StepGraphon(masses, self.probs[:k, :k], ambient_infinite=True), self._trunc.target_l1_residual
+
+    def _flatten(self, weight_cells):
+        return self.step_form()[0]
+
+    def _cell_averages(self, edges):
+        raise GraphonError(f"{self.family} flattens exactly; use flatten_to_line")
+
     def l1_truncated(self, tol: float = QUAD_DEFAULT_TOL) -> QuadratureEstimate:
-        return QuadratureEstimate(l1_norm(flatten_to_line(self)), 0.0, True)
+        return QuadratureEstimate(l1_norm(self.step_form()[0]), 0.0, True)
 
     def degree_function(self, xs):
-        step = flatten_to_line(self)
         # Degrees in the original interval layout (not the concatenated one).
-        deg = step.block_degrees()
+        deg = self.step_form()[0].block_degrees()
         idx = self._locate(xs)
         return np.where(idx >= 0, deg[np.maximum(idx, 0)], 0.0)
 
@@ -599,12 +654,13 @@ class MixedMembershipGraphon(AnalyticGraphon):
         self.feature_dim = k + 1
         self._trunc = _resolve_truncation(self.tail_l1_bound, x_max, target_l1_residual)
 
-    def kernel(self, u, v):
-        """Kernel on packed features ``(..., K+1)``; 0 where a role feature lies outside ``[0, x_max]``.
+    def _kernel(self, u, v):
+        """Kernel formula on packed features ``(..., K+1)``.
 
         Terms are accumulated diagonal-first with paired cross terms so that
         swapping the two arguments reproduces the exact same float ops
         (addition and multiplication commute bitwise in IEEE arithmetic).
+        Components are not cut at their own truncations.
         """
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
@@ -612,13 +668,12 @@ class MixedMembershipGraphon(AnalyticGraphon):
         w2, x2 = v[..., : self.K], v[..., self.K]
         out = np.zeros(np.broadcast(x1, x2).shape)
         for i in range(self.K):
-            out = out + w1[..., i] * w2[..., i] * self.components[i][i].kernel(x1, x2)
+            out = out + w1[..., i] * w2[..., i] * self.components[i][i]._kernel(x1, x2)
         for i in range(self.K):
             for j in range(i + 1, self.K):
                 cross = w1[..., i] * w2[..., j] + w1[..., j] * w2[..., i]
-                out = out + cross * self.components[i][j].kernel(x1, x2)
-        m = self._trunc.x_max
-        return np.where((x1 >= 0) & (x1 <= m) & (x2 >= 0) & (x2 <= m), out, 0.0)
+                out = out + cross * self.components[i][j]._kernel(x1, x2)
+        return out
 
     def tail_l1_bound(self, m: float) -> float:
         # E[w_{k1}] = 1/K per coordinate, and weights are independent of x.
@@ -678,6 +733,25 @@ class MixedMembershipGraphon(AnalyticGraphon):
         w = rng.dirichlet(np.ones(self.K), size=count)
         x = rng.uniform(0.0, self._trunc.x_max, size=(count, 1))
         return np.concatenate([w, x], axis=1)
+
+    def step_form(self) -> tuple[StepGraphon, float]:
+        return self._flatten(3), self._trunc.target_l1_residual
+
+    _cell_averages = InfiniteBlockGraphon._cell_averages
+
+    def _flatten(self, weight_cells):
+        """Product cells (simplex weight cell) x (common refinement of the
+        component blocks within ``[0, x_max]``), laid out weight-cell major."""
+        if not all(isinstance(c, StepGraphon) for row in self.components for c in row):
+            raise GraphonError("flatten_to_line needs step components; got an analytic component")
+        m = self._trunc.x_max
+        lows, widths = _overlay(*(np.minimum(c.boundaries, m) for row in self.components for c in row))
+        mids = lows + widths / 2
+        comp_vals = np.array([[c.kernel(mids[:, None], mids[None, :]) for c in row] for row in self.components])
+        cells = self.simplex_cells(weight_cells)
+        vals = np.block([[np.einsum("i,j,ijxy->xy", wa, wb, comp_vals) for _, wb in cells] for _, wa in cells])
+        vals = 0.5 * (vals + vals.T)
+        return StepGraphon(np.concatenate([prob * widths for prob, _ in cells]), vals, ambient_infinite=True)
 
 
 # ---------------------------------------------------------------------------
@@ -779,6 +853,12 @@ class DegreeProfile:
 # ---------------------------------------------------------------------------
 
 
+def _graphon(w) -> Graphon:
+    if not isinstance(w, Graphon):
+        raise GraphonError(f"not a graphon: {type(w).__name__}")
+    return w
+
+
 def evaluate(w, x, y):
     """Pointwise kernel value; a total, symmetric function on the feature space.
 
@@ -786,16 +866,7 @@ def evaluate(w, x, y):
     ``(..., K+1)`` arrays for mixed-membership graphons.  Points beyond the
     block support or the truncation cutoff evaluate to 0.
     """
-    if isinstance(w, (StepGraphon, MixedMembershipGraphon)):
-        vals = w.kernel(x, y)
-    elif isinstance(w, AnalyticGraphon):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        m = w.truncation.x_max
-        inside = (x >= 0) & (x <= m) & (y >= 0) & (y <= m)
-        vals = np.where(inside, w.kernel(x, y), 0.0)
-    else:
-        raise GraphonError(f"not a graphon: {type(w).__name__}")
+    vals = _graphon(w).kernel(x, y)
     return vals if np.ndim(vals) else float(vals)
 
 
@@ -806,23 +877,20 @@ def l1_norm(w) -> float:
 
 def l1_norm_report(w, tol: float = QUAD_DEFAULT_TOL) -> QuadratureEstimate:
     """L1 norm with its error bound (exact, hence 0, for step graphons)."""
-    if not isinstance(w, Graphon):
-        raise GraphonError(f"not a graphon: {type(w).__name__}")
-    return w.l1_truncated(tol)
+    return _graphon(w).l1_truncated(tol)
 
 
 def degree_profile(w, grid_points: int = 1024) -> DegreeProfile:
-    """Distribution function of the degree map ``D_W(x) = int W(x, y) dmu(y)``."""
-    if isinstance(w, StepGraphon):
-        return DegreeProfile(_as_readonly(w.block_degrees()), _as_readonly(w.masses), True)
-    if isinstance(w, InfiniteBlockGraphon):
-        return degree_profile(flatten_to_line(w))
-    if isinstance(w, AnalyticGraphon):
-        m = w.truncation.x_max
-        xs = np.linspace(0.0, m, grid_points, endpoint=False) + m / (2 * grid_points)
-        deg = w.degree_function(xs)
-        return DegreeProfile(_as_readonly(deg), _as_readonly(np.full(xs.size, m / grid_points)), False)
-    raise GraphonError(f"not a graphon: {type(w).__name__}")
+    """Distribution function of the degree map ``D_W(x) = int W(x, y) dmu(y)``:
+    block arithmetic on an exact step form, else tabulated at the midpoints
+    of ``grid_points`` cells of the sampling region."""
+    if _graphon(w).exact_step_form:
+        step, _ = w.step_form()
+        return DegreeProfile(_as_readonly(step.block_degrees()), _as_readonly(step.masses), True)
+    m = w.region_mass()
+    xs = np.linspace(0.0, m, grid_points, endpoint=False) + m / (2 * grid_points)
+    deg = w.degree_function(xs)
+    return DegreeProfile(_as_readonly(deg), _as_readonly(np.full(xs.size, m / grid_points)), False)
 
 
 @dataclass(frozen=True)
@@ -835,28 +903,20 @@ class TailTruncation:
 def truncate_tail(w, eps: float) -> TailTruncation:
     """Smallest prefix support ``U = [0, M]`` with ``||W - W 1_{UxU}||_1 < eps``.
 
-    Step graphons are scanned block by block (exact residuals); analytic
-    families are discretized at their truncation cutoff first, so the
-    reported residual adds the stored truncation residual.
+    The step form is scanned block by block (exact residuals), and the
+    reported residual adds the L1 mass the step form leaves out.
     """
     if eps <= 0:
         raise GraphonError("eps must be positive")
-    if isinstance(w, (InfiniteBlockGraphon, MixedMembershipGraphon)):
-        return truncate_tail(flatten_to_line(w), eps)
-    if isinstance(w, AnalyticGraphon):
-        step = _grid_graphon(w, 256)
-        base = w.truncation.target_l1_residual
-        inner = truncate_tail(step, max(eps - base, 1e-15))
-        return TailTruncation(inner.mass_bound, inner.graphon, inner.residual + base)
-    if not isinstance(w, StepGraphon):
-        raise GraphonError(f"not a graphon: {type(w).__name__}")
-    total = l1_norm(w)
-    ab = np.abs(w.values)
-    for k in range(w.n_blocks + 1):
-        kept = float(w.masses[:k] @ ab[:k, :k] @ w.masses[:k]) if k else 0.0
+    step, left_out = _graphon(w).step_form()
+    eps = max(eps - left_out, 1e-15) if left_out else eps
+    total = l1_norm(step)
+    ab = np.abs(step.values)
+    for k in range(step.n_blocks + 1):
+        kept = float(step.masses[:k] @ ab[:k, :k] @ step.masses[:k]) if k else 0.0
         residual = total - kept
         if residual < eps:
-            return TailTruncation(float(w.boundaries[k]), w.restrict_blocks(range(k)), residual)
+            return TailTruncation(float(step.boundaries[k]), step.restrict_blocks(range(k)), residual + left_out)
     raise AssertionError("unreachable: residual at full support is 0")
 
 
@@ -902,44 +962,15 @@ def flatten_to_line(w, weight_cells: int = 3) -> StepGraphon:
     * ``infinite_block``: concatenates the truncated intervals into
       consecutive blocks; exact (cut distance 0 to the truncated input).
     * ``mixed_membership`` with step components: forms the product cells
-      (simplex weight cell) x (common refinement of component blocks) and
-      lays them out weight-cell major.  Cell values are exact cell averages
-      because the kernel is bilinear in the weights.
+      (simplex weight cell) x (common refinement of component blocks within
+      ``[0, x_max]``) and lays them out weight-cell major.  Cell values are
+      exact cell averages because the kernel is bilinear in the weights.
 
     Other families have no block structure; use :func:`discretize`.
     """
-    if isinstance(w, InfiniteBlockGraphon):
-        k = w.truncation_count
-        masses = [hi - lo for lo, hi in w.intervals[:k]]
-        return StepGraphon(masses, w.probs[:k, :k], ambient_infinite=True)
-    if isinstance(w, MixedMembershipGraphon):
-        comps = w.components
-        for row in comps:
-            for c in row:
-                if not isinstance(c, StepGraphon):
-                    raise GraphonError("flatten_to_line needs step components; got an analytic component")
-        lows, widths = _overlay(*(c.boundaries for row in comps for c in row))
-        mids = lows + widths / 2
-        n_feat = widths.size
-        comp_vals = np.zeros((w.K, w.K, n_feat, n_feat))
-        for i in range(w.K):
-            for j in range(w.K):
-                comp_vals[i, j] = evaluate(comps[i][j], mids[:, None], mids[None, :])
-        cells = w.simplex_cells(weight_cells)
-        masses = []
-        for prob, _ in cells:
-            masses.extend(prob * widths)
-        n = len(cells) * n_feat
-        vals = np.zeros((n, n))
-        for a, (_, wa) in enumerate(cells):
-            for b, (_, wb) in enumerate(cells):
-                mix = np.einsum("i,j,ijxy->xy", wa, wb, comp_vals)
-                vals[a * n_feat:(a + 1) * n_feat, b * n_feat:(b + 1) * n_feat] = mix
-        vals = 0.5 * (vals + vals.T)
-        return StepGraphon(masses, vals, ambient_infinite=True)
-    if isinstance(w, (CaronFoxGraphon, RegionIndicatorGraphon)):
-        raise GraphonError(f"{w.family} has no block structure; use discretize instead")
-    raise GraphonError(f"flatten_to_line does not support {type(w).__name__}")
+    if not isinstance(w, Graphon):
+        raise GraphonError(f"flatten_to_line does not support {type(w).__name__}")
+    return w._flatten(weight_cells)
 
 
 def discretize(w: AnalyticGraphon, grid_step: float) -> tuple[StepGraphon, float]:
@@ -950,14 +981,11 @@ def discretize(w: AnalyticGraphon, grid_step: float) -> tuple[StepGraphon, float
     estimate is the exact L1 distance to the approximation built on a
     twice-finer grid.
     """
-    if not isinstance(w, AnalyticGraphon):
+    if not isinstance(w, Graphon):
         raise GraphonError("discretize operates on analytic graphons")
-    if isinstance(w, (InfiniteBlockGraphon, MixedMembershipGraphon)):
-        raise GraphonError(f"{w.family} flattens exactly; use flatten_to_line")
     if grid_step <= 0:
         raise GraphonError("grid_step must be positive")
-    x_max = w.truncation.x_max
-    n = int(math.ceil(x_max / grid_step - 1e-12))
+    n = int(math.ceil(w.region_mass() / grid_step - 1e-12))
     if n > MAX_DISCRETIZE_BLOCKS:
         raise CostLimitError(f"grid too fine: {n} cells exceed the {MAX_DISCRETIZE_BLOCKS} cell limit", float(n) ** 2)
 
@@ -972,13 +1000,10 @@ def discretize(w: AnalyticGraphon, grid_step: float) -> tuple[StepGraphon, float
     return coarse, err
 
 
-def _grid_graphon(w: AnalyticGraphon, cells: int) -> StepGraphon:
-    """Cell-average step graphon of ``w`` on ``cells`` equal cells of ``[0, x_max]``."""
-    edges = np.linspace(0.0, w.truncation.x_max, cells + 1)
-    if isinstance(w, RegionIndicatorGraphon):
-        vals = _region_cell_averages(w, edges)
-    else:
-        vals = _simpson_cell_averages(w, edges)
+def _grid_graphon(w: Graphon, cells: int) -> StepGraphon:
+    """Cell-average step graphon of ``w`` on ``cells`` equal cells of its sampling region."""
+    edges = np.linspace(0.0, w.region_mass(), cells + 1)
+    vals = w._cell_averages(edges)
     vals = 0.5 * (vals + vals.T)
     return StepGraphon(np.diff(edges), vals)
 
@@ -987,14 +1012,15 @@ def _simpson_cell_averages(w: AnalyticGraphon, edges: np.ndarray) -> np.ndarray:
     """Per-cell tensor-product Simpson averages of a smooth kernel.
 
     The kernel is evaluated on one (left, mid, right) node-set pair at a
-    time, so memory stays at a few n x n arrays.
+    time, so memory stays at a few n x n arrays.  The nodes lie in the
+    sampling region, so the formula ``_kernel`` needs no cut there.
     """
     nodes = (edges[:-1], (edges[:-1] + edges[1:]) / 2, edges[1:])
     weights = np.array([1.0, 4.0, 1.0]) / 6.0
     out = np.zeros((edges.size - 1, edges.size - 1))
     for xa, wa in zip(nodes, weights):
         for xb, wb in zip(nodes, weights):
-            out += wa * wb * w.kernel(xa[:, None], xb[None, :])
+            out += wa * wb * w._kernel(xa[:, None], xb[None, :])
     return out
 
 

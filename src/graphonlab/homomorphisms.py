@@ -27,14 +27,11 @@ import numpy as np
 
 from ._rng import TAG_GENERIC, substream
 from .graphon_core import (
-    AnalyticGraphon,
     CostLimitError,
     Graphon,
     GraphonError,
-    InfiniteBlockGraphon,
     StepGraphon,
     degree_profile,
-    flatten_to_line,
     l1_norm,
 )
 
@@ -450,8 +447,8 @@ def _step_density_numerator(f: MotifGraph, w: StepGraphon) -> float:
 
 
 def h_analytic(f: MotifGraph, w, mc_samples: int = 100_000, seed: int = 0) -> HDensity:
-    """Rescaled density ``h(F, W)``: exact block sums for step graphons,
-    Monte Carlo over the truncated region for analytic families.
+    """Rescaled density ``h(F, W)``: exact block sums on an exact step form,
+    else Monte Carlo over the sampling region.
 
     A divergence pre-check on the star moment of the motif's maximal degree
     returns an infinite flag instead of a number when the integral cannot
@@ -461,26 +458,23 @@ def h_analytic(f: MotifGraph, w, mc_samples: int = 100_000, seed: int = 0) -> HD
     if norm <= 0:
         raise GraphonError("h(F, W) needs ||W||_1 > 0")
     k = f.num_vertices
-    if isinstance(w, StepGraphon):
-        return HDensity(_step_density_numerator(f, w) / norm ** (k / 2.0), 0.0, True)
-    if isinstance(w, InfiniteBlockGraphon):
-        return h_analytic(f, flatten_to_line(w), mc_samples, seed)
-    if isinstance(w, AnalyticGraphon):
-        check = star_moment(w, f.max_degree)
-        if check.verdict == "infinite":
-            return HDensity(math.inf, 0.0, False)
-        rng = substream(seed, TAG_GENERIC, 17)
-        vol = w.region_mass()
-        feats = w.sample_features(mc_samples * k, rng)
-        feats = np.asarray(feats, dtype=float).reshape(mc_samples, k, -1)
-        prod = np.ones(mc_samples)
-        for u, v in f.edges:
-            if feats.shape[2] == 1:
-                prod *= w.kernel(feats[:, u, 0], feats[:, v, 0])
-            else:
-                prod *= w.kernel(feats[:, u, :], feats[:, v, :])
-        scale = vol ** k / norm ** (k / 2.0)
-        value = float(prod.mean()) * scale
-        stderr = float(prod.std(ddof=1)) / math.sqrt(mc_samples) * scale
-        return HDensity(value, stderr, True)
-    raise GraphonError(f"not a graphon: {type(w).__name__}")
+    if w.exact_step_form:
+        step, _ = w.step_form()
+        return HDensity(_step_density_numerator(f, step) / norm ** (k / 2.0), 0.0, True)
+    check = star_moment(w, f.max_degree)
+    if check.verdict == "infinite":
+        return HDensity(math.inf, 0.0, False)
+    rng = substream(seed, TAG_GENERIC, 17)
+    vol = w.region_mass()
+    feats = w.sample_features(mc_samples * k, rng)
+    feats = np.asarray(feats, dtype=float).reshape(mc_samples, k, -1)
+    prod = np.ones(mc_samples)
+    for u, v in f.edges:
+        if feats.shape[2] == 1:
+            prod *= w.kernel(feats[:, u, 0], feats[:, v, 0])
+        else:
+            prod *= w.kernel(feats[:, u, :], feats[:, v, :])
+    scale = vol ** k / norm ** (k / 2.0)
+    value = float(prod.mean()) * scale
+    stderr = float(prod.std(ddof=1)) / math.sqrt(mc_samples) * scale
+    return HDensity(value, stderr, True)

@@ -16,10 +16,12 @@ from graphonlab.graphon_core import (
     InfiniteBlockGraphon,
     MixedMembershipGraphon,
     Partition,
+    QuadratureEstimate,
     RegionIndicatorGraphon,
     SpecError,
     StepGraphon,
     TailTruncation,
+    Truncation,
     average_over_partition,
     constant_graphon,
     degree_profile,
@@ -36,6 +38,8 @@ from graphonlab.graphon_core import (
     truncate_tail,
     zero_graphon,
 )
+from graphonlab.homomorphisms import h_analytic, motif, star_moment
+from graphonlab.sampling import sample_graphon_process
 
 TWO_BLOCK = StepGraphon([1.0, 2.0], [[0.5, 0.2], [0.2, 0.1]])
 
@@ -138,6 +142,7 @@ def step_tail_l1(comp, m):
 
 
 CF_SHIFTED = CaronFoxGraphon("shifted_power", 2.0, 1.5, x_max=6.0)
+STEP_CROSS = StepGraphon([0.5, 0.5], [[0.8, 0.1], [0.1, 0.3]])
 INTERFACE_GRAPHONS = {
     "empty_step": zero_graphon(),
     "finite_step": TWO_BLOCK,
@@ -150,8 +155,95 @@ INTERFACE_GRAPHONS = {
     "mixed": MixedMembershipGraphon(
         [[StepGraphon([1.0], [[0.5]]), CF_SHIFTED],
          [CF_SHIFTED, StepGraphon([0.5, 0.5], [[0.8, 0.1], [0.1, 0.3]])]], x_max=3.0),
+    "mixed_step": MixedMembershipGraphon(
+        [[StepGraphon([1.0], [[0.5]]), STEP_CROSS], [STEP_CROSS, StepGraphon([0.25, 0.5], [[0.9, 0.0], [0.0, 0.4]])]],
+        x_max=1.5),
 }
 STEP_GRAPHONS = ["empty_step", "finite_step", "ambient_step"]
+
+
+def masked_kernel(w, x, y):
+    """Oracle: the replaced analytic arm of ``evaluate``, which cut the
+    family's kernel formula to ``[0, x_max]`` in the role feature."""
+    if not isinstance(w, AnalyticGraphon):
+        return w.kernel(x, y)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    rx, ry = (x, y) if w.feature_dim == 1 else (x[..., -1], y[..., -1])
+    m = w.truncation.x_max
+    return np.where((rx >= 0) & (rx <= m) & (ry >= 0) & (ry <= m), w._kernel(x, y), 0.0)
+
+
+def switch_flatten_to_line(w, weight_cells=3):
+    """Oracle: the replaced ``flatten_to_line`` body, one arm per family."""
+    if isinstance(w, InfiniteBlockGraphon):
+        k = w.truncation_count
+        masses = [hi - lo for lo, hi in w.intervals[:k]]
+        return StepGraphon(masses, w.probs[:k, :k], ambient_infinite=True)
+    if isinstance(w, MixedMembershipGraphon):
+        comps = w.components
+        for row in comps:
+            for c in row:
+                if not isinstance(c, StepGraphon):
+                    raise GraphonError("flatten_to_line needs step components; got an analytic component")
+        edges = np.unique(np.concatenate([c.boundaries for row in comps for c in row]))
+        keep = np.diff(edges) > 1e-15
+        lows, widths = edges[:-1][keep], np.diff(edges)[keep]
+        mids = lows + widths / 2
+        n_feat = widths.size
+        comp_vals = np.zeros((w.K, w.K, n_feat, n_feat))
+        for i in range(w.K):
+            for j in range(w.K):
+                comp_vals[i, j] = evaluate(comps[i][j], mids[:, None], mids[None, :])
+        cells = w.simplex_cells(weight_cells)
+        masses = []
+        for prob, _ in cells:
+            masses.extend(prob * widths)
+        n = len(cells) * n_feat
+        vals = np.zeros((n, n))
+        for a, (_, wa) in enumerate(cells):
+            for b, (_, wb) in enumerate(cells):
+                mix = np.einsum("i,j,ijxy->xy", wa, wb, comp_vals)
+                vals[a * n_feat:(a + 1) * n_feat, b * n_feat:(b + 1) * n_feat] = mix
+        vals = 0.5 * (vals + vals.T)
+        return StepGraphon(masses, vals, ambient_infinite=True)
+    if isinstance(w, (CaronFoxGraphon, RegionIndicatorGraphon)):
+        raise GraphonError(f"{w.family} has no block structure; use discretize instead")
+    raise GraphonError(f"flatten_to_line does not support {type(w).__name__}")
+
+
+def switch_degree_profile(w, grid_points=1024):
+    """Oracle: the replaced ``degree_profile`` arms, as (degrees, weights, exact)."""
+    if isinstance(w, InfiniteBlockGraphon):
+        w = switch_flatten_to_line(w)
+    if isinstance(w, StepGraphon):
+        return w.block_degrees(), w.masses, True
+    m = w.truncation.x_max
+    xs = np.linspace(0.0, m, grid_points, endpoint=False) + m / (2 * grid_points)
+    return w.degree_function(xs), np.full(xs.size, m / grid_points), False
+
+
+def switch_truncate_tail(w, eps):
+    """Oracle: the replaced ``truncate_tail`` arms; block and mixed families
+    scanned their flattening and dropped their truncation residual."""
+    if isinstance(w, (InfiniteBlockGraphon, MixedMembershipGraphon)):
+        return truncate_tail(switch_flatten_to_line(w), eps)
+    if isinstance(w, AnalyticGraphon):
+        return discretized_truncate_tail(w, eps)
+    return truncate_tail(w, eps)
+
+
+def outcome(call):
+    """The value of ``call()``, or the type and message of the GraphonError it raises."""
+    try:
+        return call()
+    except GraphonError as exc:
+        return type(exc), str(exc)
+
+
+def same_step(a, b):
+    return (np.array_equal(a.masses, b.masses) and np.array_equal(a.values, b.values)
+            and a.ambient_infinite == b.ambient_infinite)
 
 
 class TestGraphonInterface:
@@ -170,12 +262,15 @@ class TestGraphonInterface:
         role_x, role_y = x[:, -1], y[:, -1]
         if w.feature_dim == 1:
             x, y = x[:, 0], y[:, 0]
-        want = w.kernel(x, y)
-        assert np.array_equal(want, w.kernel(y, x))
+        raw = w._kernel(x, y)
+        assert np.array_equal(raw, w._kernel(y, x))
+        want = raw
         if isinstance(w, AnalyticGraphon):
             m = w.truncation.x_max
-            want = np.where((role_x <= m) & (role_y <= m), want, 0.0)
+            want = np.where((role_x <= m) & (role_y <= m), raw, 0.0)
+        assert np.array_equal(w.kernel(x, y), want)
         assert np.array_equal(evaluate(w, x, y), want)
+        assert np.array_equal(evaluate(w, x, y), masked_kernel(w, x, y))
         assert type(evaluate(w, x[0], y[0])) is float
 
     @pytest.mark.parametrize("name", sorted(INTERFACE_GRAPHONS))
@@ -214,6 +309,166 @@ class TestGraphonInterface:
         for call in (lambda: evaluate("w", 0.0, 0.0), lambda: l1_norm("w"), lambda: l1_norm_report(None)):
             with pytest.raises(GraphonError, match="^not a graphon"):
                 call()
+
+
+class TestStepForm:
+    """Every family answers ``step_form()``, and the operations that used to
+    switch on the family give the replaced arms' answers bit for bit, except
+    where those arms were wrong: a truncated infinite-block model's dropped
+    blocks, and mixed-membership components beyond ``x_max``."""
+
+    @pytest.mark.parametrize("name", sorted(INTERFACE_GRAPHONS))
+    def test_step_form_is_the_old_reduction(self, name):
+        w = INTERFACE_GRAPHONS[name]
+        got = outcome(w.step_form)
+        if isinstance(w, StepGraphon):
+            assert got[0] is w and got[1] == 0.0
+        elif name == "mixed":  # a Caron-Fox component has no block structure
+            assert got == (GraphonError, "flatten_to_line needs step components; got an analytic component")
+        else:
+            step, residual = got
+            if isinstance(w, (InfiniteBlockGraphon, MixedMembershipGraphon)):
+                assert same_step(step, switch_flatten_to_line(w))
+            else:
+                assert same_step(step, discretize(w, w.truncation.x_max / 256)[0])
+            assert residual == w.truncation.target_l1_residual
+        assert w.exact_step_form == isinstance(w, (StepGraphon, InfiniteBlockGraphon))
+
+    @pytest.mark.parametrize("name", sorted(INTERFACE_GRAPHONS))
+    def test_flatten_to_line_is_the_old_body(self, name):
+        w = INTERFACE_GRAPHONS[name]
+        for cells in (1, 3, 4):
+            got = outcome(lambda: flatten_to_line(w, cells))
+            want = outcome(lambda: switch_flatten_to_line(w, cells))
+            assert same_step(got, want) if isinstance(want, StepGraphon) else got == want
+
+    @pytest.mark.parametrize("name", sorted(INTERFACE_GRAPHONS))
+    def test_degree_profile_is_the_old_arms(self, name):
+        w = INTERFACE_GRAPHONS[name]
+        for grid_points in (64, 1024):
+            got = degree_profile(w, grid_points)
+            degrees, weights, exact = switch_degree_profile(w, grid_points)
+            assert np.array_equal(got.degrees, degrees) and np.array_equal(got.weights, weights)
+            assert got.exact == exact
+
+    @pytest.mark.parametrize("name", sorted(set(INTERFACE_GRAPHONS) - {"infinite_block"}))
+    def test_truncate_tail_is_the_old_arms(self, name):
+        w = INTERFACE_GRAPHONS[name]
+        for eps in (0.05, 0.2, 1.0):
+            got, want = outcome(lambda: truncate_tail(w, eps)), outcome(lambda: switch_truncate_tail(w, eps))
+            if isinstance(want, TailTruncation):
+                assert (got.mass_bound, got.residual) == (want.mass_bound, want.residual)
+                assert same_step(got.graphon, want.graphon)
+            else:
+                assert got == want
+
+    def test_h_analytic_of_block_family_is_its_flattening(self):
+        w = INTERFACE_GRAPHONS["infinite_block"]
+        for name in ("edge", "triangle", "c4", "star_3"):
+            assert h_analytic(motif(name), w) == h_analytic(motif(name), switch_flatten_to_line(w))
+
+    def test_truncate_tail_counts_dropped_blocks(self):
+        w = INTERFACE_GRAPHONS["infinite_block"]
+        dropped = w.truncation.target_l1_residual  # 2 * 0.1 * 1 * 1 + 0.3 * 1 * 1 from the third block
+        assert dropped == pytest.approx(0.5, abs=1e-15)
+        for eps in (0.05, 0.2, 1.0):
+            res = truncate_tail(w, eps)
+            scan = truncate_tail(switch_flatten_to_line(w), max(eps - dropped, 1e-15))
+            assert (res.mass_bound, res.residual) == (scan.mass_bound, scan.residual + dropped)
+        # the replaced arm reported residual 0.0 here
+        third = InfiniteBlockGraphon([(0, 1), (1, 2), (2, 5)],
+                                     [[0.9, 0.1, 0.5], [0.1, 0.2, 0.5], [0.5, 0.5, 0.5]], truncation_count=2)
+        assert third.truncation.target_l1_residual == 10.5
+        res = truncate_tail(third, 0.05)
+        assert (res.mass_bound, res.residual) == (2.0, 10.5)
+
+    def test_mixed_flatten_stops_at_x_max(self):
+        # the kernel is 0 beyond x_max, so the flattening carries mass 1, not 2
+        w = MixedMembershipGraphon([[StepGraphon([2.0], [[0.5]])]], x_max=1.0)
+        assert evaluate(w, [1.0, 1.5], [1.0, 0.5]) == 0.0
+        flat = flatten_to_line(w)
+        assert (flat.total_mass, l1_norm(flat)) == (1.0, 0.5)
+        res = truncate_tail(w, 0.05)
+        assert (res.mass_bound, res.residual) == (1.0, w.truncation.target_l1_residual)
+        assert w.truncation.target_l1_residual == 1.5  # 0.5 * (2^2 - 1^2)
+
+
+class ConstantFamily(AnalyticGraphon):
+    """A family defined outside the package: ``W = value`` on ``[0, x_max]^2``.
+
+    It states its kernel formula, L1 mass and degrees, and takes the default
+    sampling region, Simpson cell averages and grid step form."""
+
+    family = "constant_test_family"
+
+    def __init__(self, value, x_max):
+        self.value = float(value)
+        self._trunc = Truncation(float(x_max), 0.0)
+
+    def _kernel(self, x, y):
+        return np.full(np.broadcast(np.asarray(x), np.asarray(y)).shape, self.value)
+
+    def tail_l1_bound(self, m):
+        return self.value * (self._trunc.x_max ** 2 - min(max(m, 0.0), self._trunc.x_max) ** 2)
+
+    def l1_truncated(self, tol=1e-6):
+        return QuadratureEstimate(self.value * self._trunc.x_max ** 2, 0.0, True)
+
+    def degree_function(self, xs):
+        xs = np.asarray(xs, dtype=float)
+        return np.where((xs >= 0) & (xs <= self._trunc.x_max), self.value * self._trunc.x_max, 0.0)
+
+
+class TestNewFamilyNeedsNoPackageEdit:
+    """Every operation serves a family the package has never seen, and it
+    answers as the equivalent step graphon does."""
+
+    FAMILY = ConstantFamily(0.3, 2.5)
+    STEP = StepGraphon([2.5], [[0.3]])
+    GRID = StepGraphon(np.full(256, 2.5 / 256), np.full((256, 256), 0.3))  # its step form, exactly
+
+    def test_evaluate(self):
+        rng = np.random.default_rng(0)
+        x, y = rng.uniform(-1.0, 4.0, size=(2, 300))
+        assert np.array_equal(evaluate(self.FAMILY, x, y), evaluate(self.STEP, x, y))
+        assert evaluate(self.FAMILY, 1.0, 2.0) == 0.3 and evaluate(self.FAMILY, 1.0, 2.6) == 0.0
+
+    def test_discretize(self):
+        step, err = discretize(self.FAMILY, 0.5)
+        assert step.n_blocks == 5 and step.total_mass == pytest.approx(2.5, abs=1e-15)
+        assert np.allclose(step.values, 0.3, rtol=0.0, atol=1e-15) and err <= 1e-13
+
+    def test_truncate_tail(self):
+        for eps in (1e-9, 0.9, 2.0):
+            got, want = truncate_tail(self.FAMILY, eps), truncate_tail(self.GRID, eps)
+            assert got.mass_bound == pytest.approx(want.mass_bound, rel=1e-12)
+            assert got.residual == pytest.approx(want.residual, rel=1e-12, abs=1e-12)
+            assert got.graphon.n_blocks == want.graphon.n_blocks
+        assert truncate_tail(self.FAMILY, 1e-9).mass_bound == pytest.approx(2.5, rel=1e-12)
+
+    def test_degree_profile_and_star_moment(self):
+        got, want = degree_profile(self.FAMILY), degree_profile(self.STEP)
+        assert not got.exact and want.exact
+        assert got.layer_cake_integral() == pytest.approx(want.layer_cake_integral(), rel=1e-12)
+        for lam in (0.5, 0.8):
+            assert got(lam) == pytest.approx(want(lam), rel=1e-12)
+        for k in (1, 2, 3):
+            assert star_moment(self.FAMILY, k).value == pytest.approx(star_moment(self.STEP, k).value, rel=1e-12)
+
+    def test_h_analytic(self):
+        for name in ("edge", "triangle", "c4"):
+            got = h_analytic(motif(name), self.FAMILY, mc_samples=500, seed=1)
+            want = h_analytic(motif(name), self.STEP)
+            assert got.finite and got.value == pytest.approx(want.value, rel=1e-12)
+            assert got.stderr <= 1e-12
+
+    def test_sample_graphon_process(self):
+        # the same features and coins, so the same graph
+        got = sample_graphon_process(self.FAMILY, 6.0, seed=4)
+        want = sample_graphon_process(self.STEP, 6.0, seed=4)
+        assert got.edges.shape[0] > 0
+        for field in ("births", "features", "edges"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
 
 
 class TestL1Norm:
