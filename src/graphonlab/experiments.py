@@ -4,6 +4,9 @@ Every catalog entry turns one quantitative claim about graphon processes
 into a deterministic, replicated computation with a recorded pass/fail
 verdict.  Replica ``r`` of a run with master seed ``s`` always samples from
 the derived seed ``replica_seed(s, r)``, so reports are bit-reproducible.
+An entry that reads the process samples each replica once, at its largest
+horizon; every shorter horizon reads a cut of that trace
+(``sampling.trace_prefix``), which is the trace a run to that horizon draws.
 Aggregates follow a naming convention (``mean_<field>``,
 ``median_<field>``) that makes them mechanically recomputable from the
 per-replica records.
@@ -56,6 +59,7 @@ from .sampling import (
     sample_graphon_process,
     sample_sequential,
     snapshot_at,
+    trace_prefix,
     xi_box_counts,
 )
 
@@ -182,12 +186,24 @@ def _stderr(xs) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _replica_paths(cfg: ExperimentConfig, w, horizons):
+    """``(t, r, trace of replica r cut to t)`` for each horizon ``t``, horizon-major.
+
+    Replica ``r`` is sampled once from ``replica_seeds(cfg.seed, ...)[r]``,
+    at the largest horizon; each shorter horizon reads its cut
+    (:func:`trace_prefix`), which is the trace a run to that horizon draws.
+    """
+    traces = [sample_graphon_process(w, max(horizons), seed) for seed in replica_seeds(cfg.seed, range(cfg.replicas))]
+    for t in horizons:
+        for r, trace in enumerate(traces):
+            yield t, r, trace_prefix(trace, t)
+
+
 def _run_edge_growth(cfg: ExperimentConfig, *, t, bounds):
     w = cfg.graphon_object()
     lo, hi = bounds
     records = []
-    for r, seed in enumerate(replica_seeds(cfg.seed, range(cfg.replicas))):
-        trace = sample_graphon_process(w, t, seed)
+    for _, r, trace in _replica_paths(cfg, w, (t,)):
         records.append({"replica": r, "edges": trace.num_edges, "ratio": 2.0 * trace.num_edges / t**2})
     mean = _mean(rec["ratio"] for rec in records)
     aggregates = {
@@ -204,8 +220,7 @@ def _run_density_convergence(cfg: ExperimentConfig, *, motif, t, rel_tol):
     f = homomorphisms.motif(motif)
     target = 0.0 if l1_norm(w) == 0 else h_analytic(f, w).value
     records = []
-    for r, seed in enumerate(replica_seeds(cfg.seed, range(cfg.replicas))):
-        trace = sample_graphon_process(w, t, seed)
+    for _, r, trace in _replica_paths(cfg, w, (t,)):
         g = snapshot_at(trace, t)
         density = rescaled_density(f, g)[1] if g.num_edges else 0.0
         records.append({"replica": r, "h_inj": density})
@@ -222,13 +237,8 @@ def _run_density_convergence(cfg: ExperimentConfig, *, motif, t, rel_tol):
 
 def _run_metric_convergence(cfg: ExperimentConfig, *, final_below):
     w = cfg.graphon_object()
-    records = []
-    seeds = replica_seeds(cfg.seed, range(cfg.replicas))
-    for t in cfg.horizons:
-        for r, seed in enumerate(seeds):
-            trace = sample_graphon_process(w, t, seed)
-            est = graph_graphon_distance_estimate(trace, w)
-            records.append({"horizon": t, "replica": r, "estimate": est})
+    records = [{"horizon": t, "replica": r, "estimate": graph_graphon_distance_estimate(trace, w)}
+               for t, r, trace in _replica_paths(cfg, w, cfg.horizons)]
     series = [
         {"x": t, "median_estimate": _median(rec["estimate"] for rec in records if rec["horizon"] == t)}
         for t in cfg.horizons
@@ -294,8 +304,7 @@ def _run_degree_tail(cfg: ExperimentConfig, *, t, lam, rel_tol):
     w = cfg.graphon_object()
     target = degree_profile(stretch(w))(lam)
     records = []
-    for r, seed in enumerate(replica_seeds(cfg.seed, range(cfg.replicas))):
-        trace = sample_graphon_process(w, t, seed)
+    for _, r, trace in _replica_paths(cfg, w, (t,)):
         g = snapshot_at(trace, t)
         if g.num_edges == 0:
             records.append({"replica": r, "normalized_count": 0.0})
@@ -378,20 +387,11 @@ def _run_exchangeability(cfg: ExperimentConfig, *, t, bins, n_perms, resamples, 
     weights = np.outer(np.arange(1, bins + 1), np.arange(1, bins + 1)).astype(float)
     np.fill_diagonal(weights, 0.0)
 
-    def box_stats(traces):
-        stats = []
-        for trace in traces:
-            x = xi_box_counts(trace, h, t).astype(float)
-            stats.append(x)
-        return stats
-
-    null_boxes = box_stats(
-        sample_graphon_process(w, t, seed) for seed in replica_seeds(cfg.seed, range(cfg.replicas))
-    )
-    control_boxes = box_stats(
-        _sample_inhomogeneous_control(t, seed, control_p_early, control_p_late)
+    null_boxes = [xi_box_counts(trace, h).astype(float) for _, _, trace in _replica_paths(cfg, w, (t,))]
+    control_boxes = [
+        xi_box_counts(_sample_inhomogeneous_control(t, seed, control_p_early, control_p_late), h).astype(float)
         for seed in replica_seeds(cfg.seed, range(500_000, 500_000 + cfg.replicas))
-    )
+    ]
 
     perm_rng = substream(cfg.seed, TAG_PERMTEST, 0)
     sigmas = [_random_involution(bins, perm_rng) for _ in range(n_perms)]
@@ -419,13 +419,10 @@ def _run_exchangeability(cfg: ExperimentConfig, *, t, bins, n_perms, resamples, 
 def _run_avg_degree_growth(cfg: ExperimentConfig, *, growth_factor):
     w = cfg.graphon_object()
     records = []
-    seeds = replica_seeds(cfg.seed, range(cfg.replicas))
-    for t in cfg.horizons:
-        for r, seed in enumerate(seeds):
-            trace = sample_graphon_process(w, t, seed)
-            g = snapshot_at(trace, t)
-            avg = 2.0 * g.num_edges / g.num_vertices if g.num_vertices else 0.0
-            records.append({"horizon": t, "replica": r, "avg_degree": avg})
+    for t, r, trace in _replica_paths(cfg, w, cfg.horizons):
+        g = snapshot_at(trace, t)
+        avg = 2.0 * g.num_edges / g.num_vertices if g.num_vertices else 0.0
+        records.append({"horizon": t, "replica": r, "avg_degree": avg})
     series = [
         {"x": t, "mean_avg_degree": _mean(rec["avg_degree"] for rec in records if rec["horizon"] == t)}
         for t in cfg.horizons

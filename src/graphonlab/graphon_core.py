@@ -737,13 +737,18 @@ class MixedMembershipGraphon(AnalyticGraphon):
     def step_form(self) -> tuple[StepGraphon, float]:
         return self._flatten(3), self._trunc.target_l1_residual
 
-    _cell_averages = InfiniteBlockGraphon._cell_averages
+    def _cell_averages(self, edges):
+        self._require_step_components()
+        return InfiniteBlockGraphon._cell_averages(self, edges)
+
+    def _require_step_components(self):
+        if not all(isinstance(c, StepGraphon) for row in self.components for c in row):
+            raise GraphonError("a mixed_membership graphon has a step form only when every component is a StepGraphon")
 
     def _flatten(self, weight_cells):
         """Product cells (simplex weight cell) x (common refinement of the
         component blocks within ``[0, x_max]``), laid out weight-cell major."""
-        if not all(isinstance(c, StepGraphon) for row in self.components for c in row):
-            raise GraphonError("flatten_to_line needs step components; got an analytic component")
+        self._require_step_components()
         m = self._trunc.x_max
         lows, widths = _overlay(*(np.minimum(c.boundaries, m) for row in self.components for c in row))
         mids = lows + widths / 2

@@ -4,11 +4,14 @@ Distances are computed by the reduction pipeline that is valid for step
 kernels: re-express both graphons on equal-mass blocks (rounding masses to
 a common quantum and padding with zero blocks, which never changes the
 distance), then optimize the cut norm of the difference over block
-permutations.  Exact mode minimizes over every permutation and is the true
-distance whenever no mass rounding occurred; otherwise the
-mass-perturbation bound ``3 eps ||W||_1`` is added and the result is a
-certified upper bound.  Anneal mode searches permutations by simulated
-annealing and is always reported as an upper bound.
+permutations.  Exact mode minimizes over every permutation of the common
+refinement at the quantum used; when masses were rounded, the
+mass-perturbation bound ``3 eps ||W||_1`` is added.  Either way the result
+is an upper bound on the distance, not the distance: splitting blocks
+admits fractional overlays that no permutation reaches, so a finer quantum
+can give a smaller value.  The label ``exact`` says only that the
+enumeration was complete and no mass was rounded.  Anneal mode searches
+permutations by simulated annealing and is always labelled an upper bound.
 
 The exact search is pruned without giving up exactness.  For a fixed
 permutation let ``r`` be the differences of the block row sums (degrees)
@@ -356,9 +359,11 @@ class DistanceReport:
     """Result of a distance computation.
 
     ``mode`` is ``"exact"`` only when the permutation enumeration ran with
-    zero mass-quantization error, so the value is the distance itself;
-    otherwise the value is a certified upper bound (annealed searches and
-    quantized inputs).  ``witness`` holds the permutation (or coupling
+    zero mass-quantization error; the value is then the minimum over block
+    permutations of the common refinement at the quantum used.  That is an
+    upper bound on the distance, which splitting blocks can lower, not the
+    distance itself.  Otherwise (annealed searches and quantized inputs)
+    the value is a certified upper bound, labelled ``"upper_bound"``.  ``witness`` holds the permutation (or coupling
     description) achieving the value and ``quantization_error`` the
     mass-perturbation slack included in ``value``.  ``budget_spent`` counts
     the permutations whose objective was evaluated: annealing steps in
@@ -569,9 +574,10 @@ def cut_distance(w1, w2, mode: str = "exact", budget: int = 50_000, seed: int = 
     """Cut distance (infimum of the cut norm of the difference over couplings).
 
     Exact mode minimizes over all equal-mass block permutations after
-    :func:`common_refinement`; the result is the distance itself when no
-    mass rounding occurred and a certified upper bound otherwise.  The
-    search scores permutations in increasing order of the degree-difference
+    :func:`common_refinement` at the quantum used, plus the rounding slack
+    when masses were rounded.  The result is an upper bound on the
+    distance even when labelled ``exact``: splitting the blocks further
+    (a smaller ``quantum``) can lower it.  The search scores permutations in increasing order of the degree-difference
     lower bound ``max(sum r+, sum r-) q^2`` (``r`` the block row-sum
     differences under the permutation, ``q`` the block mass) and stops once
     that bound exceeds the best value; value and witness equal those of a

@@ -31,8 +31,8 @@ endpoints or duplicates, and feature rows of unequal width.  A
 on consecutive labels with sorted edges, with one sort of the edge keys on
 consecutive labels otherwise (traces, whose edges come in draw order),
 and by the general path of label sort and endpoint search on any other
-label set.  Snapshots and subgraphs cut labels, edges and rows from checked
-arrays without revalidating them.
+label set.  Snapshots, trace prefixes (:func:`trace_prefix`) and subgraphs
+cut labels, edges and rows from checked arrays without revalidating them.
 """
 
 from __future__ import annotations
@@ -74,6 +74,7 @@ __all__ = [
     "ArrivalSchedule",
     "sample_graphon_process",
     "snapshot_at",
+    "trace_prefix",
     "sample_sequential",
     "sample_dense_wrandom",
     "xi_box_counts",
@@ -583,6 +584,24 @@ def snapshot_at(trace: ProcessTrace, s: float, keep_isolated: bool | None = None
     return g if keep else g.drop_isolated()
 
 
+def trace_prefix(trace: ProcessTrace, s: float) -> ProcessTrace:
+    """The trace cut to the horizon ``s``: the vertices born by ``s`` and the edges among them.
+
+    A run to ``s`` draws exactly this cut of a run to any longer horizon,
+    so for a trace of :func:`sample_graphon_process` the result equals
+    ``sample_graphon_process(trace.graphon, s, trace.seed,
+    trace.keep_isolated)`` in every field.  The cut is the snapshot at ``s``
+    with its isolated vertices, taken from the trace's checked arrays
+    without validating them again; ``s`` outside ``[0, horizon]`` raises
+    :class:`GraphonError`.
+    """
+    g = snapshot_at(trace, s, keep_isolated=True)
+    g.edges.setflags(write=False)
+    cut = object.__new__(ProcessTrace)
+    cut.__dict__.update(vars(trace), horizon=float(s), births=g.births, features=g.features, edges=g.edges)
+    return cut
+
+
 # ---------------------------------------------------------------------------
 # Sequential arrival model
 # ---------------------------------------------------------------------------
@@ -696,18 +715,18 @@ def sample_dense_wrandom(w: StepGraphon, n: int, seed: int) -> SampledGraph:
 # ---------------------------------------------------------------------------
 
 
-def xi_box_counts(trace: ProcessTrace, h: float, horizon: float | None = None) -> np.ndarray:
-    """Symmetric box counts of the edge birth-pair point measure.
+def xi_box_counts(trace: ProcessTrace, h: float) -> np.ndarray:
+    """Symmetric box counts of the edge birth-pair point measure on ``[0, horizon]``.
 
     Entry ``(i, j)`` counts ordered endpoint-birth pairs ``(t_u, t_v)`` with
-    ``t_u`` in the i-th and ``t_v`` in the j-th interval of width ``h``;
-    every edge contributes both orders, so the matrix sums to ``2 |E|``
-    whenever the grid covers the horizon.
+    ``t_u`` in the i-th and ``t_v`` in the j-th interval of width ``h``, the
+    last interval ending at or past the trace's horizon; every edge
+    contributes both orders, so the matrix sums to ``2 |E|``.  The counts of
+    the path up to an earlier time ``s`` are those of ``trace_prefix(trace, s)``.
     """
-    horizon = trace.horizon if horizon is None else float(horizon)
-    if not (0 < h <= horizon):
+    if not (0 < h <= trace.horizon):
         raise GraphonError("grid width must satisfy 0 < h <= horizon")
-    nbins = int(math.ceil(horizon / h - 1e-12))
+    nbins = int(math.ceil(trace.horizon / h - 1e-12))
     box = np.minimum((trace.births / h).astype(np.int64), nbins - 1)[trace.edges - 1]
     counts = np.bincount(box[:, 0] * nbins + box[:, 1], minlength=nbins * nbins).reshape(nbins, nbins)
     return counts + counts.T

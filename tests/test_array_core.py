@@ -23,6 +23,7 @@ from graphonlab.sampling import (
     sample_graphon_process,
     sample_sequential,
     snapshot_at,
+    trace_prefix,
     xi_box_counts,
 )
 
@@ -107,12 +108,15 @@ def oracle_snapshot_at(trace, s, keep_isolated=None):
     return g if keep else oracle_drop_isolated(g)
 
 
-def oracle_xi_box_counts(trace, h, horizon=None):
-    horizon = trace.horizon if horizon is None else float(horizon)
-    nbins = int(math.ceil(horizon / h - 1e-12))
+def oracle_xi_box_counts(trace, h, s=None):
+    """Box counts of the edges among vertices born by ``s`` (default: the horizon), on ``[0, s]``."""
+    s = trace.horizon if s is None else float(s)
+    nbins = int(math.ceil(s / h - 1e-12))
     birth = {v.label: v.birth for v in trace.vertices}
     counts = np.zeros((nbins, nbins), dtype=np.int64)
     for u, v in trace.edges.tolist():
+        if max(birth[u], birth[v]) > s:
+            continue
         bi = min(int(birth[u] / h), nbins - 1)
         bj = min(int(birth[v] / h), nbins - 1)
         counts[bi, bj] += 1
@@ -222,9 +226,9 @@ class TestTraceOracles:
     def test_xi_box_counts(self, trace, bins):
         h = trace.horizon / bins
         assert np.array_equal(xi_box_counts(trace, h), oracle_xi_box_counts(trace, h))
-        # a shorter grid folds later births into its last box
-        assert np.array_equal(xi_box_counts(trace, h, trace.horizon - h / 2),
-                              oracle_xi_box_counts(trace, h, trace.horizon - h / 2))
+        # the path up to an earlier time is the trace cut there
+        s = trace.horizon - h / 2
+        assert np.array_equal(xi_box_counts(trace_prefix(trace, s), h), oracle_xi_box_counts(trace, h, s))
 
     def test_vertex_view(self, trace):
         recs = trace.vertices

@@ -1,5 +1,6 @@
 """Experiment harness: determinism, aggregate consistency, rendering."""
 
+import hashlib
 import inspect
 import json
 import platform
@@ -8,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from graphonlab import experiments
 from graphonlab.experiments import (
     CATALOG,
     ExperimentConfig,
@@ -19,6 +21,7 @@ from graphonlab.experiments import (
     run_experiment,
 )
 from graphonlab.graphon_core import GraphonError
+from graphonlab.sampling import sample_graphon_process
 
 
 def small_config(name, seed=0):
@@ -173,6 +176,37 @@ class TestCatalog:
         render_report(r2, out_dir=str(d2))
         for fname in ("edge_growth_records.csv", "edge_growth_report.json", "edge_growth_chart.svg"):
             assert (d1 / fname).read_bytes() == (d2 / fname).read_bytes()
+
+
+class TestReplicaPaths:
+    """Each replica is sampled once, at the largest horizon; a shorter horizon reads a cut of that trace."""
+
+    # SHA-256 of the CSV records of the default run at seed 0, from when every
+    # (horizon, replica) pair sampled its own trace
+    RECORD_DIGESTS = {
+        "metric_convergence": "d09abdae1167e54210094398d6f1ed08f5f22e90d9e03c3fb362aadec00adc87",
+        "avg_degree_growth": "f0116fcade5e55876eb214f4d5d9844ace7976b9b4bd8055f0ae3aedca551d75",
+    }
+
+    @pytest.mark.parametrize("name", sorted(RECORD_DIGESTS))
+    def test_records_are_pinned(self, name, tmp_path):
+        (path,) = render_report(run_experiment(default_config(name, 0)), formats=("csv",), out_dir=tmp_path)
+        with open(path, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == self.RECORD_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", ["metric_convergence", "avg_degree_growth"])
+    def test_one_trace_per_replica(self, name, monkeypatch):
+        horizons = []
+
+        def counted(w, horizon, seed, *args, **kwargs):
+            horizons.append(horizon)
+            return sample_graphon_process(w, horizon, seed, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "sample_graphon_process", counted)
+        cfg = default_config(name)
+        run_experiment(cfg)
+        assert horizons == [max(cfg.horizons)] * cfg.replicas
+        assert cfg.replicas == {"metric_convergence": 20, "avg_degree_growth": 30}[name]
 
 
 class TestRendering:

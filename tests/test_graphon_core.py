@@ -233,6 +233,9 @@ def switch_truncate_tail(w, eps):
     return truncate_tail(w, eps)
 
 
+MIXED_NO_STEP_FORM = "a mixed_membership graphon has a step form only when every component is a StepGraphon"
+
+
 def outcome(call):
     """The value of ``call()``, or the type and message of the GraphonError it raises."""
     try:
@@ -324,7 +327,7 @@ class TestStepForm:
         if isinstance(w, StepGraphon):
             assert got[0] is w and got[1] == 0.0
         elif name == "mixed":  # a Caron-Fox component has no block structure
-            assert got == (GraphonError, "flatten_to_line needs step components; got an analytic component")
+            assert got == (GraphonError, MIXED_NO_STEP_FORM)
         else:
             step, residual = got
             if isinstance(w, (InfiniteBlockGraphon, MixedMembershipGraphon)):
@@ -340,6 +343,8 @@ class TestStepForm:
         for cells in (1, 3, 4):
             got = outcome(lambda: flatten_to_line(w, cells))
             want = outcome(lambda: switch_flatten_to_line(w, cells))
+            if name == "mixed":  # the replaced body named flatten_to_line in its error
+                want = (GraphonError, MIXED_NO_STEP_FORM)
             assert same_step(got, want) if isinstance(want, StepGraphon) else got == want
 
     @pytest.mark.parametrize("name", sorted(INTERFACE_GRAPHONS))
@@ -356,11 +361,18 @@ class TestStepForm:
         w = INTERFACE_GRAPHONS[name]
         for eps in (0.05, 0.2, 1.0):
             got, want = outcome(lambda: truncate_tail(w, eps)), outcome(lambda: switch_truncate_tail(w, eps))
+            if name == "mixed":  # the replaced arm raised flatten_to_line's error
+                want = (GraphonError, MIXED_NO_STEP_FORM)
             if isinstance(want, TailTruncation):
                 assert (got.mass_bound, got.residual) == (want.mass_bound, want.residual)
                 assert same_step(got.graphon, want.graphon)
             else:
                 assert got == want
+
+    def test_mixed_with_an_analytic_component_has_no_step_form(self):
+        w = INTERFACE_GRAPHONS["mixed"]
+        for call in (lambda: discretize(w, 0.5), lambda: truncate_tail(w, 0.05), lambda: flatten_to_line(w)):
+            assert outcome(call) == (GraphonError, MIXED_NO_STEP_FORM)
 
     def test_h_analytic_of_block_family_is_its_flattening(self):
         w = INTERFACE_GRAPHONS["infinite_block"]

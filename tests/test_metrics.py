@@ -546,6 +546,16 @@ class TestCutDistance:
         rep = cut_distance(w, shuffled, mode="anneal", budget=60_000, seed=2)
         assert rep.value <= 1e-9
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="`exact` labels the permutation minimum of the common refinement at the quantum "
+                              "used, an upper bound on the cut distance that splitting blocks can lower")
+    def test_values_labelled_exact_agree(self):
+        # two blocks give 0.1225 and quantum 1/8 gives 0.10953125, both labelled exact
+        a = StepGraphon([0.5, 0.5], [[0.86, 0.73], [0.73, 0.29]])
+        b = StepGraphon([0.5, 0.5], [[0.78, 0.25], [0.25, 0.96]])
+        exact = [rep.value for rep in (cut_distance(a, b), cut_distance(a, b, quantum=1 / 8)) if rep.mode == "exact"]
+        assert all(abs(value - exact[0]) <= 1e-12 for value in exact)
+
 
 class TestPrunedPermutationSearch:
     """The degree-bound pruned search returns the oracle's value and witness."""

@@ -25,6 +25,7 @@ from graphonlab.sampling import (
     sample_sequential,
     save_trace_file,
     snapshot_at,
+    trace_prefix,
     trace_from_json,
     trace_to_json,
     xi_box_counts,
@@ -177,8 +178,10 @@ class TestSnapshots:
 
     def test_future_rejected(self):
         trace = sample_graphon_process(ONES, 10.0, seed=1)
-        with pytest.raises(GraphonError, match="horizon"):
-            snapshot_at(trace, 10.5)
+        for cut in (snapshot_at, trace_prefix):
+            for s in (-0.5, 10.5):
+                with pytest.raises(GraphonError, match="horizon"):
+                    cut(trace, s)
 
     def test_projectivity(self):
         w = StepGraphon([1.0, 1.0], [[0.9, 0.4], [0.4, 0.1]])

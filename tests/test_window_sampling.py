@@ -40,6 +40,7 @@ from graphonlab.experiments import _sample_inhomogeneous_control
 from graphonlab.graphon_core import (
     CaronFoxGraphon,
     GraphonError,
+    InfiniteBlockGraphon,
     MixedMembershipGraphon,
     RegionIndicatorGraphon,
     StepGraphon,
@@ -59,6 +60,7 @@ from graphonlab.sampling import (
     sample_sequential,
     save_trace_file,
     snapshot_at,
+    trace_prefix,
     trace_to_json,
 )
 
@@ -773,15 +775,35 @@ def test_control_edge_law():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("w", [CF_SHIFTED, MIXED], ids=["caron_fox", "mixed"])
-def test_process_horizon_prefix(w):
-    long = sample_graphon_process(w, 6.0, seed=4, keep_isolated=True)
-    for horizon in (0.4, 2.0, 3.3, 5.999):
-        short = sample_graphon_process(w, horizon, seed=4, keep_isolated=True)
-        cut = snapshot_at(long, horizon, keep_isolated=True)
-        assert np.array_equal(short.births, cut.births)
-        assert np.array_equal(short.features, cut.features)
-        assert np.array_equal(short.edges, cut.edges)
+PREFIX_GRAPHONS = {
+    "step": STEP,
+    "ambient_step": StepGraphon([1.0, 2.0], [[0.9, 0.3], [0.3, 0.1]], ambient_infinite=True),
+    "caron_fox": CF_SHIFTED,
+    "caron_fox_capped": CF_CAPPED,
+    "region_indicator": RegionIndicatorGraphon(0.5, x_max=4.0),
+    "infinite_block": InfiniteBlockGraphon([(0.0, 1.0), (1.5, 3.0), (3.0, 4.0)],
+                                           [[0.9, 0.2, 0.1], [0.2, 0.4, 0.0], [0.1, 0.0, 0.3]], 2),
+    "mixed": MIXED,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PREFIX_GRAPHONS))
+def test_process_horizon_prefix(name):
+    # a run to a shorter horizon is the longer run cut there, in every field
+    w = PREFIX_GRAPHONS[name]
+    keep = name != "ambient_step"  # an infinite-mass space cannot keep its isolated vertices
+    long = sample_graphon_process(w, 6.0, seed=4, keep_isolated=keep)
+    for horizon in (0.0, 0.4, 2.0, 3.3, 5.999, 6.0):
+        short = sample_graphon_process(w, horizon, seed=4, keep_isolated=keep)
+        cut = trace_prefix(long, horizon)
+        assert cut.num_edges or horizon < 2.0  # the cuts past the first windows are not empty
+        assert vars(cut).keys() == vars(short).keys()
+        for field, want in vars(short).items():
+            got = getattr(cut, field)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and np.array_equal(got, want) and not got.flags.writeable, field
+            else:
+                assert got == want and type(got) is type(want), field
 
 
 def test_sequential_and_dense_prefixes_cross_blocks():
