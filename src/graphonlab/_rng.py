@@ -24,6 +24,8 @@ import functools
 
 import numpy as np
 
+from .graphon_core import GraphonError
+
 # Stream namespace tags.  Values are part of the on-disk reproducibility
 # contract: changing them changes every sampled object.
 #
@@ -94,9 +96,12 @@ _A = _consts(_INIT_A, _MULT_A, 64)  # enough for a seed below 2^128 and up to 11
 
 
 def _words(value: int) -> list[int]:
-    """Little-endian 32-bit words of a non-negative integer; ``[0]`` for 0."""
+    """Little-endian 32-bit words of a non-negative integer; ``[0]`` for 0.
+
+    A negative seed or tag raises :class:`GraphonError`, so every entry point
+    reports it as malformed input."""
     if value < 0:
-        raise ValueError("seed and tags must be non-negative integers")
+        raise GraphonError("seed and tags must be non-negative integers")
     words = [value & _MASK]
     while value > _MASK:
         value >>= 32

@@ -95,7 +95,7 @@ def _cmd_hom(args) -> int:
         if not args.spec:
             raise GraphonError("--analytic needs --spec")
         w = load_graphon_file(args.spec)
-        res = h_analytic(f, w, mc_samples=int(args.mc), seed=args.seed)
+        res = h_analytic(f, w, mc_samples=args.mc, seed=args.seed)
         _emit({"h": res.value, "stderr": res.stderr, "finite": res.finite})
         return 0
     if not args.graph:

@@ -10,7 +10,8 @@ masses, so graphs (unit masses) and step graphons share one code path.
 ``inj(F, G)`` follows by Möbius inversion over the quotients of F (Lovász,
 *Large Networks and Graph Limits*, 2012, ch. 5).  Every contraction
 estimates its work first and raises ``CostLimitError`` above
-``MAX_CONTRACTION_WORK``.
+``MAX_CONTRACTION_WORK``; a Monte Carlo density sizes its feature array
+first and raises it above ``MAX_MC_FEATURE_FLOATS``.
 
 Densities rescale by ``(2|E|)^(k/2)`` for graphs and by ``||W||_1^(k/2)``
 for graphons.  Divergence of analytic densities is decided by tail-exponent
@@ -48,6 +49,7 @@ __all__ = [
 
 MAX_MOTIF_VERTICES = 8
 MAX_CONTRACTION_WORK = 10 ** 10  # multiply-adds: about 0.3 s of single-threaded BLAS on a 2-vCPU Xeon VM
+MAX_MC_FEATURE_FLOATS = 10 ** 8  # Monte Carlo feature array of h_analytic: 800 MB of float64
 
 
 @dataclass(frozen=True)
@@ -452,8 +454,14 @@ def h_analytic(f: MotifGraph, w, mc_samples: int = 100_000, seed: int = 0) -> HD
 
     A divergence pre-check on the star moment of the motif's maximal degree
     returns an infinite flag instead of a number when the integral cannot
-    be finite.
+    be finite.  ``mc_samples`` must be an integer of at least 2; a Monte
+    Carlo run whose feature array (``mc_samples x |V(F)| x feature_dim``
+    floats) would exceed ``MAX_MC_FEATURE_FLOATS`` raises
+    ``CostLimitError`` before anything is drawn.
     """
+    if not (mc_samples >= 2 and float(mc_samples).is_integer()):
+        raise GraphonError(f"mc_samples must be an integer of at least 2, got {mc_samples!r}")
+    mc_samples = int(mc_samples)
     norm = l1_norm(w)
     if norm <= 0:
         raise GraphonError("h(F, W) needs ||W||_1 > 0")
@@ -464,6 +472,10 @@ def h_analytic(f: MotifGraph, w, mc_samples: int = 100_000, seed: int = 0) -> HD
     check = star_moment(w, f.max_degree)
     if check.verdict == "infinite":
         return HDensity(math.inf, 0.0, False)
+    floats = mc_samples * k * w.feature_dim
+    if floats > MAX_MC_FEATURE_FLOATS:
+        raise CostLimitError(f"{mc_samples} Monte Carlo samples need {floats} feature floats, "
+                             f"over the cap of {MAX_MC_FEATURE_FLOATS}", float(floats))
     rng = substream(seed, TAG_GENERIC, 17)
     vol = w.region_mass()
     feats = w.sample_features(mc_samples * k, rng)

@@ -54,7 +54,7 @@ from .graphon_core import (
     stretch,
     zero_graphon,
 )
-from .sampling import snapshot_at
+from .sampling import SampledGraph
 
 __all__ = [
     "Coupling",
@@ -363,12 +363,13 @@ class DistanceReport:
     permutations of the common refinement at the quantum used.  That is an
     upper bound on the distance, which splitting blocks can lower, not the
     distance itself.  Otherwise (annealed searches and quantized inputs)
-    the value is a certified upper bound, labelled ``"upper_bound"``.  ``witness`` holds the permutation (or coupling
-    description) achieving the value and ``quantization_error`` the
-    mass-perturbation slack included in ``value``.  ``budget_spent`` counts
-    the permutations whose objective was evaluated: annealing steps in
-    anneal mode, permutations scored before the degree bound pruned the rest
-    in exact mode, and 0 when only the proportional-coupling bound applies.
+    the value is a certified upper bound, labelled ``"upper_bound"``.
+    ``witness`` holds the permutation (or coupling description) achieving
+    the value and ``quantization_error`` the mass-perturbation slack
+    included in ``value``.  ``budget_spent`` counts the permutations whose
+    objective was evaluated: annealing steps in anneal mode, permutations
+    scored before the degree bound pruned the rest in exact mode, and 0
+    when only the proportional-coupling bound applies.
     """
 
     value: float
@@ -577,11 +578,12 @@ def cut_distance(w1, w2, mode: str = "exact", budget: int = 50_000, seed: int = 
     :func:`common_refinement` at the quantum used, plus the rounding slack
     when masses were rounded.  The result is an upper bound on the
     distance even when labelled ``exact``: splitting the blocks further
-    (a smaller ``quantum``) can lower it.  The search scores permutations in increasing order of the degree-difference
-    lower bound ``max(sum r+, sum r-) q^2`` (``r`` the block row-sum
-    differences under the permutation, ``q`` the block mass) and stops once
-    that bound exceeds the best value; value and witness equal those of a
-    full lexicographic enumeration (ties go to the lexicographically first
+    (a smaller ``quantum``) can lower it.  The search scores permutations
+    in increasing order of the degree-difference lower bound
+    ``max(sum r+, sum r-) q^2`` (``r`` the block row-sum differences under
+    the permutation, ``q`` the block mass) and stops once that bound
+    exceeds the best value; value and witness equal those of a full
+    lexicographic enumeration (ties go to the lexicographically first
     permutation), and ``budget_spent`` is the number scored.  Anneal
     mode searches permutations by simulated annealing (always an upper
     bound).  Inputs whose masses are exactly proportional additionally get
@@ -629,9 +631,8 @@ def canonical_graphons(g) -> tuple[StepGraphon, StepGraphon]:
 def _as_stretched(obj) -> StepGraphon:
     if isinstance(obj, StepGraphon):
         return stretch(obj)
-    if hasattr(obj, "labels") and hasattr(obj, "num_edges"):
-        pruned = obj.drop_isolated()
-        return canonical_graphons(pruned)[1]
+    if isinstance(obj, SampledGraph):
+        return canonical_graphons(obj.drop_isolated())[1]
     raise GraphonError(
         f"stretched distance needs a graph or a step graphon, got {type(obj).__name__}"
     )
@@ -640,9 +641,9 @@ def _as_stretched(obj) -> StepGraphon:
 def stretched_cut_distance(a, b, mode: str = "exact", budget: int = 50_000, seed: int = 0, quantum=None) -> DistanceReport:
     """Cut distance after rescaling each side's measure to unit L1 norm.
 
-    Graphs enter through their stretched canonical graphon (isolated
-    vertices are removed first; they never change the value), step graphons
-    through :func:`stretch`.
+    Graphs, a trace as its final graph, enter through their stretched
+    canonical graphon (isolated vertices are removed first; they never
+    change the value), step graphons through :func:`stretch`.
     """
     return cut_distance(_as_stretched(a), _as_stretched(b), mode, budget, seed, quantum)
 
@@ -682,7 +683,7 @@ def graph_graphon_distance_estimate(trace, w: StepGraphon, alignment: str = "fea
     """
     if not isinstance(w, StepGraphon):
         raise GraphonError("distance estimate needs a step graphon reference")
-    g = snapshot_at(trace, trace.horizon, keep_isolated=False)
+    g = trace.drop_isolated()
     b = stretch(w)
     if g.num_edges == 0:
         return l1_norm(b)

@@ -18,21 +18,26 @@ sampler reads only the coins a decision needs (pairs with 0 < W < 1) and
 skips the rest with PCG64 ``advance``, so the layout and every trace are
 those of the full coin draw.
 
-A trace is stored as arrays: ``births`` (N,), ``features`` (N, d) and
-sorted label pairs ``edges`` (E, 2) with ``u < v``.  Labels are implicit,
-1..N in birth order, so the graph at time ``s`` is the label prefix
-``1..k`` with ``k = searchsorted(births, s, "right")``: it keeps the edges
-with ``v <= k``, and an edge is created at ``births[v - 1]``.
-:func:`trace_from_json` rejects labels other than 1..N, births that
-decrease or leave ``[0, horizon]``, edges with ``u >= v``, unknown
-endpoints or duplicates, and feature rows of unequal width.  A
-:class:`SampledGraph` validates its arrays and keeps its edges' rows in
-``labels`` (``edge_rows()``), computed once on construction: in O(|V| + |E|)
-on consecutive labels with sorted edges, with one sort of the edge keys on
-consecutive labels otherwise (traces, whose edges come in draw order),
-and by the general path of label sort and endpoint search on any other
-label set.  Snapshots, trace prefixes (:func:`trace_prefix`) and subgraphs
-cut labels, edges and rows from checked arrays without revalidating them.
+A trace (:class:`ProcessTrace`) is the graph on labels 1..N in birth
+order, with its provenance: a :class:`SampledGraph` whose ``births`` (N,)
+and ``features`` (N, d) are always set and whose sorted label pairs
+``edges`` (E, 2) have ``u < v``, plus the graphon, horizon, seed,
+``keep_isolated`` and sampler layout that drew it.  Every graph function
+accepts a trace as its final graph.  The graph at time ``s`` is the label
+prefix ``1..k`` with ``k = searchsorted(births, s, "right")``: it keeps the
+edges with ``v <= k``, and an edge is created at ``births[v - 1]``.
+:func:`trace_from_json` rejects labels other than 1..N, a negative or
+infinite horizon, births that decrease or leave ``[0, horizon]``, edges
+with ``u >= v``, unknown endpoints or duplicates, and feature rows of
+unequal width.  A :class:`SampledGraph` validates its arrays and keeps its
+edges' rows in ``labels`` (``edge_rows()``), computed once on
+construction: in O(|V| + |E|) on consecutive labels with sorted edges,
+with one sort of the edge keys on consecutive labels otherwise (traces,
+whose edges come in draw order), and by the general path of label sort and
+endpoint search on any other label set.  Snapshots, trace prefixes
+(:func:`trace_prefix`), sequential checkpoints and subgraphs are cut from
+checked arrays by one restriction to a vertex mask, without revalidating
+them.
 """
 
 from __future__ import annotations
@@ -157,7 +162,7 @@ class SampledGraph:
 
     def degree_sequence(self) -> np.ndarray:
         """Degrees aligned with ``labels``."""
-        # the private rows are writable: bincount copies a read-only input
+        # bincount copies a read-only input, as a trace's rows are; a graph's are writable
         return np.bincount(self._rows.ravel(), minlength=self.num_vertices)
 
     def group_edge_counts(self, groups: np.ndarray, k: int) -> np.ndarray:
@@ -181,7 +186,7 @@ class SampledGraph:
     def _restrict(self, keep: np.ndarray) -> "SampledGraph":
         """Subgraph induced on the vertices whose rows are set in the mask ``keep``;
         label order is kept, so the kept edges stay sorted and only their rows shift."""
-        kept = keep[self._rows].all(axis=1)
+        kept = keep[self._rows[:, 0]] & keep[self._rows[:, 1]]  # several times faster than all(axis=1)
         return _set_fields(
             object.__new__(SampledGraph),
             self.labels[keep],
@@ -194,7 +199,7 @@ class SampledGraph:
 
 def _searched_rows(labels: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Canonical edges and their rows in ``labels``, for any label set: one sort of
-    the labels, a binary search of every endpoint and one sort of the edge keys."""
+    the labels, a binary search of every endpoint and :func:`_canonical` on their ranks."""
     order = np.argsort(labels, kind="stable")
     ordered = labels[order]
     if np.any(ordered[1:] == ordered[:-1]):
@@ -206,11 +211,9 @@ def _searched_rows(labels: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, n
     unknown = np.flatnonzero((ordered[ranks] != edges).any(axis=1)) if n else np.arange(len(edges))
     if unknown.size:
         raise _unknown_vertex(edges[unknown[0]])
-    # one integer key per edge, lexicographic in the label order of (min, max)
-    key = np.sort(ranks.min(axis=1) * n + ranks.max(axis=1))
+    ranks = _canonical(ranks, n)
+    rows = order[ranks]
     del ranks  # freed before the (E, 2) outputs: on large graphs it would set the peak
-    _reject_duplicates(key)
-    rows = order[np.column_stack(np.divmod(key, n))]
     return labels[rows], rows
 
 
@@ -227,21 +230,25 @@ def _consecutive_rows(labels: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray
     if outside.any():
         raise _unknown_vertex(edges[np.argmax(outside) // 2])
     del outside  # freed before the (E, 2) outputs
-    if not _is_canonical(rows, n):
-        key = np.sort(np.minimum(rows[:, 0], rows[:, 1]) * n + np.maximum(rows[:, 0], rows[:, 1]))
-        _reject_duplicates(key)
-        rows = np.column_stack(np.divmod(key, n))
+    rows = _canonical(rows, n)
     return rows + base, rows
 
 
-def _is_canonical(rows: np.ndarray, n: int) -> bool:
-    """Whether row pairs are oriented ``u < v`` with strictly increasing keys
-    ``u * n + v``: sorted as the constructor sorts, and so free of duplicates."""
+def _canonical(rows: np.ndarray, n: int) -> np.ndarray:
+    """Row pairs of ``n`` rows in canonical order: oriented ``u < v`` with strictly
+    increasing keys ``u * n + v``.  Pairs already so are returned as they are;
+    any others are sorted by key once, and a repeated key is a duplicate edge."""
     lo, hi = rows[:, 0], rows[:, 1]
-    if not np.all(lo < hi):
-        return False
-    key = lo * n + hi
-    return bool(np.all(key[1:] > key[:-1]))
+    if np.all(lo < hi):
+        key = lo * n + hi
+        if np.all(key[1:] > key[:-1]):
+            return rows
+    key = np.sort(np.minimum(lo, hi) * n + np.maximum(lo, hi))
+    if np.any(key[1:] == key[:-1]):
+        raise GraphonError("duplicate edges are not allowed")
+    out = np.empty((key.size, 2), dtype=key.dtype)
+    np.divmod(key, n, out=(out[:, 0], out[:, 1]))  # no quotient and remainder temporaries to stack
+    return out
 
 
 def _reject_self_loops(edges: np.ndarray) -> None:
@@ -254,11 +261,6 @@ def _unknown_vertex(edge: np.ndarray) -> GraphonError:
     return GraphonError(f"edge ({u}, {v}) references an unknown vertex")
 
 
-def _reject_duplicates(sorted_keys: np.ndarray) -> None:
-    if np.any(sorted_keys[1:] == sorted_keys[:-1]):
-        raise GraphonError("duplicate edges are not allowed")
-
-
 def _set_fields(g: SampledGraph, labels, edges, rows, births, features) -> SampledGraph:
     """Fill ``g`` from arrays that pass the :class:`SampledGraph` checks:
     unique labels, canonically sorted edges and ``rows`` their row positions."""
@@ -268,49 +270,52 @@ def _set_fields(g: SampledGraph, labels, edges, rows, births, features) -> Sampl
     return g
 
 
-@dataclass(frozen=True)
-class ProcessTrace:
-    """Full projective history of one graphon process run.
+def _read_only(g: SampledGraph) -> SampledGraph:
+    """``g`` with every array field made read-only."""
+    for value in vars(g).values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    return g
+
+
+@dataclass(frozen=True, init=False)
+class ProcessTrace(SampledGraph):
+    """Full projective history of one graphon process run: the graph on
+    labels 1..N in birth order, with its provenance.
 
     Vertex ``i`` was born at ``births[i - 1]`` with feature row
     ``features[i - 1]``; ``edges`` are sorted label pairs ``u < v`` (see
-    the module docstring).  The arrays are validated, sorted and made
-    read-only on construction.  ``sampler`` names the random-stream layout
-    that drew the trace (see ``_rng``), None when unknown.
+    the module docstring).  The constructor takes the provenance and the
+    arrays positionally, checks births in ``[0, horizon]`` for a finite
+    horizon, one feature row per vertex and ``u < v``, and then builds the
+    graph on labels 1..N as :class:`SampledGraph` does; every array is
+    read-only.  ``sampler`` names the random-stream layout that drew the
+    trace (see ``_rng``), None when unknown.
     """
 
     graphon: object
     horizon: float
     seed: int
     keep_isolated: bool
-    births: np.ndarray
-    features: np.ndarray
-    edges: np.ndarray
-    sampler: str | None = None
+    sampler: str | None
 
-    def __post_init__(self):
-        births = np.array(self.births, dtype=float).reshape(-1)
-        features = np.array(self.features, dtype=float)
-        edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+    def __init__(self, graphon, horizon, seed, keep_isolated, births, features, edges, sampler=None):
+        births = np.array(births, dtype=float).reshape(-1)
+        features = np.array(features, dtype=float)
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         n = births.size
-        if n and not (np.all(np.diff(births) >= 0) and 0.0 <= births[0] and births[-1] <= self.horizon):
-            raise GraphonError(f"births must be nondecreasing within [0, {self.horizon}]")
+        if not 0 <= horizon < math.inf:
+            raise GraphonError(f"horizon must be finite and non-negative, got {horizon}")
+        if n and not (np.all(np.diff(births) >= 0) and 0.0 <= births[0] and births[-1] <= horizon):
+            raise GraphonError(f"births must be nondecreasing within [0, {horizon}]")
         if features.ndim != 2 or features.shape[0] != n:
             raise GraphonError(f"features must be one row per vertex, got shape {features.shape} for {n} births")
         if np.any(edges[:, 0] >= edges[:, 1]):
             raise GraphonError("trace edges must be label pairs (u, v) with u < v")
-        edges = SampledGraph(np.arange(1, n + 1), edges).edges  # rejects unknown labels and duplicates; sorts
-        for name, arr in (("births", births), ("features", features), ("edges", edges)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @property
-    def num_vertices(self) -> int:
-        return int(self.births.size)
-
-    @property
-    def num_edges(self) -> int:
-        return int(self.edges.shape[0])
+        self.__dict__.update(graphon=graphon, horizon=horizon, seed=seed, keep_isolated=keep_isolated,
+                             sampler=sampler)
+        super().__init__(np.arange(1, n + 1), edges, births, features)
+        _read_only(self)
 
     @property
     def vertices(self) -> tuple[VertexRecord, ...]:
@@ -320,18 +325,6 @@ class ProcessTrace:
 
     def edge_creation_times(self) -> np.ndarray:
         return self.births[self.edges[:, 1] - 1]
-
-
-def _label_prefix(edges: np.ndarray, births: np.ndarray, features: np.ndarray, k: int) -> SampledGraph:
-    """Graph on labels ``1..k`` cut from validated, sorted edges on labels ``1..n``.
-
-    The edges with ``v <= k`` keep their sorted order and label ``i`` is row
-    ``i - 1``: what the :class:`SampledGraph` constructor would build.
-    """
-    # compress is several times faster than a boolean mask on the rows of a 2-d array
-    prefix = np.compress(edges[:, 1] <= k, edges, axis=0)
-    return _set_fields(object.__new__(SampledGraph), np.arange(1, k + 1, dtype=np.int64), prefix,
-                       prefix - 1, births[:k], features[:k])
 
 
 # ---------------------------------------------------------------------------
@@ -535,8 +528,8 @@ def sample_graphon_process(w, horizon: float, seed: int, keep_isolated: bool = F
     edges from ``(TAG_WINDOW_EDGES, k)``, both as for the whole window, then
     cut to ``births <= horizon``.
     """
-    if horizon < 0:
-        raise GraphonError("horizon must be non-negative")
+    if not 0 <= horizon < math.inf:
+        raise GraphonError(f"horizon must be finite and non-negative, got {horizon}")
     _check_probability_kernel(w)
     if keep_isolated and isinstance(w, StepGraphon) and w.ambient_infinite:
         raise GraphonError(
@@ -575,12 +568,13 @@ def snapshot_at(trace: ProcessTrace, s: float, keep_isolated: bool | None = None
     "right")`` and the edges ``(u, v)`` with ``v <= k``.  With
     ``keep_isolated=False`` (the trace default unless overridden) vertices
     of degree zero in the snapshot are removed, giving the finite-graph
-    view of the process.
+    view of the process.  A time outside ``[0, horizon]``, NaN included,
+    raises :class:`GraphonError`.
     """
-    if s < 0 or s > trace.horizon:
+    if not 0 <= s <= trace.horizon:
         raise GraphonError(f"snapshot time {s} outside the sampled horizon [0, {trace.horizon}]")
     keep = trace.keep_isolated if keep_isolated is None else keep_isolated
-    g = _label_prefix(trace.edges, trace.births, trace.features, int(np.searchsorted(trace.births, s, side="right")))
+    g = trace._restrict(np.arange(trace.num_vertices) < np.searchsorted(trace.births, s, side="right"))
     return g if keep else g.drop_isolated()
 
 
@@ -592,14 +586,12 @@ def trace_prefix(trace: ProcessTrace, s: float) -> ProcessTrace:
     ``sample_graphon_process(trace.graphon, s, trace.seed,
     trace.keep_isolated)`` in every field.  The cut is the snapshot at ``s``
     with its isolated vertices, taken from the trace's checked arrays
-    without validating them again; ``s`` outside ``[0, horizon]`` raises
-    :class:`GraphonError`.
+    without validating them again; ``s`` outside ``[0, horizon]``, NaN
+    included, raises :class:`GraphonError`.
     """
-    g = snapshot_at(trace, s, keep_isolated=True)
-    g.edges.setflags(write=False)
     cut = object.__new__(ProcessTrace)
-    cut.__dict__.update(vars(trace), horizon=float(s), births=g.births, features=g.features, edges=g.edges)
-    return cut
+    cut.__dict__.update(vars(trace), **vars(snapshot_at(trace, s, keep_isolated=True)), horizon=float(s))
+    return _read_only(cut)
 
 
 # ---------------------------------------------------------------------------
@@ -672,12 +664,8 @@ def sample_sequential(w, schedule: ArrivalSchedule, steps: int, seed: int,
                         for state, bound in zip(states, s_n.reshape(blocks, _ARRIVAL_BLOCK))])
     edges = _arrival_edges(w, x[:, None], range(0, x.size + 1, _ARRIVAL_BLOCK), steps,
                            Streams(seed, (TAG_SEQ_EDGE,), range(blocks)))
-    full = SampledGraph(np.arange(1, steps + 1, dtype=np.int64), edges)
-    features = x[:steps, None]
-    births = np.arange(1, steps + 1, dtype=float)
-    births.setflags(write=False)
-    features.setflags(write=False)
-    return [_label_prefix(full.edges, births, features, c) for c in marks]
+    full = SampledGraph(np.arange(1, steps + 1), edges, np.arange(1, steps + 1, dtype=float), x[:steps, None])
+    return [full._restrict(np.arange(steps) < c) for c in marks]
 
 
 # ---------------------------------------------------------------------------
@@ -727,9 +715,7 @@ def xi_box_counts(trace: ProcessTrace, h: float) -> np.ndarray:
     if not (0 < h <= trace.horizon):
         raise GraphonError("grid width must satisfy 0 < h <= horizon")
     nbins = int(math.ceil(trace.horizon / h - 1e-12))
-    box = np.minimum((trace.births / h).astype(np.int64), nbins - 1)[trace.edges - 1]
-    counts = np.bincount(box[:, 0] * nbins + box[:, 1], minlength=nbins * nbins).reshape(nbins, nbins)
-    return counts + counts.T
+    return trace.group_edge_counts(np.minimum((trace.births / h).astype(np.int64), nbins - 1), nbins)
 
 
 # ---------------------------------------------------------------------------

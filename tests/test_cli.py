@@ -10,8 +10,8 @@ import pytest
 
 import graphonlab
 from graphonlab.cli import main
-from graphonlab.graphon_core import StepGraphon, save_graphon_file
-from graphonlab.sampling import load_trace_file
+from graphonlab.graphon_core import CaronFoxGraphon, StepGraphon, save_graphon_file
+from graphonlab.sampling import load_trace_file, sample_graphon_process, save_trace_file
 
 
 @pytest.fixture()
@@ -227,25 +227,46 @@ def test_unreadable_input_exit_code(tmp_path, capsys, command, content):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", [
-    ["hom", "--motif", "[]", "--graph", "{path}"],
-    ["hom", "--motif", "[[0,1]", "--graph", "{path}"],
-    ["hom", "--motif", "[[0,1,2]]", "--graph", "{path}"],
-    ["hom", "--motif", '[[0,"a"]]', "--graph", "{path}"],
-    ["hom", "--motif", "[5]", "--graph", "{path}"],
-    ["tailreg", "--graphs", "er_example1:alpha", "--eps", "0.1", "--out", "{out}"],
-    ["tailreg", "--graphs", "er_example1:n=abc", "--eps", "0.1", "--out", "{out}"],
-    ["tailreg", "--graphs", "er_example1:alpha=x", "--eps", "0.1", "--out", "{out}"],
+@pytest.mark.parametrize("command, message", [
+    (["hom", "--motif", "[]", "--graph", "{path}"], "--motif"),
+    (["hom", "--motif", "[[0,1]", "--graph", "{path}"], "--motif"),
+    (["hom", "--motif", "[[0,1,2]]", "--graph", "{path}"], "--motif"),
+    (["hom", "--motif", '[[0,"a"]]', "--graph", "{path}"], "--motif"),
+    (["hom", "--motif", "[5]", "--graph", "{path}"], "--motif"),
+    (["tailreg", "--graphs", "er_example1:alpha", "--eps", "0.1", "--out", "{out}"], "--graphs"),
+    (["tailreg", "--graphs", "er_example1:n=abc", "--eps", "0.1", "--out", "{out}"], "--graphs"),
+    (["tailreg", "--graphs", "er_example1:alpha=x", "--eps", "0.1", "--out", "{out}"], "--graphs"),
+    (["sample", "--spec", "{spec}", "--t", "nan", "--out", "{out}"], "horizon"),
+    (["sample", "--spec", "{spec}", "--t", "inf", "--out", "{out}"], "horizon"),
+    (["hom", "--motif", "edge", "--graph", "{trace}", "--at", "nan"], "horizon"),
+    (["hom", "--motif", "edge", "--analytic", "--spec", "{spec}", "--mc", "1"], "mc_samples"),
+    (["sample", "--spec", "{spec}", "--t", "1", "--seed", "-1", "--out", "{out}"], "seed"),
+    (["cutnorm", "--spec", "{spec}", "--mode", "heuristic", "--seed", "-1"], "seed"),
+    (["cutdist", "--a", "{spec}", "--b", "{other}", "--mode", "anneal", "--seed", "-1"], "seed"),
+    (["hom", "--motif", "edge", "--analytic", "--spec", "{analytic}", "--seed", "-1"], "seed"),
+    (["tailreg", "--graphs", "er_example1:n=10", "--eps", "0.1", "--seed", "-1", "--out", "{out}"], "seed"),
+    (["experiment", "edge_growth", "--seed", "-1", "--out", "{out}"], "seed"),
+    (["experiment", "edge_growth", "--config", "{config}", "--out", "{out}"], "seed"),
 ], ids=["empty_motif", "motif_cut_short", "motif_triple", "motif_not_integer", "motif_not_pairs",
-        "family_no_value", "family_size_not_integer", "family_alpha_not_number"])
-def test_malformed_argument_exit_code(tmp_path, capsys, command):
-    """A malformed --motif or --graphs argument is reported in one line with exit 2, before any file is read."""
-    path, out = tmp_path / "missing.json", tmp_path / "out.csv"
-    code = main([arg.format(path=path, out=out) for arg in command])
+        "family_no_value", "family_size_not_integer", "family_alpha_not_number", "horizon_nan",
+        "horizon_inf", "snapshot_time_nan", "one_mc_sample", "sample_seed", "cutnorm_seed", "cutdist_seed",
+        "hom_seed", "tailreg_seed", "experiment_seed", "config_seed"])
+def test_malformed_argument_exit_code(tmp_path, capsys, command, message):
+    """A malformed argument is reported in one line with exit 2 and writes no output; a malformed
+    --motif or --graphs is reported before any file is read."""
+    files = {"path": tmp_path / "missing.json", "out": tmp_path / "out.csv", "spec": tmp_path / "w.json",
+             "other": tmp_path / "u.json", "analytic": tmp_path / "cf.json", "trace": tmp_path / "t.json",
+             "config": tmp_path / "cfg.json"}
+    save_graphon_file(StepGraphon([1.0], [[0.5]]), files["spec"])
+    save_graphon_file(StepGraphon([1.0, 1.0], [[0.5, 0.1], [0.1, 0.3]]), files["other"])
+    save_graphon_file(CaronFoxGraphon("shifted_power", 1.0, 2.0, x_max=10.0), files["analytic"])
+    save_trace_file(sample_graphon_process(StepGraphon([1.0], [[0.5]]), 3.0, seed=0), files["trace"])
+    files["config"].write_text(json.dumps({"experiment": "edge_growth", "seed": -2}))
+    code = main([arg.format(**files) for arg in command])
     err = capsys.readouterr().err
     assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
-    assert "--motif" in err or "--graphs" in err
-    assert not out.exists()
+    assert message in err
+    assert not files["out"].exists()
 
 
 def test_no_scipy_or_networkx_loaded():

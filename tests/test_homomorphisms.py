@@ -377,6 +377,20 @@ class TestHAnalytic:
         assert mc.finite
         assert abs(mc.value - exact) <= 5 * mc.stderr + 0.02
 
+    @pytest.mark.parametrize("count", [0, 1, 0.5, -5, 2.5, math.nan, math.inf])
+    def test_monte_carlo_count_checked_before_any_draw(self, count, monkeypatch):
+        w = CaronFoxGraphon("shifted_power", 1.0, 2.0, x_max=6.0)
+        monkeypatch.setattr(homomorphisms, "substream", lambda *a: pytest.fail("drew samples"))
+        with pytest.raises(GraphonError, match="mc_samples must be an integer of at least 2"):
+            h_analytic(motif("triangle"), w, mc_samples=count)
+
+    def test_monte_carlo_feature_array_is_capped(self, monkeypatch):
+        w = CaronFoxGraphon("shifted_power", 1.0, 2.0, x_max=6.0)
+        monkeypatch.setattr(homomorphisms, "substream", lambda *a: pytest.fail("drew samples"))
+        with pytest.raises(CostLimitError, match="Monte Carlo") as err:
+            h_analytic(motif("triangle"), w, mc_samples=10 ** 12)
+        assert err.value.cost_estimate == 3 * 10 ** 12 > homomorphisms.MAX_MC_FEATURE_FLOATS
+
     def test_mixed_membership_mc_matches_flatten(self):
         from graphonlab.graphon_core import MixedMembershipGraphon, flatten_to_line
 

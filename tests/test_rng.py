@@ -18,6 +18,7 @@ import graphonlab
 
 from graphonlab._rng import TAG_REPLICA, Streams, generator, stream_states, substream
 from graphonlab.experiments import replica_seed, replica_seeds
+from graphonlab.graphon_core import GraphonError
 
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**130 + 7]
 PREFIXES = [(12,), (5, 1), (2**32 + 5,), (7, 2**40 + 3)]
@@ -76,6 +77,15 @@ def test_bad_keys_and_seeds_are_rejected():
         substream(0)
     with pytest.raises(ValueError):
         generator(np.zeros(2, dtype=np.uint64))
+
+
+def test_negative_seeds_are_malformed_input():
+    # GraphonError, which every entry point and the command line report as malformed input
+    for seed, tags in ((-1, (1,)), (0, (1, -2)), (-(2 ** 40), (6,))):
+        with pytest.raises(GraphonError, match="non-negative"):
+            substream(seed, *tags)
+        with pytest.raises(GraphonError, match="non-negative"):
+            stream_states(seed, tags, [0])
 
 
 def test_streams_build_lazily_once():

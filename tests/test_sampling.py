@@ -128,6 +128,11 @@ class TestGraphonProcess:
         mean = np.mean(per_window)
         assert abs(mean - 1.0) <= 4 / math.sqrt(len(per_window))
 
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf, -1.0])
+    def test_horizon_must_be_finite_and_non_negative(self, horizon):
+        with pytest.raises(GraphonError, match="horizon must be finite and non-negative"):
+            sample_graphon_process(ONES, horizon, seed=0)
+
     def test_infinite_ambient_with_isolated_rejected(self):
         w = StepGraphon([1.0], [[1.0]], ambient_infinite=True)
         with pytest.raises(GraphonError, match="infinite"):
@@ -179,7 +184,7 @@ class TestSnapshots:
     def test_future_rejected(self):
         trace = sample_graphon_process(ONES, 10.0, seed=1)
         for cut in (snapshot_at, trace_prefix):
-            for s in (-0.5, 10.5):
+            for s in (-0.5, 10.5, math.nan):
                 with pytest.raises(GraphonError, match="horizon"):
                     cut(trace, s)
 
@@ -354,6 +359,17 @@ def _ragged_features(p):
     p["vertices"][1]["feature"] = p["vertices"][1]["feature"] + [0.5]
 
 
+def _edge_without_vertices(p):
+    p.update(vertices=[], edges=[[1, 2]])
+
+
+def _empty_with_horizon(horizon):
+    # json reads the tokens NaN and Infinity as these floats
+    def corrupt(p):
+        p.update(vertices=[], edges=[], horizon=horizon)
+    return corrupt
+
+
 class TestTraceSerialization:
     def test_roundtrip(self):
         trace = sample_graphon_process(ONES, 8.0, seed=2)
@@ -424,8 +440,13 @@ class TestTraceSerialization:
         (_unknown_label, "unknown vertex"),
         (_duplicate_edge, "duplicate"),
         (_ragged_features, "malformed"),
+        (_edge_without_vertices, r"edge \(1, 2\) references an unknown vertex"),
+        (_empty_with_horizon(math.nan), "horizon must be finite and non-negative"),
+        (_empty_with_horizon(-3.0), "horizon must be finite and non-negative"),
+        (_empty_with_horizon(math.inf), "horizon must be finite and non-negative"),
     ], ids=["labels", "decreasing_births", "birth_past_horizon", "reversed_edge", "unknown_label",
-            "duplicate_edge", "ragged_features"])
+            "duplicate_edge", "ragged_features", "edge_without_vertices", "nan_horizon", "negative_horizon",
+            "infinite_horizon"])
     def test_rejects_malformed_payload(self, corrupt, match):
         payload = _small_payload()
         trace_from_json(payload)

@@ -47,13 +47,13 @@ from graphonlab.graphon_core import (
     constant_graphon,
     evaluate,
 )
+from graphonlab.metrics import stretched_cut_distance
 from graphonlab.sampling import (
     ArrivalSchedule,
     ProcessTrace,
     SampledGraph,
     _check_probability_kernel,
     _draw_features,
-    _label_prefix,
     load_trace_file,
     sample_dense_wrandom,
     sample_graphon_process,
@@ -318,6 +318,11 @@ def window_sample_graphon_process(w, horizon: float, seed: int, keep_isolated: b
         logger.info("birth-time tie broken by draw order (seed=%s horizon=%s)", seed, horizon)
     return ProcessTrace(w, float(horizon), int(seed), bool(keep_isolated), births, feats, np.concatenate(edges),
                         _SAMPLER_LAYOUT)
+
+
+def _label_prefix(edges: np.ndarray, births: np.ndarray, features: np.ndarray, k: int) -> SampledGraph:
+    """Graph on labels ``1..k`` cut from sorted edges on labels ``1..n``: the edges with ``v <= k``."""
+    return SampledGraph(np.arange(1, k + 1), edges[edges[:, 1] <= k], births[:k], features[:k])
 
 
 def window_sample_sequential(w, schedule: ArrivalSchedule, steps: int, seed: int,
@@ -804,6 +809,25 @@ def test_process_horizon_prefix(name):
                 assert got.dtype == want.dtype and np.array_equal(got, want) and not got.flags.writeable, field
             else:
                 assert got == want and type(got) is type(want), field
+
+
+@pytest.mark.parametrize("name", sorted(PREFIX_GRAPHONS))
+def test_trace_is_its_final_graph(name):
+    # a trace is the graph on labels 1..N: graph functions read it as its snapshot at the horizon
+    trace = sample_graphon_process(PREFIX_GRAPHONS[name], 6.0, seed=4, keep_isolated=name != "ambient_step")
+    final = snapshot_at(trace, trace.horizon, keep_isolated=True)
+    assert isinstance(trace, SampledGraph)
+    assert not any(a.flags.writeable for a in vars(trace).values() if isinstance(a, np.ndarray))
+    assert np.array_equal(trace.degree_sequence(), final.degree_sequence())
+    assert np.array_equal(trace.edge_rows(), final.edge_rows())
+    groups = np.arange(trace.num_vertices) % 3
+    assert np.array_equal(trace.group_edge_counts(groups, 3), final.group_edge_counts(groups, 3))
+    _assert_graphs_equal(trace.drop_isolated(), final.drop_isolated())
+    # a short cut keeps the distance search small; the quantum is the stretched vertex mass
+    short, ref = trace_prefix(trace, 2.0), constant_graphon(1.0)
+    kwargs = dict(mode="anneal", budget=20, quantum=1 / math.sqrt(2 * short.num_edges))
+    assert stretched_cut_distance(short, ref, **kwargs) == stretched_cut_distance(
+        snapshot_at(short, short.horizon), ref, **kwargs)
 
 
 def test_sequential_and_dense_prefixes_cross_blocks():
