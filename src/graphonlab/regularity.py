@@ -9,13 +9,14 @@ probes the opposite behavior; sparse families cannot satisfy both.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._rng import TAG_GENERIC, substream
-from .graphon_core import GraphonError
+from .graphon_core import CostLimitError, GraphonError
 from .sampling import SampledGraph
 
 __all__ = [
@@ -31,6 +32,11 @@ __all__ = [
     "perfect_matching",
     "cycle_graph",
 ]
+
+logger = logging.getLogger(__name__)
+
+# expected edges of one example-family graph: about 50 bytes an edge at the peak, so 1 GB
+MAX_FAMILY_EDGES = 2 * 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -166,24 +172,44 @@ def upper_regularity_statistic(g: SampledGraph, partition_classes: int, k_value:
 # ---------------------------------------------------------------------------
 
 
+def _check_family_edges(expected: float, what: str) -> None:
+    if expected > MAX_FAMILY_EDGES:
+        raise CostLimitError(f"{what} expects about {expected:.3g} edges, above the {MAX_FAMILY_EDGES:.3g} "
+                             "edge limit", expected)
+
+
+def _gap_buffer(expect: int) -> int:
+    """Gaps drawn per buffer: at least eight standard deviations above the expected edge count."""
+    return expect + 8 * math.isqrt(expect) + 16
+
+
 def _decode_upper_triangle(linear: np.ndarray, n: int) -> np.ndarray:
-    """Row-major upper-triangle linear indices to 1-based pairs (i, j), i < j, in one (E, 2) array."""
+    """Strictly increasing row-major upper-triangle linear indices to 1-based
+    pairs (i, j), i < j, in one (E, 2) array.
+
+    Row i (0-based) starts at index ``i (2n - 1 - i) / 2``, so one search of
+    the n row starts in the increasing indices counts each row's picks, and
+    both columns are repeats of per-row integers: no square root per edge.
+    """
+    i = np.arange(n, dtype=np.int64)
+    start = i * (2 * n - 1 - i) // 2
+    counts = np.diff(np.searchsorted(linear, start), append=linear.size)
     pairs = np.empty((linear.size, 2), dtype=np.int64)
-    i = pairs[:, 0]
-    b = 2 * n - 1
-    i[:] = np.floor((b - np.sqrt(b * b - 8.0 * linear)) / 2.0)
-    # float guard: fix rows off by one
-    i[i * (b - i) // 2 > linear] -= 1
-    pairs[:, 1] = linear - i * (b - i) // 2 + i + 2
-    i += 1
+    np.subtract(linear, np.repeat(start - i - 2, counts), out=pairs[:, 1])
+    pairs[:, 0] = np.repeat(i + 1, counts)
     return pairs
 
 
 def er_power_graph(n: int, alpha: float, seed: int) -> SampledGraph:
     """Erdos-Renyi graph with edge probability ``n^(alpha-1)``.
 
-    Sampled by geometric gap skipping over the upper triangle, so the cost
-    is proportional to the edge count.  ``n = 0`` gives the empty graph.
+    Sampled by geometric gap skipping over the upper triangle (Batagelj and
+    Brandes 2005), so the cost is proportional to the edge count: the gaps
+    are drawn into one buffer sized well above the expected edge count, and
+    into another of the same size only in the rare case it falls short.
+    ``n = 0`` gives the empty graph; an expected edge count above
+    ``MAX_FAMILY_EDGES`` raises :class:`CostLimitError` before anything is
+    drawn.
     """
     if n < 0:
         raise GraphonError("vertex count must be non-negative")
@@ -193,26 +219,34 @@ def er_power_graph(n: int, alpha: float, seed: int) -> SampledGraph:
     if not 0.0 < p <= 1.0:
         raise GraphonError(f"edge probability n^(alpha-1) = {p} must lie in (0, 1]; got alpha={alpha} for n={n}")
     total = n * (n - 1) // 2
+    _check_family_edges(total * p, f"er_power_graph with n={n}, alpha={alpha}")
     rng = substream(seed, TAG_GENERIC, 23)
-    picks: list[np.ndarray] = []
-    position = -1
-    expect = int(total * p)
+    size = _gap_buffer(int(total * p))
+    # geometric draws one value at a time, so the gaps do not depend on the buffer size
+    pieces, position = [], -1
     while True:
-        gaps = rng.geometric(p, size=max(1024, int(0.2 * expect) + 16))
-        offsets = position + np.cumsum(gaps)
-        inside = offsets < total
-        picks.append(offsets[inside])
-        if not inside.all():
+        offsets = rng.geometric(p, size=size)
+        np.cumsum(offsets, out=offsets)
+        offsets += position
+        cut = int(np.searchsorted(offsets, total))  # the offsets strictly increase
+        pieces.append(offsets[:cut])
+        if cut < size:
             break
         position = int(offsets[-1])
-    pairs = _decode_upper_triangle(np.concatenate(picks), n)
-    del picks  # freed before the constructor, whose own peak then sets the call's
+    pairs = _decode_upper_triangle(pieces[0] if len(pieces) == 1 else np.concatenate(pieces), n)
+    logger.debug("er_power_graph: n=%d p=%.6g, %d gaps drawn in %d buffers, %d edges kept",
+                 n, p, size * len(pieces), len(pieces), len(pairs))
+    del pieces, offsets  # freed before the constructor, whose own peak then sets the call's
     return SampledGraph(np.arange(1, n + 1, dtype=np.int64), pairs)
 
 
 def clique_plus_isolated(n: int, alpha: float) -> SampledGraph:
-    """``floor(n^((1+alpha)/2))`` vertices forming a clique, the rest isolated."""
+    """``floor(n^((1+alpha)/2))`` vertices forming a clique, the rest isolated.
+
+    A clique of more than ``MAX_FAMILY_EDGES`` edges raises
+    :class:`CostLimitError` before anything is allocated."""
     m = int(math.floor(float(n) ** ((1.0 + alpha) / 2.0)))
+    _check_family_edges(m * (m - 1) / 2, f"clique_plus_isolated with n={n}, alpha={alpha}")
     edges = np.column_stack(np.triu_indices(m, 1)) + 1
     return SampledGraph(np.arange(1, n + 1, dtype=np.int64), edges)
 

@@ -161,9 +161,8 @@ class SampledGraph:
         return rows
 
     def degree_sequence(self) -> np.ndarray:
-        """Degrees aligned with ``labels``."""
-        # bincount copies a read-only input, as a trace's rows are; a graph's are writable
-        return np.bincount(self._rows.ravel(), minlength=self.num_vertices)
+        """Degrees aligned with ``labels``; read-only, counted on construction."""
+        return self._degrees
 
     def group_edge_counts(self, groups: np.ndarray, k: int) -> np.ndarray:
         """``(k, k)`` counts of ordered adjacent vertex pairs ``(i, j)`` by the
@@ -263,8 +262,12 @@ def _unknown_vertex(edge: np.ndarray) -> GraphonError:
 
 def _set_fields(g: SampledGraph, labels, edges, rows, births, features) -> SampledGraph:
     """Fill ``g`` from arrays that pass the :class:`SampledGraph` checks:
-    unique labels, canonically sorted edges and ``rows`` their row positions."""
-    for name, value in (("labels", labels), ("edges", edges), ("_rows", rows),
+    unique labels, canonically sorted edges and ``rows`` their row positions.
+    The degrees are counted here, the one place every graph is built, while
+    ``rows`` is still writable: ``bincount`` copies a read-only input."""
+    degrees = np.bincount(rows.ravel(), minlength=labels.size)
+    degrees.setflags(write=False)
+    for name, value in (("labels", labels), ("edges", edges), ("_rows", rows), ("_degrees", degrees),
                         ("births", births), ("features", features)):
         object.__setattr__(g, name, value)
     return g
@@ -492,12 +495,13 @@ def _poisson_window_pairs(f_prior: np.ndarray, f_new: np.ndarray, rng: np.random
     which is zero outside the truncation like the kernel.
     """
     p = f_prior.size
-    cross = int(rng.poisson(f_new.sum() * f_prior.sum()))
-    u = _proportional_draw(f_prior, cross, rng)
-    v = p + _proportional_draw(f_new, cross, rng)
-    within = int(rng.poisson(f_new.sum() ** 2 / 2.0))
-    a = p + _proportional_draw(f_new, within, rng)
-    b = p + _proportional_draw(f_new, within, rng)
+    total_prior, total_new = f_prior.sum(), f_new.sum()
+    cross = int(rng.poisson(total_new * total_prior))
+    u = _proportional_draw(f_prior, total_prior, cross, rng)
+    v = p + _proportional_draw(f_new, total_new, cross, rng)
+    within = int(rng.poisson(total_new ** 2 / 2.0))
+    a = p + _proportional_draw(f_new, total_new, within, rng)
+    b = p + _proportional_draw(f_new, total_new, within, rng)
     distinct = a != b
     u = np.concatenate([u, np.minimum(a, b)[distinct]])
     v = np.concatenate([v, np.maximum(a, b)[distinct]])
@@ -506,11 +510,22 @@ def _poisson_window_pairs(f_prior: np.ndarray, f_new: np.ndarray, rng: np.random
     return np.column_stack(np.divmod(key, size))
 
 
-def _proportional_draw(weights: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
-    """``count`` iid indices with probability proportional to ``weights``."""
+def _proportional_draw(weights: np.ndarray, total: float, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` iid indices with probability proportional to ``weights``, which sum to ``total``.
+
+    The steps of ``rng.choice(weights.size, count, p=weights / total)``,
+    so the same indices and the same generator state after the call:
+    the normalized cumulative sum, rescaled to end at 1, searched to the
+    right by ``count`` uniforms.  ``choice``'s checks of ``p`` are left out
+    because they hold by construction: the weights are finite and
+    non-negative, and a positive count, a Poisson draw of mean proportional
+    to ``total``, implies ``total > 0``.
+    """
     if count == 0:  # the weights may all be zero then
         return np.zeros(0, dtype=np.int64)
-    return rng.choice(weights.size, size=count, p=weights / weights.sum())
+    cdf = np.cumsum(weights / total)
+    cdf /= cdf[-1]
+    return np.searchsorted(cdf, rng.random(count), side="right").astype(np.int64, copy=False)
 
 
 def sample_graphon_process(w, horizon: float, seed: int, keep_isolated: bool = False) -> ProcessTrace:

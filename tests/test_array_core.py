@@ -301,16 +301,25 @@ class TestEdgeRows:
         assert np.array_equal(g.edge_rows(), oracle_edge_rows(g))
 
     def test_degree_sequence_does_not_copy_rows(self):
-        # numpy's bincount copies a read-only input; the degrees read the writable private rows
-        g = er_power_graph(6000, 0.5, seed=2)
-        tracemalloc.start()
-        try:
-            degrees = g.degree_sequence()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert np.array_equal(degrees, np.bincount(g.edges.ravel() - 1, minlength=6000))
-        assert peak < 0.1 * g.edge_rows().nbytes
+        # numpy's bincount copies a read-only input, as a trace's rows are: the degrees are counted
+        # on construction, while the rows are writable, and every later call returns them
+        trace = sample_graphon_process(StepGraphon([1.0], [[0.5]]), 450.0, seed=3)
+        assert trace.num_edges > 40_000
+        graphs = [er_power_graph(6000, 0.5, seed=2), trace]
+        graphs += [g.drop_isolated() for g in graphs]
+        # a cut takes the trace's other fields: its degrees must be its own
+        graphs += [trace_prefix(trace, 200.0), trace_prefix(trace, 0.0), snapshot_at(trace, 200.0)]
+        for g in graphs:
+            tracemalloc.start()
+            try:
+                degrees = g.degree_sequence()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            ranks = np.searchsorted(g.labels, g.edges)
+            assert np.array_equal(degrees, np.bincount(ranks.ravel(), minlength=g.num_vertices))
+            assert peak < 1024
+            assert not degrees.flags.writeable
 
     @pytest.mark.parametrize("labels, edges, message", [
         ([4, 2, 4], [], "vertex labels must be unique"),
@@ -409,7 +418,7 @@ class TestConsecutiveLabels:
             for out in (g.edges, g.edge_rows(), t.edges):
                 assert not np.shares_memory(out, edges)
             assert edges.flags.writeable and np.array_equal(edges, given)
-            # degree_sequence reads the private rows, which must stay writable for bincount not to copy
+            # the constructor counts the degrees from the private rows, which bincount copies if read-only
             assert g._rows.flags.writeable
         lab = np.arange(1, 4)
         g = SampledGraph(lab, [[1, 2], [2, 3]])

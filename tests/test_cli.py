@@ -236,6 +236,8 @@ def test_unreadable_input_exit_code(tmp_path, capsys, command, content):
     (["tailreg", "--graphs", "er_example1:alpha", "--eps", "0.1", "--out", "{out}"], "--graphs"),
     (["tailreg", "--graphs", "er_example1:n=abc", "--eps", "0.1", "--out", "{out}"], "--graphs"),
     (["tailreg", "--graphs", "er_example1:alpha=x", "--eps", "0.1", "--out", "{out}"], "--graphs"),
+    (["tailreg", "--graphs", "er_example1:alpha=1:n=1000000", "--eps", "0.1", "--out", "{out}"], "edge limit"),
+    (["tailreg", "--graphs", "clique_example1:alpha=1:n=1000000", "--eps", "0.1", "--out", "{out}"], "edge limit"),
     (["sample", "--spec", "{spec}", "--t", "nan", "--out", "{out}"], "horizon"),
     (["sample", "--spec", "{spec}", "--t", "inf", "--out", "{out}"], "horizon"),
     (["hom", "--motif", "edge", "--graph", "{trace}", "--at", "nan"], "horizon"),
@@ -248,7 +250,8 @@ def test_unreadable_input_exit_code(tmp_path, capsys, command, content):
     (["experiment", "edge_growth", "--seed", "-1", "--out", "{out}"], "seed"),
     (["experiment", "edge_growth", "--config", "{config}", "--out", "{out}"], "seed"),
 ], ids=["empty_motif", "motif_cut_short", "motif_triple", "motif_not_integer", "motif_not_pairs",
-        "family_no_value", "family_size_not_integer", "family_alpha_not_number", "horizon_nan",
+        "family_no_value", "family_size_not_integer", "family_alpha_not_number", "er_too_many_edges",
+        "clique_too_many_edges", "horizon_nan",
         "horizon_inf", "snapshot_time_nan", "one_mc_sample", "sample_seed", "cutnorm_seed", "cutdist_seed",
         "hom_seed", "tailreg_seed", "experiment_seed", "config_seed"])
 def test_malformed_argument_exit_code(tmp_path, capsys, command, message):

@@ -1,12 +1,14 @@
 """Tail profiles, the uniform-tail search, and degree statistics."""
 
+import logging
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from graphonlab.graphon_core import GraphonError
+from graphonlab import regularity
+from graphonlab.graphon_core import CostLimitError, GraphonError
 from graphonlab.regularity import (
     _decode_upper_triangle,
     clique_plus_isolated,
@@ -21,6 +23,18 @@ from graphonlab.regularity import (
     upper_regularity_statistic,
 )
 from graphonlab.sampling import SampledGraph
+
+
+def float_decode_upper_triangle(linear, n):
+    """Oracle: the decode by a float square root per index, with a guard for rows off by one."""
+    pairs = np.empty((linear.size, 2), dtype=np.int64)
+    i = pairs[:, 0]
+    b = 2 * n - 1
+    i[:] = np.floor((b - np.sqrt(b * b - 8.0 * linear)) / 2.0)
+    i[i * (b - i) // 2 > linear] -= 1
+    pairs[:, 1] = linear - i * (b - i) // 2 + i + 2
+    i += 1
+    return pairs
 
 
 def complete_graph(n):
@@ -175,15 +189,62 @@ class TestGraphFamilies:
         for n in (2, 3, 7, 64):
             linear = np.arange(n * (n - 1) // 2)
             assert np.array_equal(_decode_upper_triangle(linear, n), np.column_stack(np.triu_indices(n, 1)) + 1)
-        # a large triangle, both ends included: row i is the last row whose start i (2n - i - 1) / 2 <= index
+        # a large triangle, both ends included, in strictly increasing indices as er_power_graph draws
+        # them: row i is the last row whose start i (2n - i - 1) / 2 <= index
         n = 50_000
         total = n * (n - 1) // 2
-        linear = np.concatenate([np.arange(2000), np.random.default_rng(0).integers(0, total, 5000),
-                                 np.arange(total - 2000, total)])
+        linear = np.unique(np.concatenate([np.arange(2000), np.random.default_rng(0).integers(0, total, 5000),
+                                           np.arange(total - 2000, total)]))
         starts = np.arange(n - 1) * (2 * n - np.arange(n - 1) - 1) // 2
         i = np.searchsorted(starts, linear, side="right") - 1
         expected = np.column_stack((i, linear - starts[i] + i + 1)) + 1
         assert np.array_equal(_decode_upper_triangle(linear, n), expected)
+        assert np.array_equal(float_decode_upper_triangle(linear, n), expected)
+
+    def test_er_decode_matches_float_oracle(self):
+        for n, alpha in ((1, 0.5), (2, 1.0), (17, 0.9), (400, 1.0), (5000, 0.5)):
+            for seed in range(3):
+                g = er_power_graph(n, alpha, seed)
+                linear = (g.edges[:, 0] - 1) * (2 * n - g.edges[:, 0]) // 2 + g.edges[:, 1] - g.edges[:, 0] - 1
+                assert np.array_equal(float_decode_upper_triangle(linear, n), g.edges)
+                assert np.array_equal(_decode_upper_triangle(linear, n), g.edges)
+
+    def test_er_short_gap_buffers_draw_the_same_edges(self, monkeypatch, caplog):
+        # geometric draws one value at a time: buffers that fall short, many times over, change nothing
+        expected = [er_power_graph(n, 0.5, seed=4).edges for n in (2, 30, 1000)]
+        monkeypatch.setattr(regularity, "_gap_buffer", lambda expect: 7)
+        with caplog.at_level(logging.DEBUG, logger="graphonlab.regularity"):
+            got = [er_power_graph(n, 0.5, seed=4).edges for n in (2, 30, 1000)]
+        for a, b in zip(got, expected):
+            assert np.array_equal(a, b)
+        edges = expected[-1].shape[0]
+        buffers = edges // 7 + 1
+        assert caplog.records[-1].getMessage() == (
+            f"er_power_graph: n=1000 p={1000 ** -0.5:.6g}, {7 * buffers} gaps drawn in {buffers} buffers, "
+            f"{edges} edges kept")
+
+    def test_family_cost_is_checked_before_anything_is_allocated(self):
+        for build, expected in ((lambda: er_power_graph(1_000_000, 1.0, seed=0), 1_000_000 * 999_999 / 2),
+                                (lambda: er_power_graph(10 ** 9, 0.5, seed=0), (10 ** 9 - 1) / 2 * 10 ** 4.5),
+                                (lambda: clique_plus_isolated(10 ** 6, 1.0), 1_000_000 * 999_999 / 2)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(CostLimitError, match="edge limit") as info:
+                    build()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert isinstance(info.value, GraphonError)
+            assert info.value.cost_estimate == pytest.approx(expected)
+            assert peak < 1 << 20
+
+    def test_family_cost_limit_is_inclusive(self, monkeypatch):
+        # alpha = 1: the clique spans every vertex and the ER graph is complete, both C(n, 2) edges
+        monkeypatch.setattr(regularity, "MAX_FAMILY_EDGES", 45)
+        assert clique_plus_isolated(10, 1.0).num_edges == er_power_graph(10, 1.0, seed=0).num_edges == 45
+        for build in (lambda: clique_plus_isolated(11, 1.0), lambda: er_power_graph(11, 1.0, seed=0)):
+            with pytest.raises(CostLimitError, match="above the 45 edge limit"):
+                build()
 
     def test_er_memory_is_the_constructors(self):
         # the picks and linear indices are freed before the constructor runs

@@ -18,6 +18,7 @@ from graphonlab.graphon_core import (
 from graphonlab.regularity import er_power_graph
 from graphonlab.sampling import (
     ArrivalSchedule,
+    _proportional_draw,
     SampledGraph,
     load_trace_file,
     sample_dense_wrandom,
@@ -431,6 +432,38 @@ class TestTraceSerialization:
         ):
             edges = er_power_graph(2000, 0.5, seed).edges
             assert hashlib.sha256(edges.astype("<i8").tobytes()).hexdigest() == expected, seed
+
+    def test_caron_fox_trace_bytes_unchanged(self):
+        # SHA-256 digests of the edges, births and features, taken while each window's
+        # endpoints were drawn with Generator.choice
+        w = CaronFoxGraphon("shifted_power", 1.0, 2.0, x_max=199.0)
+        for seed, expected in (
+            (0, "c06b24c5d12a8bf8935df2d3ef1b3152494d96060e29f0bb2952348f7be57090"),
+            (1, "29b302be304925dd2711a1f9e80e8812cea1cbe67cb9c9bbbfce51757c639ce4"),
+        ):
+            trace = sample_graphon_process(w, 25.0, seed)
+            h = hashlib.sha256()
+            for a in (trace.edges, trace.births, trace.features):
+                h.update(a.astype("<i8" if a.dtype.kind == "i" else "<f8").tobytes())
+            assert h.hexdigest() == expected, seed
+
+    @pytest.mark.parametrize("weights, count", [
+        (np.array([0.0, 2.5, 0.0, 0.0, 1e-3, 7.0, 0.0]), 50),
+        (np.array([3.0]), 4),
+        (np.array([1.0, 0.0]), 0),
+        (np.random.default_rng(5).pareto(1.5, 3000), 1000),
+    ], ids=["zeros", "one_weight", "no_draws", "heavy_tail"])
+    def test_proportional_draw_equals_choice(self, weights, count):
+        # the same indices and the same generator state after the call, so the next draw agrees too
+        ours, theirs = np.random.default_rng(11), np.random.default_rng(11)
+        got = _proportional_draw(weights, weights.sum(), count, ours)
+        if count:
+            expected = theirs.choice(weights.size, size=count, p=weights / weights.sum())
+        else:
+            expected = np.zeros(0, dtype=np.int64)
+        assert got.dtype == expected.dtype == np.int64
+        assert np.array_equal(got, expected)
+        assert ours.random() == theirs.random()
 
     @pytest.mark.parametrize("corrupt, match", [
         (_relabel, "labels must be 1"),
