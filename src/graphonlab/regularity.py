@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._rng import TAG_GENERIC, substream
 from .graphon_core import CostLimitError, GraphonError
-from .sampling import SampledGraph
+from .sampling import SampledGraph, _graph_on_rows
 
 __all__ = [
     "TailProfile",
@@ -178,26 +179,51 @@ def _check_family_edges(expected: float, what: str) -> None:
                              "edge limit", expected)
 
 
+def _count(value, what: str) -> int:
+    """``value`` as a non-negative int: the families build their graphs without the
+    :class:`SampledGraph` checks, so a size is checked before anything is drawn."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise GraphonError(f"{what} must be an integer, got {value!r}") from None
+    if count < 0:
+        raise GraphonError(f"{what} must be non-negative")
+    if count >= 1 << 63:  # labels are int64, and the families take the count's float
+        raise GraphonError(f"{what} must be below 2^63")
+    return count
+
+
+def _exponent(alpha) -> float:
+    """``alpha`` as a finite float, checked as :func:`_count` checks a size."""
+    try:
+        value = float(alpha)
+    except (TypeError, ValueError):
+        raise GraphonError(f"alpha must be a finite number, got {alpha!r}") from None
+    if not math.isfinite(value):
+        raise GraphonError(f"alpha must be a finite number, got {value}")
+    return value
+
+
 def _gap_buffer(expect: int) -> int:
     """Gaps drawn per buffer: at least eight standard deviations above the expected edge count."""
     return expect + 8 * math.isqrt(expect) + 16
 
 
 def _decode_upper_triangle(linear: np.ndarray, n: int) -> np.ndarray:
-    """Strictly increasing row-major upper-triangle linear indices to 1-based
-    pairs (i, j), i < j, in one (E, 2) array.
+    """Strictly increasing row-major upper-triangle linear indices to 0-based
+    pairs (i, j), i < j, in one (E, 2) array: canonical rows of an n-vertex graph.
 
-    Row i (0-based) starts at index ``i (2n - 1 - i) / 2``, so one search of
-    the n row starts in the increasing indices counts each row's picks, and
-    both columns are repeats of per-row integers: no square root per edge.
+    Row i starts at index ``i (2n - 1 - i) / 2``, so one search of the n row
+    starts in the increasing indices counts each row's picks, and both
+    columns are repeats of per-row integers: no square root per edge.
     """
     i = np.arange(n, dtype=np.int64)
     start = i * (2 * n - 1 - i) // 2
     counts = np.diff(np.searchsorted(linear, start), append=linear.size)
-    pairs = np.empty((linear.size, 2), dtype=np.int64)
-    np.subtract(linear, np.repeat(start - i - 2, counts), out=pairs[:, 1])
-    pairs[:, 0] = np.repeat(i + 1, counts)
-    return pairs
+    rows = np.empty((linear.size, 2), dtype=np.int64)
+    np.subtract(linear, np.repeat(start - i - 1, counts), out=rows[:, 1])
+    rows[:, 0] = np.repeat(i, counts)
+    return rows
 
 
 def er_power_graph(n: int, alpha: float, seed: int) -> SampledGraph:
@@ -207,14 +233,15 @@ def er_power_graph(n: int, alpha: float, seed: int) -> SampledGraph:
     Brandes 2005), so the cost is proportional to the edge count: the gaps
     are drawn into one buffer sized well above the expected edge count, and
     into another of the same size only in the rare case it falls short.
-    ``n = 0`` gives the empty graph; an expected edge count above
-    ``MAX_FAMILY_EDGES`` raises :class:`CostLimitError` before anything is
-    drawn.
+    The picks decode to canonical rows, the buffer is freed, and the graph
+    is built on those rows without the constructor's checks, so the call's
+    peak memory is about that of its output arrays.  ``n = 0`` gives the
+    empty graph; an expected edge count above ``MAX_FAMILY_EDGES`` raises
+    :class:`CostLimitError` before anything is drawn.
     """
-    if n < 0:
-        raise GraphonError("vertex count must be non-negative")
+    n, alpha = _count(n, "vertex count"), _exponent(alpha)
     if n == 0:
-        return SampledGraph(np.zeros(0, dtype=np.int64), np.zeros((0, 2), dtype=np.int64))
+        return _graph_on_rows(np.zeros((0, 2), dtype=np.int64), 0)
     p = float(n) ** (alpha - 1.0)
     if not 0.0 < p <= 1.0:
         raise GraphonError(f"edge probability n^(alpha-1) = {p} must lie in (0, 1]; got alpha={alpha} for n={n}")
@@ -233,33 +260,37 @@ def er_power_graph(n: int, alpha: float, seed: int) -> SampledGraph:
         if cut < size:
             break
         position = int(offsets[-1])
-    pairs = _decode_upper_triangle(pieces[0] if len(pieces) == 1 else np.concatenate(pieces), n)
+    rows = _decode_upper_triangle(pieces[0] if len(pieces) == 1 else np.concatenate(pieces), n)
     logger.debug("er_power_graph: n=%d p=%.6g, %d gaps drawn in %d buffers, %d edges kept",
-                 n, p, size * len(pieces), len(pieces), len(pairs))
-    del pieces, offsets  # freed before the constructor, whose own peak then sets the call's
-    return SampledGraph(np.arange(1, n + 1, dtype=np.int64), pairs)
+                 n, p, size * len(pieces), len(pieces), len(rows))
+    del pieces, offsets  # the gap buffer is freed before the edges are built
+    return _graph_on_rows(rows, n)
 
 
 def clique_plus_isolated(n: int, alpha: float) -> SampledGraph:
-    """``floor(n^((1+alpha)/2))`` vertices forming a clique, the rest isolated.
+    """``floor(n^((1+alpha)/2))`` vertices forming a clique, the rest isolated;
+    ``-1 < alpha <= 1``, so the clique has at most n vertices.
 
     A clique of more than ``MAX_FAMILY_EDGES`` edges raises
     :class:`CostLimitError` before anything is allocated."""
+    n, alpha = _count(n, "vertex count"), _exponent(alpha)
+    if not -1.0 < alpha <= 1.0:
+        raise GraphonError(f"alpha must lie in (-1, 1] for a clique of at most n vertices, got alpha={alpha}")
     m = int(math.floor(float(n) ** ((1.0 + alpha) / 2.0)))
     _check_family_edges(m * (m - 1) / 2, f"clique_plus_isolated with n={n}, alpha={alpha}")
-    edges = np.column_stack(np.triu_indices(m, 1)) + 1
-    return SampledGraph(np.arange(1, n + 1, dtype=np.int64), edges)
+    return _graph_on_rows(_decode_upper_triangle(np.arange(m * (m - 1) // 2), m), n)
 
 
 def perfect_matching(pairs: int) -> SampledGraph:
-    edges = 2 * np.arange(pairs, dtype=np.int64)[:, None] + np.array([1, 2])
-    return SampledGraph(np.arange(1, 2 * pairs + 1, dtype=np.int64), edges)
+    pairs = _count(pairs, "pair count")
+    return _graph_on_rows(2 * np.arange(pairs, dtype=np.int64)[:, None] + np.array([0, 1]), 2 * pairs)
 
 
 def cycle_graph(n: int) -> SampledGraph:
-    if n < 0:
-        raise GraphonError("vertex count must be non-negative")
+    n = _count(n, "vertex count")
     if 0 < n < 3:
         raise GraphonError(f"a cycle needs at least 3 vertices, got {n}")
-    labels = np.arange(1, n + 1, dtype=np.int64)
-    return SampledGraph(labels, np.sort(np.column_stack((labels, labels % n + 1)), axis=1))
+    if n == 0:
+        return _graph_on_rows(np.zeros((0, 2), dtype=np.int64), 0)
+    u = np.arange(n - 1)  # canonical rows (0, 1), (0, n - 1), (1, 2), ..., (n - 2, n - 1)
+    return _graph_on_rows(np.column_stack((np.insert(u, 1, 0), np.insert(u + 1, 1, n - 1))), n)

@@ -34,10 +34,12 @@ edges' rows in ``labels`` (``edge_rows()``), computed once on
 construction: in O(|V| + |E|) on consecutive labels with sorted edges,
 with one sort of the edge keys on consecutive labels otherwise (traces,
 whose edges come in draw order), and by the general path of label sort and
-endpoint search on any other label set.  Snapshots, trace prefixes
+endpoint search on any other label set.  Graphs whose arrays are known to
+pass those checks skip them: snapshots, trace prefixes
 (:func:`trace_prefix`), sequential checkpoints and subgraphs are cut from
-checked arrays by one restriction to a vertex mask, without revalidating
-them.
+checked arrays by one restriction to a vertex mask, and the graph families
+of ``regularity``, which make canonical rows by construction, are built on
+those rows by :func:`_graph_on_rows`.
 """
 
 from __future__ import annotations
@@ -117,12 +119,13 @@ class SampledGraph:
     not labels and duplicate edges, in that order, and stores ``edges`` as
     new label pairs ``(u, v)``, ``u`` before ``v`` in label order, sorted
     lexicographically in that order, with their rows in ``labels``.  On
-    consecutive labels ``b..b+n-1`` (every graph the package builds) label
-    ``b + i`` is row ``i``: construction is O(|V| + |E|) when the edges are
-    already in that canonical order, as ``er_power_graph`` and the graph
-    families emit them, and sorts the edge keys once otherwise.  Any other
-    label set takes the general path, which sorts the labels, searches every
-    endpoint and sorts the edge keys.
+    consecutive labels ``b..b+n-1`` label ``b + i`` is row ``i``:
+    construction is O(|V| + |E|) when the edges are already in that
+    canonical order and sorts the edge keys once otherwise.  Any other label
+    set takes the general path, which sorts the labels, searches every
+    endpoint and sorts the edge keys.  Two kinds of graph skip these
+    checks: the graph families of ``regularity``, built on the canonical
+    rows they make, and snapshots and subgraphs, cut from a checked graph.
     """
 
     labels: np.ndarray
@@ -271,6 +274,15 @@ def _set_fields(g: SampledGraph, labels, edges, rows, births, features) -> Sampl
                         ("births", births), ("features", features)):
         object.__setattr__(g, name, value)
     return g
+
+
+def _graph_on_rows(rows: np.ndarray, n: int) -> SampledGraph:
+    """The graph on labels 1..n whose edges have the 0-based rows ``rows``, which
+    must be canonical: ``u < v < n`` with strictly increasing keys ``u * n + v``.
+    The graph families of ``regularity`` make their rows so by construction and
+    check their parameters; nothing here checks the rows."""
+    return _set_fields(object.__new__(SampledGraph), np.arange(1, n + 1, dtype=np.int64), rows + 1, rows,
+                       None, None)
 
 
 def _read_only(g: SampledGraph) -> SampledGraph:

@@ -238,6 +238,10 @@ def test_unreadable_input_exit_code(tmp_path, capsys, command, content):
     (["tailreg", "--graphs", "er_example1:alpha=x", "--eps", "0.1", "--out", "{out}"], "--graphs"),
     (["tailreg", "--graphs", "er_example1:alpha=1:n=1000000", "--eps", "0.1", "--out", "{out}"], "edge limit"),
     (["tailreg", "--graphs", "clique_example1:alpha=1:n=1000000", "--eps", "0.1", "--out", "{out}"], "edge limit"),
+    (["tailreg", "--graphs", "clique_example1:alpha=0.5:n=-5", "--eps", "0.1", "--out", "{out}"], "vertex count"),
+    (["tailreg", "--graphs", "clique_example1:alpha=nan:n=100", "--eps", "0.1", "--out", "{out}"], "alpha"),
+    (["tailreg", "--graphs", "clique_example1:alpha=1.5:n=100", "--eps", "0.1", "--out", "{out}"], "alpha=1.5"),
+    (["tailreg", "--graphs", f"er_example1:n={10 ** 400}", "--eps", "0.1", "--out", "{out}"], "vertex count"),
     (["sample", "--spec", "{spec}", "--t", "nan", "--out", "{out}"], "horizon"),
     (["sample", "--spec", "{spec}", "--t", "inf", "--out", "{out}"], "horizon"),
     (["hom", "--motif", "edge", "--graph", "{trace}", "--at", "nan"], "horizon"),
@@ -251,9 +255,9 @@ def test_unreadable_input_exit_code(tmp_path, capsys, command, content):
     (["experiment", "edge_growth", "--config", "{config}", "--out", "{out}"], "seed"),
 ], ids=["empty_motif", "motif_cut_short", "motif_triple", "motif_not_integer", "motif_not_pairs",
         "family_no_value", "family_size_not_integer", "family_alpha_not_number", "er_too_many_edges",
-        "clique_too_many_edges", "horizon_nan",
-        "horizon_inf", "snapshot_time_nan", "one_mc_sample", "sample_seed", "cutnorm_seed", "cutdist_seed",
-        "hom_seed", "tailreg_seed", "experiment_seed", "config_seed"])
+        "clique_too_many_edges", "clique_negative_size", "clique_alpha_nan", "clique_alpha_above_one",
+        "er_size_too_large", "horizon_nan", "horizon_inf", "snapshot_time_nan", "one_mc_sample", "sample_seed",
+        "cutnorm_seed", "cutdist_seed", "hom_seed", "tailreg_seed", "experiment_seed", "config_seed"])
 def test_malformed_argument_exit_code(tmp_path, capsys, command, message):
     """A malformed argument is reported in one line with exit 2 and writes no output; a malformed
     --motif or --graphs is reported before any file is read."""

@@ -47,6 +47,22 @@ def star_graph(leaves):
     return SampledGraph(np.arange(1, leaves + 2), np.array(edges))
 
 
+def assert_constructed_alike(g):
+    """A family graph, built on its canonical rows without the constructor's checks,
+    equals the validating constructor's graph on its labels and edges: the same
+    values, dtypes, shapes, writeable flags and layout in every array."""
+    want = SampledGraph(g.labels, g.edges)
+    assert np.array_equal(g.edge_rows(), want.edge_rows())
+    assert np.array_equal(g.degree_sequence(), want.degree_sequence())
+    for name in ("labels", "edges", "_rows", "_degrees"):
+        got, expected = getattr(g, name), getattr(want, name)
+        assert got.dtype == expected.dtype == np.int64 and got.shape == expected.shape, name
+        assert np.array_equal(got, expected), name
+        assert got.flags.writeable == expected.flags.writeable, name
+        assert got.flags.c_contiguous and expected.flags.c_contiguous, name
+    assert g.births is None and g.features is None
+
+
 class TestTailProfile:
     def test_clique_saturates_at_sqrt2(self):
         g = complete_graph(40)
@@ -188,7 +204,7 @@ class TestGraphFamilies:
     def test_er_decode_matches_triangle_indices(self):
         for n in (2, 3, 7, 64):
             linear = np.arange(n * (n - 1) // 2)
-            assert np.array_equal(_decode_upper_triangle(linear, n), np.column_stack(np.triu_indices(n, 1)) + 1)
+            assert np.array_equal(_decode_upper_triangle(linear, n), np.column_stack(np.triu_indices(n, 1)))
         # a large triangle, both ends included, in strictly increasing indices as er_power_graph draws
         # them: row i is the last row whose start i (2n - i - 1) / 2 <= index
         n = 50_000
@@ -198,7 +214,7 @@ class TestGraphFamilies:
         starts = np.arange(n - 1) * (2 * n - np.arange(n - 1) - 1) // 2
         i = np.searchsorted(starts, linear, side="right") - 1
         expected = np.column_stack((i, linear - starts[i] + i + 1)) + 1
-        assert np.array_equal(_decode_upper_triangle(linear, n), expected)
+        assert np.array_equal(_decode_upper_triangle(linear, n), expected - 1)
         assert np.array_equal(float_decode_upper_triangle(linear, n), expected)
 
     def test_er_decode_matches_float_oracle(self):
@@ -207,16 +223,17 @@ class TestGraphFamilies:
                 g = er_power_graph(n, alpha, seed)
                 linear = (g.edges[:, 0] - 1) * (2 * n - g.edges[:, 0]) // 2 + g.edges[:, 1] - g.edges[:, 0] - 1
                 assert np.array_equal(float_decode_upper_triangle(linear, n), g.edges)
-                assert np.array_equal(_decode_upper_triangle(linear, n), g.edges)
+                assert np.array_equal(_decode_upper_triangle(linear, n), g.edges - 1)
 
     def test_er_short_gap_buffers_draw_the_same_edges(self, monkeypatch, caplog):
         # geometric draws one value at a time: buffers that fall short, many times over, change nothing
         expected = [er_power_graph(n, 0.5, seed=4).edges for n in (2, 30, 1000)]
         monkeypatch.setattr(regularity, "_gap_buffer", lambda expect: 7)
         with caplog.at_level(logging.DEBUG, logger="graphonlab.regularity"):
-            got = [er_power_graph(n, 0.5, seed=4).edges for n in (2, 30, 1000)]
+            got = [er_power_graph(n, 0.5, seed=4) for n in (2, 30, 1000)]
         for a, b in zip(got, expected):
-            assert np.array_equal(a, b)
+            assert np.array_equal(a.edges, b)
+            assert_constructed_alike(a)
         edges = expected[-1].shape[0]
         buffers = edges // 7 + 1
         assert caplog.records[-1].getMessage() == (
@@ -247,7 +264,8 @@ class TestGraphFamilies:
                 build()
 
     def test_er_memory_is_the_constructors(self):
-        # the picks and linear indices are freed before the constructor runs
+        # the picks and linear indices are freed before the graph is built, so the call costs no more
+        # than constructing the graph from its edges
         def peak(fn):
             tracemalloc.start()
             try:
@@ -259,6 +277,63 @@ class TestGraphFamilies:
         g = er_power_graph(6000, 0.5, seed=2)
         floor = peak(lambda: SampledGraph(g.labels, g.edges)) + g.edges.nbytes
         assert peak(lambda: er_power_graph(6000, 0.5, seed=2)) <= 1.15 * floor
+
+    def test_er_peak_is_its_output(self):
+        # the gap buffer is freed before the edges are built; the first call also loads
+        # numpy.random for the stream, which is not the graph's memory
+        er_power_graph(6000, 0.5, seed=2)
+        tracemalloc.start()
+        try:
+            g = er_power_graph(6000, 0.5, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * sum(a.nbytes for a in (g.labels, g.edges, g._rows, g._degrees))
+
+    @pytest.mark.parametrize("build, sizes", [
+        (lambda n: er_power_graph(n, 0.5, seed=3), (0, 1, 2, 3, 40, 3400)),  # 3400: about 10^5 edges
+        (lambda n: er_power_graph(n, 1.0, seed=3), (0, 1, 2, 3, 40)),
+        (lambda n: clique_plus_isolated(n, 0.5), (0, 1, 2, 3, 40, 3400)),
+        (lambda n: clique_plus_isolated(n, 1.0), (0, 1, 2, 3, 40)),
+        (lambda n: clique_plus_isolated(n, -0.5), (0, 1, 2, 3, 40)),
+        (perfect_matching, (0, 1, 2, 3, 40, 100_000)),
+        (cycle_graph, (0, 3, 4, 40, 100_000)),
+    ], ids=["er", "er_complete", "clique", "clique_complete", "clique_negative_alpha", "matching", "cycle"])
+    def test_families_build_the_constructors_graph(self, build, sizes):
+        for n in sizes:
+            assert_constructed_alike(build(n))
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: clique_plus_isolated(10, 2.0), "alpha=2.0"),
+        (lambda: clique_plus_isolated(10, 1.0 + 1e-12), "alpha must lie in"),
+        (lambda: clique_plus_isolated(10, -1.0), "alpha must lie in"),
+        (lambda: clique_plus_isolated(-5, 0.5), "^vertex count must be non-negative$"),
+        (lambda: clique_plus_isolated(10, math.nan), "^alpha must be a finite number, got nan$"),
+        (lambda: clique_plus_isolated(3.5, 0.5), "^vertex count must be an integer, got 3.5$"),
+        (lambda: er_power_graph(3.5, 0.5, seed=0), "^vertex count must be an integer, got 3.5$"),
+        (lambda: er_power_graph(np.float64(4.0), 0.5, seed=0), "^vertex count must be an integer"),
+        (lambda: er_power_graph(10 ** 400, 0.5, seed=0), "^vertex count must be below 2\\^63$"),
+        (lambda: clique_plus_isolated(1 << 63, 0.5), "^vertex count must be below 2\\^63$"),
+        (lambda: er_power_graph(1, math.inf, seed=0), "^alpha must be a finite number, got inf$"),
+        (lambda: er_power_graph(10, math.nan, seed=0), "^alpha must be a finite number, got nan$"),
+        (lambda: er_power_graph(10, "x", seed=0), "^alpha must be a finite number, got 'x'$"),
+        (lambda: perfect_matching(2.5), "^pair count must be an integer, got 2.5$"),
+        (lambda: perfect_matching(-2), "^pair count must be non-negative$"),
+        (lambda: cycle_graph(5.0), "^vertex count must be an integer, got 5.0$"),
+    ], ids=["clique_alpha_above_one", "clique_alpha_just_above_one", "clique_alpha_minus_one",
+            "clique_negative_n", "clique_alpha_nan", "clique_fractional_n", "er_fractional_n", "er_float_n",
+            "er_huge_n", "clique_huge_n", "er_alpha_inf", "er_alpha_nan", "er_alpha_text", "matching_fractional",
+            "matching_negative", "cycle_float_n"])
+    def test_family_parameters_checked_first(self, build, message):
+        # nothing is drawn or allocated for a bad parameter, and the message names it
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphonError, match=message):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
 
     def test_er_empty_and_invalid_sizes(self):
         g = er_power_graph(0, 0.5, seed=0)

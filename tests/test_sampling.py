@@ -424,14 +424,18 @@ class TestTraceSerialization:
             "ce6d325a40269a5638d37254fb559b47a925e26a33fffe10b937aff41e0f8038")
 
     def test_er_power_graph_bytes_unchanged(self):
-        # SHA-256 digests of the edges' little-endian bytes, taken while every graph sorted
-        # its labels, searched its endpoints and sorted its edge keys
-        for seed, expected in (
-            (0, "5700c736da2e16cf1cc0210377e0ced7bd7b56fe8f613763c327136ca97b875f"),
-            (1, "0f58bfad1aa1ee8113b92e452cfd148554774504d52f65dd0c6bc591ef87600e"),
+        # SHA-256 digests of the edges' little-endian bytes: at n = 2000 taken while every graph
+        # sorted its labels, searched its endpoints and sorted its edge keys, at the benchmark's
+        # sizes (0.50M, 0.83M and 1.41M edges) while the graph went through the validating constructor
+        for n, seed, expected in (
+            (2000, 0, "5700c736da2e16cf1cc0210377e0ced7bd7b56fe8f613763c327136ca97b875f"),
+            (2000, 1, "0f58bfad1aa1ee8113b92e452cfd148554774504d52f65dd0c6bc591ef87600e"),
+            (10_000, 0, "2c7be9b1d184764083ff139681db557dd31a9fd5c34d5e3d6d2e03774acea6d6"),
+            (14_000, 1, "f63082a7b2646dfe08435f9d7de36ade565ab52a0d27db1c4efba454d30c34e8"),
+            (20_000, 2, "a0363c16d5e2e9ce92534d51cef6d1147b9c27e13128ca87c22518d460cdd6f6"),
         ):
-            edges = er_power_graph(2000, 0.5, seed).edges
-            assert hashlib.sha256(edges.astype("<i8").tobytes()).hexdigest() == expected, seed
+            edges = er_power_graph(n, 0.5, seed).edges
+            assert hashlib.sha256(edges.astype("<i8").tobytes()).hexdigest() == expected, (n, seed)
 
     def test_caron_fox_trace_bytes_unchanged(self):
         # SHA-256 digests of the edges, births and features, taken while each window's
