@@ -47,6 +47,12 @@ from .graphon_core import GraphonError
 # rest with PCG64 ``bit_generator.advance`` (one 64-bit output per double),
 # so a window whose pairs are all decided never builds its stream, and the
 # layout and every trace stay those of the full draw.
+#
+# Layout "control-v1" draws the time-inhomogeneous control process, whose
+# kernel reads birth times: unit window k takes a Poisson(1) count, that many
+# sorted uniform births in [k, k + 1), and then its edge coins in the order
+# of window-v1, all from the one stream (TAG_CONTROL, k).  Its traces record
+# the kernel as their graphon and the births as their features.
 TAG_WINDOW = 1  # Poisson vertex windows of a graphon process
 TAG_SEQ_FEATURE = 3  # features of one arrival block of the sequential model
 TAG_SEQ_EDGE = 4  # edges of one arrival block of the sequential model
@@ -58,7 +64,7 @@ TAG_HEURISTIC = 7  # randomized cut-norm starts
 # and not to be reused.  Tag 13 draws one uniform on every non-identity swap.
 TAG_ANNEAL = 13  # annealing restarts
 TAG_PERMTEST = 9  # exchangeability test permutations and sign flips
-TAG_CONTROL = 10  # time-inhomogeneous control sampler: births, then edges, of window k
+TAG_CONTROL = 10  # layout control-v1: births, then edges, of unit window k
 TAG_GENERIC = 11  # ad-hoc draws (demo scripts, graph families)
 TAG_WINDOW_EDGES = 12  # edges of one vertex window of a graphon process
 

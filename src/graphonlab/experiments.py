@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import __version__, homomorphisms
-from ._rng import TAG_CONTROL, TAG_GENERIC, TAG_PERMTEST, TAG_REPLICA, Streams, stream_states, substream
+from ._rng import TAG_GENERIC, TAG_PERMTEST, TAG_REPLICA, stream_states, substream
 from .graphon_core import (
     GraphonError,
     StepGraphon,
@@ -54,7 +54,7 @@ from .regularity import (
 from .sampling import (
     ArrivalSchedule,
     ProcessTrace,
-    _arrival_edges,
+    _sample_control_process,
     sample_dense_wrandom,
     sample_graphon_process,
     sample_sequential,
@@ -350,17 +350,11 @@ def _sample_inhomogeneous_control(t: float, seed: int, p_early: float, p_late: f
 
     A pair is joined with ``p_early`` when both endpoints were born before
     ``t / 2`` and with ``p_late`` otherwise, a two-block step kernel on
-    births.  Window ``k`` draws its births, then its edges, from one stream.
+    births (see ``sampling._sample_control_process``).
     """
     half = t / 2.0
     kernel = StepGraphon([half, half + 1.0], [[p_early, p_late], [p_late, p_late]])  # covers births in [0, t]
-    streams = Streams(seed, (TAG_CONTROL,), range(int(math.ceil(t))))
-    windows = [np.sort(rng.uniform(float(k), float(k + 1), size=int(rng.poisson(1.0))))
-               for k, rng in enumerate(streams)]
-    births = np.concatenate([np.zeros(0), *windows])
-    n = int(np.searchsorted(births, t, side="right"))
-    edges = _arrival_edges(kernel, births[:, None], np.cumsum([0] + [b.size for b in windows]), n, streams)
-    return ProcessTrace(constant_graphon(1.0), t, seed, True, births[:n], np.full((n, 1), 0.5), edges)
+    return _sample_control_process(kernel, t, seed)
 
 
 def _random_involution(b: int, rng: np.random.Generator) -> np.ndarray:

@@ -29,17 +29,19 @@ edges with ``v <= k``, and an edge is created at ``births[v - 1]``.
 :func:`trace_from_json` rejects labels other than 1..N, a negative or
 infinite horizon, births that decrease or leave ``[0, horizon]``, edges
 with ``u >= v``, unknown endpoints or duplicates, and feature rows of
-unequal width.  A :class:`SampledGraph` validates its arrays and keeps its
-edges' rows in ``labels`` (``edge_rows()``), computed once on
-construction: in O(|V| + |E|) on consecutive labels with sorted edges,
-with one sort of the edge keys on consecutive labels otherwise (traces,
-whose edges come in draw order), and by the general path of label sort and
-endpoint search on any other label set.  Graphs whose arrays are known to
-pass those checks skip them: snapshots, trace prefixes
-(:func:`trace_prefix`), sequential checkpoints and subgraphs are cut from
-checked arrays by one restriction to a vertex mask, and the graph families
-of ``regularity``, which make canonical rows by construction, are built on
-those rows by :func:`_graph_on_rows`.
+unequal width.
+
+Every graph has one finishing step, :func:`_set_fields`: it sets the
+edges' rows in ``labels`` (``edge_rows()``) and the degrees, and makes
+every array read-only.  The validating constructors serve outside input
+(trace files, users' graphs); the package's own graphs skip them.  Every
+sampler builds its graph by one arrival builder, :func:`_arrivals`: the
+edge loop returns 0-based rows, one pass through :func:`_canonical` sorts
+their keys, and :func:`_graph_on_rows` gives the graph on labels 1..n,
+on which the graph families of ``regularity`` are built too.  One step,
+:func:`_as_trace`, attaches a run's provenance to its graph.  Snapshots,
+trace prefixes (:func:`trace_prefix`), sequential checkpoints and
+subgraphs are cut from a built graph by one restriction to a vertex mask.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from typing import Sequence
 import numpy as np
 
 from ._rng import (
+    TAG_CONTROL,
     TAG_SEQ_EDGE,
     TAG_SEQ_FEATURE,
     TAG_WINDOW,
@@ -93,8 +96,9 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# Random-stream layout written into trace JSON (see ``_rng``).
+# Random-stream layouts written into trace JSON (see ``_rng``).
 _SAMPLER_LAYOUT = "window-v1"
+_CONTROL_LAYOUT = "control-v1"
 # Arrivals per window of the sequential and dense samplers; part of the layout.
 _ARRIVAL_BLOCK = 256
 # Most kernel values per chunk of rows (a single row may exceed it) and the longest
@@ -111,21 +115,25 @@ class VertexRecord:
     feature: tuple[float, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledGraph:
     """A simple undirected labeled graph with optional sampling metadata.
 
-    The constructor rejects repeated labels, self-loops, endpoints that are
-    not labels and duplicate edges, in that order, and stores ``edges`` as
-    new label pairs ``(u, v)``, ``u`` before ``v`` in label order, sorted
-    lexicographically in that order, with their rows in ``labels``.  On
-    consecutive labels ``b..b+n-1`` label ``b + i`` is row ``i``:
-    construction is O(|V| + |E|) when the edges are already in that
-    canonical order and sorts the edge keys once otherwise.  Any other label
-    set takes the general path, which sorts the labels, searches every
-    endpoint and sorts the edge keys.  Two kinds of graph skip these
-    checks: the graph families of ``regularity``, built on the canonical
-    rows they make, and snapshots and subgraphs, cut from a checked graph.
+    The constructor, for input from outside the package, rejects repeated
+    labels, self-loops, endpoints that are not labels, duplicate edges, and
+    ``births`` or ``features`` that are not one entry or one row per label,
+    in that order.  It copies every array it is given, so the caller may
+    reuse them, and stores ``edges`` as label pairs ``(u, v)``, ``u`` before
+    ``v`` in label order, sorted lexicographically in that order, with their
+    rows in ``labels``.  On consecutive labels ``b..b+n-1`` label ``b + i``
+    is row ``i``: construction is O(|V| + |E|) when the edges are already in
+    that canonical order and sorts the edge keys once otherwise.  Any other
+    label set takes the general path, which sorts the labels, searches every
+    endpoint and sorts the edge keys.  Graphs the package builds skip these
+    checks: the samplers and the graph families of ``regularity`` make
+    canonical rows on labels 1..n, and snapshots and subgraphs are cut from
+    a built graph.  Every array of every graph is read-only, and graphs
+    compare by identity.
     """
 
     labels: np.ndarray
@@ -140,7 +148,13 @@ class SampledGraph:
         # O(n): strictly increasing labels spanning n - 1 are exactly b, b+1, ..., b+n-1
         consecutive = n > 0 and int(labels[-1]) - int(labels[0]) == n - 1 and bool(np.all(labels[1:] > labels[:-1]))
         edges, rows = (_consecutive_rows if consecutive else _searched_rows)(labels, edges)
-        _set_fields(self, labels, edges, rows, self.births, self.features)
+        births = None if self.births is None else np.array(self.births, dtype=float)  # copies, as labels
+        features = None if self.features is None else np.array(self.features, dtype=float)
+        if births is not None and births.shape != (n,):
+            raise GraphonError(f"births must be one per vertex, got shape {births.shape} for {n} labels")
+        if features is not None and (features.ndim != 2 or features.shape[0] != n):
+            raise GraphonError(f"features must be one row per vertex, got shape {features.shape} for {n} labels")
+        _set_fields(self, labels, edges, rows, births, features)
 
     # -- derived statistics ---------------------------------------------------
     @property
@@ -159,9 +173,7 @@ class SampledGraph:
 
     def edge_rows(self) -> np.ndarray:
         """Edges as ``(E, 2)`` row positions in ``labels``; read-only, computed on construction."""
-        rows = self._rows.view()
-        rows.setflags(write=False)
-        return rows
+        return self._rows
 
     def degree_sequence(self) -> np.ndarray:
         """Degrees aligned with ``labels``; read-only, counted on construction."""
@@ -266,46 +278,43 @@ def _unknown_vertex(edge: np.ndarray) -> GraphonError:
 def _set_fields(g: SampledGraph, labels, edges, rows, births, features) -> SampledGraph:
     """Fill ``g`` from arrays that pass the :class:`SampledGraph` checks:
     unique labels, canonically sorted edges and ``rows`` their row positions.
-    The degrees are counted here, the one place every graph is built, while
-    ``rows`` is still writable: ``bincount`` copies a read-only input."""
+    This is the one finishing step of every graph.  It counts the degrees
+    while ``rows`` is still writable (``bincount`` copies a read-only input)
+    and then makes every array read-only; the arrays become the graph's own."""
     degrees = np.bincount(rows.ravel(), minlength=labels.size)
-    degrees.setflags(write=False)
     for name, value in (("labels", labels), ("edges", edges), ("_rows", rows), ("_degrees", degrees),
                         ("births", births), ("features", features)):
+        if value is not None:
+            value.setflags(write=False)
         object.__setattr__(g, name, value)
     return g
 
 
-def _graph_on_rows(rows: np.ndarray, n: int) -> SampledGraph:
+def _graph_on_rows(rows: np.ndarray, n: int, births=None, features=None) -> SampledGraph:
     """The graph on labels 1..n whose edges have the 0-based rows ``rows``, which
     must be canonical: ``u < v < n`` with strictly increasing keys ``u * n + v``.
-    The graph families of ``regularity`` make their rows so by construction and
-    check their parameters; nothing here checks the rows."""
+    The samplers and the graph families of ``regularity`` make their rows so and
+    check their parameters; nothing here checks the rows or the vertex arrays."""
     return _set_fields(object.__new__(SampledGraph), np.arange(1, n + 1, dtype=np.int64), rows + 1, rows,
-                       None, None)
+                       births, features)
 
 
-def _read_only(g: SampledGraph) -> SampledGraph:
-    """``g`` with every array field made read-only."""
-    for value in vars(g).values():
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
-    return g
-
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class ProcessTrace(SampledGraph):
     """Full projective history of one graphon process run: the graph on
     labels 1..N in birth order, with its provenance.
 
     Vertex ``i`` was born at ``births[i - 1]`` with feature row
     ``features[i - 1]``; ``edges`` are sorted label pairs ``u < v`` (see
-    the module docstring).  The constructor takes the provenance and the
-    arrays positionally, checks births in ``[0, horizon]`` for a finite
-    horizon, one feature row per vertex and ``u < v``, and then builds the
-    graph on labels 1..N as :class:`SampledGraph` does; every array is
-    read-only.  ``sampler`` names the random-stream layout that drew the
-    trace (see ``_rng``), None when unknown.
+    the module docstring).  The constructor, for traces read from files or
+    given by users, takes the provenance and the arrays positionally,
+    checks a finite horizon, births in ``[0, horizon]`` and ``u < v``, and
+    then builds the graph on labels 1..N as :class:`SampledGraph` does,
+    which checks one feature row per vertex and copies the arrays.  The
+    samplers and :func:`trace_prefix` skip these checks.  ``graphon`` is the
+    kernel the edges were drawn from and ``features`` the points it reads;
+    ``sampler`` names the random-stream layout that drew the trace (see
+    ``_rng``), None when unknown.
     """
 
     graphon: object
@@ -315,22 +324,18 @@ class ProcessTrace(SampledGraph):
     sampler: str | None
 
     def __init__(self, graphon, horizon, seed, keep_isolated, births, features, edges, sampler=None):
-        births = np.array(births, dtype=float).reshape(-1)
-        features = np.array(features, dtype=float)
+        births = np.asarray(births, dtype=float).reshape(-1)
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         n = births.size
         if not 0 <= horizon < math.inf:
             raise GraphonError(f"horizon must be finite and non-negative, got {horizon}")
         if n and not (np.all(np.diff(births) >= 0) and 0.0 <= births[0] and births[-1] <= horizon):
             raise GraphonError(f"births must be nondecreasing within [0, {horizon}]")
-        if features.ndim != 2 or features.shape[0] != n:
-            raise GraphonError(f"features must be one row per vertex, got shape {features.shape} for {n} births")
         if np.any(edges[:, 0] >= edges[:, 1]):
             raise GraphonError("trace edges must be label pairs (u, v) with u < v")
         self.__dict__.update(graphon=graphon, horizon=horizon, seed=seed, keep_isolated=keep_isolated,
                              sampler=sampler)
         super().__init__(np.arange(1, n + 1), edges, births, features)
-        _read_only(self)
 
     @property
     def vertices(self) -> tuple[VertexRecord, ...]:
@@ -359,8 +364,26 @@ def _draw_features(w, count: int, rng: np.random.Generator) -> np.ndarray:
     return np.asarray(w.sample_features(count, rng), dtype=float).reshape(count, w.feature_dim)
 
 
+def _arrivals(w, births: np.ndarray, features: np.ndarray, starts, n: int, streams: Streams) -> SampledGraph:
+    """The graph of the first ``n`` arrivals on labels 1..n, with their births and
+    features, and the edges :func:`_arrival_edges` draws among them; the one
+    builder of every sampler's graph.  ``births`` and ``features`` hold at least
+    ``n`` rows and become the graph's."""
+    rows = _canonical(_arrival_edges(w, features, starts, n, streams), n)
+    return _graph_on_rows(rows, n, births[:n], features[:n])
+
+
+def _as_trace(g: SampledGraph, graphon, horizon: float, seed: int, keep_isolated: bool, sampler) -> ProcessTrace:
+    """``g``, a graph on labels 1..N in birth order with births and features, as
+    the trace of the run that drew it; nothing is checked or copied."""
+    trace = object.__new__(ProcessTrace)
+    trace.__dict__.update(vars(g), graphon=graphon, horizon=horizon, seed=seed, keep_isolated=keep_isolated,
+                          sampler=sampler)
+    return trace
+
+
 def _arrival_edges(w, features: np.ndarray, starts, n: int, streams: Streams) -> np.ndarray:
-    """1-based edges ``(u, v)``, ``u < v <= n``, among arrivals drawn window by window.
+    """0-based rows ``(u, v)``, ``u < v < n``, of the edges among arrivals drawn window by window.
 
     Window ``i`` is rows ``starts[i]:starts[i + 1]`` of ``features``, drawn
     as for the whole window; rows from ``n`` on are cut, so only the last
@@ -390,7 +413,7 @@ def _arrival_edges(w, features: np.ndarray, starts, n: int, streams: Streams) ->
             pairs.append(new[new[:, 1] < n])
         logger.debug("arrival edges: Poisson path, %d stream states derived, %d generators built",
                      len(streams), len(streams.built))
-        return np.concatenate(pairs) + 1
+        return np.concatenate(pairs)
     x = features[:n]
     if isinstance(w, StepGraphon):
         values = np.zeros((w.n_blocks + 1,) * 2)
@@ -430,7 +453,7 @@ def _arrival_edges(w, features: np.ndarray, starts, n: int, streams: Streams) ->
     logger.debug("arrival edges: %d kernel values, %d coins drawn, %d skipped, "
                  "%d stream states derived, %d generators built",
                  evaluated, tape.drawn, tape.skipped, len(streams), len(streams.built))
-    return np.concatenate(pairs) + 1
+    return np.concatenate(pairs)
 
 
 class _CoinTape:
@@ -581,11 +604,28 @@ def sample_graphon_process(w, horizon: float, seed: int, keep_isolated: bool = F
     starts = np.cumsum([b.size for b in births])  # births[0] is empty
     births, feats = np.concatenate(births), np.concatenate(feats)
     n = int(np.searchsorted(births, horizon, side="right"))
-    edges = _arrival_edges(w, feats, starts, n, Streams(seed, (TAG_WINDOW_EDGES,), windows))
-    births, feats = births[:n], feats[:n]
-    if np.any(births[1:] == births[:-1]):
+    g = _arrivals(w, births, feats, starts, n, Streams(seed, (TAG_WINDOW_EDGES,), windows))
+    if np.any(g.births[1:] == g.births[:-1]):
         logger.info("birth-time tie broken by draw order (seed=%s horizon=%s)", seed, horizon)
-    return ProcessTrace(w, float(horizon), int(seed), bool(keep_isolated), births, feats, edges, _SAMPLER_LAYOUT)
+    return _as_trace(g, w, float(horizon), int(seed), bool(keep_isolated), _SAMPLER_LAYOUT)
+
+
+def _sample_control_process(kernel: StepGraphon, horizon: float, seed: int) -> ProcessTrace:
+    """A process whose kernel reads birth times: Poisson(1) arrivals per unit
+    window, each pair joined with probability ``kernel(t_u, t_v)``.
+
+    Layout ``control-v1``: unit window ``k`` draws its births, then the coins of
+    its edges as in ``window-v1``, from the one stream ``(TAG_CONTROL, k)``.  The
+    trace records ``kernel`` as its graphon, its births as its features, and
+    keeps its isolated vertices.
+    """
+    streams = Streams(seed, (TAG_CONTROL,), range(int(math.ceil(horizon))))
+    windows = [np.sort(rng.uniform(float(k), float(k + 1), size=int(rng.poisson(1.0))))
+               for k, rng in enumerate(streams)]
+    births = np.concatenate([np.zeros(0), *windows])
+    n = int(np.searchsorted(births, horizon, side="right"))
+    g = _arrivals(kernel, births, births[:, None], np.cumsum([0] + [b.size for b in windows]), n, streams)
+    return _as_trace(g, kernel, float(horizon), int(seed), True, _CONTROL_LAYOUT)
 
 
 def snapshot_at(trace: ProcessTrace, s: float, keep_isolated: bool | None = None) -> SampledGraph:
@@ -616,9 +656,8 @@ def trace_prefix(trace: ProcessTrace, s: float) -> ProcessTrace:
     without validating them again; ``s`` outside ``[0, horizon]``, NaN
     included, raises :class:`GraphonError`.
     """
-    cut = object.__new__(ProcessTrace)
-    cut.__dict__.update(vars(trace), **vars(snapshot_at(trace, s, keep_isolated=True)), horizon=float(s))
-    return _read_only(cut)
+    return _as_trace(snapshot_at(trace, s, keep_isolated=True), trace.graphon, float(s), trace.seed,
+                     trace.keep_isolated, trace.sampler)
 
 
 # ---------------------------------------------------------------------------
@@ -689,9 +728,8 @@ def sample_sequential(w, schedule: ArrivalSchedule, steps: int, seed: int,
     states = stream_states(seed, (TAG_SEQ_FEATURE,), range(blocks))
     x = np.concatenate([generator(state).uniform(0.0, bound)
                         for state, bound in zip(states, s_n.reshape(blocks, _ARRIVAL_BLOCK))])
-    edges = _arrival_edges(w, x[:, None], range(0, x.size + 1, _ARRIVAL_BLOCK), steps,
-                           Streams(seed, (TAG_SEQ_EDGE,), range(blocks)))
-    full = SampledGraph(np.arange(1, steps + 1), edges, np.arange(1, steps + 1, dtype=float), x[:steps, None])
+    full = _arrivals(w, np.arange(1, steps + 1, dtype=float), x[:, None], range(0, x.size + 1, _ARRIVAL_BLOCK),
+                     steps, Streams(seed, (TAG_SEQ_EDGE,), range(blocks)))
     return [full._restrict(np.arange(steps) < c) for c in marks]
 
 
@@ -715,14 +753,8 @@ def sample_dense_wrandom(w: StepGraphon, n: int, seed: int) -> SampledGraph:
     if n < 0:
         raise GraphonError("vertex count must be non-negative")
     feats = substream(seed, TAG_WRANDOM, 0).uniform(0.0, w.total_mass, size=(n, 1))
-    edges = _arrival_edges(w, feats, range(0, n + _ARRIVAL_BLOCK, _ARRIVAL_BLOCK), n,
-                           Streams(seed, (TAG_WRANDOM, 1), range(-(-n // _ARRIVAL_BLOCK))))
-    return SampledGraph(
-        np.arange(1, n + 1, dtype=np.int64),
-        edges,
-        births=np.arange(1, n + 1, dtype=float),
-        features=feats,
-    )
+    return _arrivals(w, np.arange(1, n + 1, dtype=float), feats, range(0, n + _ARRIVAL_BLOCK, _ARRIVAL_BLOCK), n,
+                     Streams(seed, (TAG_WRANDOM, 1), range(-(-n // _ARRIVAL_BLOCK))))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from graphonlab import sampling
+from graphonlab.experiments import _sample_inhomogeneous_control
 from graphonlab.graphon_core import CaronFoxGraphon, GraphonError, MixedMembershipGraphon, StepGraphon
 from graphonlab.regularity import (
     clique_plus_isolated,
@@ -20,10 +21,13 @@ from graphonlab.sampling import (
     ArrivalSchedule,
     ProcessTrace,
     SampledGraph,
+    sample_dense_wrandom,
     sample_graphon_process,
     sample_sequential,
     snapshot_at,
+    trace_from_json,
     trace_prefix,
+    trace_to_json,
     xi_box_counts,
 )
 
@@ -418,8 +422,9 @@ class TestConsecutiveLabels:
             for out in (g.edges, g.edge_rows(), t.edges):
                 assert not np.shares_memory(out, edges)
             assert edges.flags.writeable and np.array_equal(edges, given)
-            # the constructor counts the degrees from the private rows, which bincount copies if read-only
-            assert g._rows.flags.writeable
+            # the degrees are counted before the private rows are made read-only (see
+            # test_degree_sequence_does_not_copy_rows); then no array can be written
+            assert not g._rows.flags.writeable
         lab = np.arange(1, 4)
         g = SampledGraph(lab, [[1, 2], [2, 3]])
         lab[:] = [7, 8, 9]
@@ -448,3 +453,78 @@ class TestConsecutiveLabels:
         assert calls == ["sort"]
         SampledGraph(np.array([3, 1, 2]), np.array([[1, 2], [2, 3]]))
         assert set(calls) == {"argsort", "searchsorted", "sort"}
+
+
+class TestConstructionPaths:
+    """Every graph ends in one finishing step, which makes its arrays read-only;
+    the package's own graphs never pass through the validating constructors."""
+
+    @staticmethod
+    def package_graphs():
+        """One graph or trace from every path of the package that builds one."""
+        for name in ("step", "caron_fox", "mixed"):
+            trace = sample_graphon_process(*GRAPHONS[name], seed=2)
+            yield from (trace, trace_prefix(trace, trace.horizon / 2), snapshot_at(trace, trace.horizon / 2),
+                        snapshot_at(trace, trace.horizon / 2, keep_isolated=True), trace.induced([1, 3, 5]),
+                        trace.drop_isolated())
+        yield _sample_inhomogeneous_control(9.5, 1, 0.9, 0.1)
+        yield from (er_power_graph(300, 0.5, seed=1), clique_plus_isolated(200, 0.5), perfect_matching(30),
+                    cycle_graph(17))
+        yield sample_dense_wrandom(GRAPHONS["step"][0], 300, seed=1)
+        yield from sample_sequential(StepGraphon([1.0, 2.0], [[0.6, 0.2], [0.2, 0.4]]),
+                                     ArrivalSchedule("linear", 1.0), 300, seed=3, checkpoints=[1, 257, 300])
+
+    def test_every_array_is_read_only(self):
+        g = SampledGraph(np.array([9, 3, 12, 5]), np.array([[3, 9], [12, 5], [5, 3]]), np.arange(4.0), np.ones((4, 2)))
+        trace = sample_graphon_process(*GRAPHONS["step"], seed=2)
+        given = [g, g.induced([3, 5, 9]), g.drop_isolated(), trace_from_json(trace_to_json(trace))]
+        for built in given + list(self.package_graphs()):
+            arrays = {name: a for name, a in vars(built).items() if isinstance(a, np.ndarray)}
+            assert {"labels", "edges", "_rows", "_degrees"} <= arrays.keys()
+            assert ("births" in arrays) == ("features" in arrays) == (built.births is not None)
+            for name, a in arrays.items():
+                with pytest.raises(ValueError, match="read-only"):
+                    a[...] = 0
+                assert not a.flags.writeable, name
+            # the write that was once accepted and left edge_rows() and degree_sequence() stale
+            if built.num_edges:
+                with pytest.raises(ValueError, match="read-only"):
+                    built.edges[0] = [1, 3]
+
+    def test_package_graphs_run_no_validating_constructor(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a validating constructor ran")
+
+        monkeypatch.setattr(SampledGraph, "__post_init__", refuse)
+        monkeypatch.setattr(ProcessTrace, "__init__", refuse)
+        with pytest.raises(AssertionError, match="validating constructor"):
+            SampledGraph(np.arange(1, 3), [[1, 2]])
+        with pytest.raises(AssertionError, match="validating constructor"):
+            ProcessTrace(StepGraphon([1.0], [[0.5]]), 1.0, 0, True, [0.5], [[0.5]], [])
+        assert sum(g.num_edges for g in self.package_graphs()) > 1000
+
+    @pytest.mark.parametrize("births, features, message", [
+        (np.zeros(2), None, r"births must be one per vertex, got shape \(2,\) for 3 labels"),
+        (np.zeros((3, 1)), None, r"births must be one per vertex, got shape \(3, 1\) for 3 labels"),
+        (None, np.zeros((5, 1)), r"features must be one row per vertex, got shape \(5, 1\) for 3 labels"),
+        (None, np.zeros(3), r"features must be one row per vertex, got shape \(3,\) for 3 labels"),
+    ], ids=["short_births", "births_2d", "long_features", "features_1d"])
+    def test_rejects_vertex_arrays_of_another_size(self, births, features, message):
+        with pytest.raises(GraphonError, match=f"^{message}$"):
+            SampledGraph(np.arange(1, 4), [[1, 2]], births=births, features=features)
+
+    def test_copies_the_callers_vertex_arrays(self):
+        births, features = np.arange(3.0), np.ones((3, 2))
+        g = SampledGraph(np.arange(1, 4), [[1, 2]], births, features)
+        births[:] = 7.0
+        features[:] = 7.0
+        assert g.births.tolist() == [0.0, 1.0, 2.0] and g.features.tolist() == [[1.0, 1.0]] * 3
+
+    def test_graphs_compare_by_identity(self):
+        g, h = cycle_graph(5), cycle_graph(5)
+        assert g == g and g != h
+        assert g in [h, g] and h not in [g]
+        assert len({g, h, g}) == 2
+        trace = sample_graphon_process(*GRAPHONS["step"], seed=1)
+        cut = trace_prefix(trace, trace.horizon)
+        assert trace == trace and cut != trace and len({trace, cut}) == 2

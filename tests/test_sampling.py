@@ -14,6 +14,8 @@ from graphonlab.graphon_core import (
     MixedMembershipGraphon,
     StepGraphon,
     constant_graphon,
+    evaluate,
+    graphon_to_spec,
 )
 from graphonlab.regularity import er_power_graph
 from graphonlab.sampling import (
@@ -399,9 +401,11 @@ class TestTraceSerialization:
             assert again.read_bytes() == path.read_bytes()
 
     def test_other_sampler_bytes_unchanged(self, tmp_path):
-        # SHA-256 digests of the sequential, dense and control samplers under window-v1, taken
-        # before their edge loop decided 0/1 pairs without coins; graphs hash their arrays'
-        # little-endian bytes (labels, edges, births, features), the control its trace file
+        # SHA-256 digests of the sequential, dense and control samplers, taken before their edge
+        # loop decided 0/1 pairs without coins; graphs hash their arrays' little-endian bytes
+        # (labels, edges, births, features).  The control's births and edges are hashed the same
+        # way, as they were while its trace recorded a constant graphon; its trace file, which
+        # records the control-v1 layout and its kernel, was re-recorded when it did
         def digest(graphs):
             h = hashlib.sha256()
             for g in graphs:
@@ -418,10 +422,35 @@ class TestTraceSerialization:
             assert digest(graphs) == expected, family
         dense = sample_dense_wrandom(StepGraphon([1.0, 2.0], [[0.9, 0.3], [0.3, 0.1]]), 600, 2)
         assert digest([dense]) == "c56bdf84653169d01febfee21ef34805ca356bcddefa98d1dfcb24498bb701b7"
+        control = _sample_inhomogeneous_control(40.0, 3, 0.9, 0.1)
+        h = hashlib.sha256()
+        for a in (control.births, control.edges):
+            h.update(a.astype("<i8" if a.dtype.kind == "i" else "<f8").tobytes())
+        assert h.hexdigest() == "3031ae86eb4b2ff2eef139fdc6374fdf159ade670f25ea55d666aab7827276f8"
         path = tmp_path / "control.json"
-        save_trace_file(_sample_inhomogeneous_control(40.0, 3, 0.9, 0.1), path)
+        save_trace_file(control, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "ce6d325a40269a5638d37254fb559b47a925e26a33fffe10b937aff41e0f8038")
+            "9d2c624d30e0bf467678ec01a2fd2d20b1ca7d7f7e2037adfa5385033e6922b8")
+
+    def test_control_round_trip_records_its_kernel(self):
+        # the control trace names the process that drew it: the two-block kernel on births,
+        # the births as the points that kernel reads, and a layout of its own
+        t, p_early, p_late = 9.5, 0.9, 0.1
+        trace = _sample_inhomogeneous_control(t, 2, p_early, p_late)
+        payload = trace_to_json(trace)
+        assert payload["spec"] == {"type": "step", "masses": [t / 2, t / 2 + 1.0],
+                                   "values": [[p_early, p_late], [p_late, p_late]], "ambient_infinite": False}
+        assert payload["sampler"] == "control-v1"
+        again = trace_from_json(json.loads(json.dumps(payload)))
+        assert graphon_to_spec(again.graphon) == payload["spec"]
+        assert np.array_equal(again.features[:, 0], trace.births)
+        assert np.array_equal(again.edges, trace.edges) and np.array_equal(again.births, trace.births)
+        assert (again.horizon, again.seed, again.keep_isolated, again.sampler) == (t, 2, True, "control-v1")
+        # the recorded kernel at the recorded features is the control's edge probability
+        x = again.features[:, 0]
+        early = x < t / 2
+        assert np.array_equal(evaluate(again.graphon, x[:, None], x[None, :]),
+                              np.where(early[:, None] & early[None, :], p_early, p_late))
 
     def test_er_power_graph_bytes_unchanged(self):
         # SHA-256 digests of the edges' little-endian bytes: at n = 2000 taken while every graph

@@ -46,6 +46,7 @@ from graphonlab.graphon_core import (
     StepGraphon,
     constant_graphon,
     evaluate,
+    graphon_to_spec,
 )
 from graphonlab.metrics import stretched_cut_distance
 from graphonlab.sampling import (
@@ -424,8 +425,7 @@ def window_sample_inhomogeneous_control(t: float, seed: int, p_early: float, p_l
         kept = int(np.searchsorted(window, t, side="right"))
         edges.append(_window_edges(kernel, births[:, None], window[:, None], kept, rng) + 1)
         births = np.concatenate([births, window[:kept]])
-    return ProcessTrace(constant_graphon(1.0), t, seed, True,
-                        births, np.full((births.size, 1), 0.5), np.concatenate(edges))
+    return ProcessTrace(kernel, t, seed, True, births, births[:, None], np.concatenate(edges), "control-v1")
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +437,7 @@ def _assert_traces_equal(new: ProcessTrace, old: ProcessTrace):
     for name in ("births", "features", "edges"):
         assert np.array_equal(getattr(new, name), getattr(old, name)), name
     assert (new.horizon, new.keep_isolated, new.sampler) == (old.horizon, old.keep_isolated, old.sampler)
+    assert graphon_to_spec(new.graphon) == graphon_to_spec(old.graphon)
 
 
 def _assert_graphs_equal(new: SampledGraph, old: SampledGraph):
