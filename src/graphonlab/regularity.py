@@ -36,7 +36,7 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# expected edges of one example-family graph: about 50 bytes an edge at the peak, so 1 GB
+# expected edges of one example-family graph: about 25 bytes an edge at the peak, so 0.5 GB
 MAX_FAMILY_EDGES = 2 * 10 ** 7
 
 
@@ -215,13 +215,18 @@ def _decode_upper_triangle(linear: np.ndarray, n: int) -> np.ndarray:
 
     Row i starts at index ``i (2n - 1 - i) / 2``, so one search of the n row
     starts in the increasing indices counts each row's picks, and both
-    columns are repeats of per-row integers: no square root per edge.
+    columns are repeats of per-row integers: no square root per edge.  The
+    decode uses up ``linear``, an int64 array: it becomes column 1 in place,
+    and once copied it is freed if the caller holds no other reference to it
+    or to its base, so the peak is three words an edge rather than four.
     """
     i = np.arange(n, dtype=np.int64)
     start = i * (2 * n - 1 - i) // 2
     counts = np.diff(np.searchsorted(linear, start), append=linear.size)
+    linear -= np.repeat(start - i - 1, counts)
     rows = np.empty((linear.size, 2), dtype=np.int64)
-    np.subtract(linear, np.repeat(start - i - 1, counts), out=rows[:, 1])
+    rows[:, 1] = linear
+    del linear
     rows[:, 0] = np.repeat(i, counts)
     return rows
 
@@ -233,9 +238,10 @@ def er_power_graph(n: int, alpha: float, seed: int) -> SampledGraph:
     Brandes 2005), so the cost is proportional to the edge count: the gaps
     are drawn into one buffer sized well above the expected edge count, and
     into another of the same size only in the rare case it falls short.
-    The picks decode to canonical rows, the buffer is freed, and the graph
-    is built on those rows without the constructor's checks, so the call's
-    peak memory is about that of its output arrays.  ``n = 0`` gives the
+    The decode turns the picks into canonical rows and uses up the buffer,
+    and the graph is built on those rows without the constructor's checks:
+    it holds 16 bytes an edge, and the call's traced peak is about 25 bytes
+    an edge, three words while the rows are filled.  ``n = 0`` gives the
     empty graph; an expected edge count above ``MAX_FAMILY_EDGES`` raises
     :class:`CostLimitError` before anything is drawn.
     """
@@ -260,10 +266,10 @@ def er_power_graph(n: int, alpha: float, seed: int) -> SampledGraph:
         if cut < size:
             break
         position = int(offsets[-1])
-    rows = _decode_upper_triangle(pieces[0] if len(pieces) == 1 else np.concatenate(pieces), n)
     logger.debug("er_power_graph: n=%d p=%.6g, %d gaps drawn in %d buffers, %d edges kept",
-                 n, p, size * len(pieces), len(pieces), len(rows))
-    del pieces, offsets  # the gap buffer is freed before the edges are built
+                 n, p, size * len(pieces), len(pieces), sum(map(len, pieces)))
+    del offsets  # the decode holds the last reference to the gap buffer, and uses it up
+    rows = _decode_upper_triangle(pieces.pop() if len(pieces) == 1 else np.concatenate(pieces), n)
     return _graph_on_rows(rows, n)
 
 

@@ -20,28 +20,34 @@ those of the full coin draw.
 
 A trace (:class:`ProcessTrace`) is the graph on labels 1..N in birth
 order, with its provenance: a :class:`SampledGraph` whose ``births`` (N,)
-and ``features`` (N, d) are always set and whose sorted label pairs
-``edges`` (E, 2) have ``u < v``, plus the graphon, horizon, seed,
+and ``features`` (N, d) are always set and whose edges, label pairs
+``u < v``, are its sorted rows plus one, plus the graphon, horizon, seed,
 ``keep_isolated`` and sampler layout that drew it.  Every graph function
 accepts a trace as its final graph.  The graph at time ``s`` is the label
 prefix ``1..k`` with ``k = searchsorted(births, s, "right")``: it keeps the
 edges with ``v <= k``, and an edge is created at ``births[v - 1]``.
-:func:`trace_from_json` rejects labels other than 1..N, a negative or
-infinite horizon, births that decrease or leave ``[0, horizon]``, edges
-with ``u >= v``, unknown endpoints or duplicates, and feature rows of
-unequal width.
+:func:`trace_from_json` rejects a ``keep_isolated`` that is not a JSON
+boolean, a seed that is not a non-negative integer, a horizon that is not
+a number, labels other than the integers 1..N, a negative or infinite
+horizon, births that decrease or leave ``[0, horizon]``, edges with
+``u >= v``, unknown endpoints or duplicates, and feature rows of unequal
+width.
 
-Every graph has one finishing step, :func:`_set_fields`: it sets the
-edges' rows in ``labels`` (``edge_rows()``) and the degrees, and makes
-every array read-only.  The validating constructors serve outside input
+A graph stores one edge array, the edges' 0-based rows in ``labels``
+(``edge_rows()``); the label pairs ``edges``, ``labels[edge_rows()]``,
+are built from them on each access, and no computation of the package
+reads them.  Every graph has one finishing step, :func:`_set_fields`: it
+sets the rows, the labels and the degrees, and makes every array
+read-only.  The validating constructors serve outside input
 (trace files, users' graphs); the package's own graphs skip them.  Every
 sampler builds its graph by one arrival builder, :func:`_arrivals`: the
 edge loop returns 0-based rows, one pass through :func:`_canonical` sorts
-their keys, and :func:`_graph_on_rows` gives the graph on labels 1..n,
-on which the graph families of ``regularity`` are built too.  One step,
-:func:`_as_trace`, attaches a run's provenance to its graph.  Snapshots,
-trace prefixes (:func:`trace_prefix`), sequential checkpoints and
-subgraphs are cut from a built graph by one restriction to a vertex mask.
+their keys, and :func:`_graph_on_rows` gives the graph on labels 1..n
+with those rows, on which the graph families of ``regularity`` are built
+too.  One step, :func:`_as_trace`, attaches a run's provenance to its
+graph.  Snapshots, trace prefixes (:func:`trace_prefix`), sequential
+checkpoints and subgraphs are cut from a built graph by one restriction
+to a vertex mask, which carries its rows over.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -123,11 +129,14 @@ class SampledGraph:
     labels, self-loops, endpoints that are not labels, duplicate edges, and
     ``births`` or ``features`` that are not one entry or one row per label,
     in that order.  It copies every array it is given, so the caller may
-    reuse them, and stores ``edges`` as label pairs ``(u, v)``, ``u`` before
-    ``v`` in label order, sorted lexicographically in that order, with their
-    rows in ``labels``.  On consecutive labels ``b..b+n-1`` label ``b + i``
-    is row ``i``: construction is O(|V| + |E|) when the edges are already in
-    that canonical order and sorts the edge keys once otherwise.  Any other
+    reuse them, and stores the edges once, as their rows in ``labels``
+    (``edge_rows()``), ``u`` before ``v`` in label order and sorted
+    lexicographically in that order.  ``edges``, the constructor's second
+    argument, is not stored: as an attribute it is the read-only label pairs
+    ``labels[edge_rows()]``, built on each access, so ``dataclasses.fields``
+    and ``repr`` do not list it.  On consecutive labels ``b..b+n-1`` label
+    ``b + i`` is row ``i``: construction is O(|V| + |E|) when the edges are
+    already in that canonical order and sorts the edge keys once otherwise.  Any other
     label set takes the general path, which sorts the labels, searches every
     endpoint and sorts the edge keys.  Graphs the package builds skip these
     checks: the samplers and the graph families of ``regularity`` make
@@ -137,24 +146,24 @@ class SampledGraph:
     """
 
     labels: np.ndarray
-    edges: np.ndarray
+    edges: InitVar[np.ndarray]  # not stored: the property below derives it from the rows
     births: np.ndarray | None = None
     features: np.ndarray | None = None
 
-    def __post_init__(self):
+    def __post_init__(self, edges):
         labels = np.array(self.labels, dtype=np.int64)  # a copy: the caller may reuse its array
-        edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         n = labels.size
         # O(n): strictly increasing labels spanning n - 1 are exactly b, b+1, ..., b+n-1
         consecutive = n > 0 and int(labels[-1]) - int(labels[0]) == n - 1 and bool(np.all(labels[1:] > labels[:-1]))
-        edges, rows = (_consecutive_rows if consecutive else _searched_rows)(labels, edges)
+        rows = (_consecutive_rows if consecutive else _searched_rows)(labels, edges)
         births = None if self.births is None else np.array(self.births, dtype=float)  # copies, as labels
         features = None if self.features is None else np.array(self.features, dtype=float)
         if births is not None and births.shape != (n,):
             raise GraphonError(f"births must be one per vertex, got shape {births.shape} for {n} labels")
         if features is not None and (features.ndim != 2 or features.shape[0] != n):
             raise GraphonError(f"features must be one row per vertex, got shape {features.shape} for {n} labels")
-        _set_fields(self, labels, edges, rows, births, features)
+        _set_fields(self, labels, rows, births, features)
 
     # -- derived statistics ---------------------------------------------------
     @property
@@ -163,7 +172,7 @@ class SampledGraph:
 
     @property
     def num_edges(self) -> int:
-        return int(self.edges.shape[0])
+        return int(self._rows.shape[0])
 
     @property
     def edge_density(self) -> float:
@@ -201,18 +210,23 @@ class SampledGraph:
         """Subgraph induced on the vertices whose rows are set in the mask ``keep``;
         label order is kept, so the kept edges stay sorted and only their rows shift."""
         kept = keep[self._rows[:, 0]] & keep[self._rows[:, 1]]  # several times faster than all(axis=1)
-        return _set_fields(
-            object.__new__(SampledGraph),
-            self.labels[keep],
-            np.compress(kept, self.edges, axis=0),
-            (np.cumsum(keep) - 1)[np.compress(kept, self._rows, axis=0)],
-            self.births[keep] if self.births is not None else None,
-            self.features[keep] if self.features is not None else None,
-        )
+        return _set_fields(object.__new__(SampledGraph), self.labels[keep],
+                           (np.cumsum(keep) - 1)[np.compress(kept, self._rows, axis=0)],
+                           *(None if a is None else a[keep] for a in (self.births, self.features)))
 
 
-def _searched_rows(labels: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical edges and their rows in ``labels``, for any label set: one sort of
+def _edges(g: SampledGraph) -> np.ndarray:
+    """The edges as label pairs ``labels[edge_rows()]``, built on each access and read-only."""
+    edges = g.labels[g._rows]
+    edges.setflags(write=False)
+    return edges
+
+
+SampledGraph.edges = property(_edges)  # set after the class: a property in its body would be the InitVar's default
+
+
+def _searched_rows(labels: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """The canonical rows in ``labels`` of ``edges``, for any label set: one sort of
     the labels, a binary search of every endpoint and :func:`_canonical` on their ranks."""
     order = np.argsort(labels, kind="stable")
     ordered = labels[order]
@@ -225,14 +239,12 @@ def _searched_rows(labels: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, n
     unknown = np.flatnonzero((ordered[ranks] != edges).any(axis=1)) if n else np.arange(len(edges))
     if unknown.size:
         raise _unknown_vertex(edges[unknown[0]])
-    ranks = _canonical(ranks, n)
-    rows = order[ranks]
-    del ranks  # freed before the (E, 2) outputs: on large graphs it would set the peak
-    return labels[rows], rows
+    ranks = _canonical(ranks, n)  # rebound, so a sort frees the unsorted ranks before the rows are made
+    return order[ranks]
 
 
-def _consecutive_rows(labels: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical edges and their rows for labels ``b, b+1, ..., b+n-1``, where
+def _consecutive_rows(labels: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """The canonical rows of ``edges`` for labels ``b, b+1, ..., b+n-1``, where
     label ``b + i`` is row ``i``: no endpoint is searched, and edges already in
     canonical order are not sorted, so their cost is O(|V| + |E|)."""
     n, base = labels.size, int(labels[0])
@@ -243,9 +255,8 @@ def _consecutive_rows(labels: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray
     outside = rows.view(np.uint64) >= n
     if outside.any():
         raise _unknown_vertex(edges[np.argmax(outside) // 2])
-    del outside  # freed before the (E, 2) outputs
-    rows = _canonical(rows, n)
-    return rows + base, rows
+    del outside  # freed before the sort's outputs
+    return _canonical(rows, n)
 
 
 def _canonical(rows: np.ndarray, n: int) -> np.ndarray:
@@ -275,15 +286,15 @@ def _unknown_vertex(edge: np.ndarray) -> GraphonError:
     return GraphonError(f"edge ({u}, {v}) references an unknown vertex")
 
 
-def _set_fields(g: SampledGraph, labels, edges, rows, births, features) -> SampledGraph:
+def _set_fields(g: SampledGraph, labels, rows, births, features) -> SampledGraph:
     """Fill ``g`` from arrays that pass the :class:`SampledGraph` checks:
-    unique labels, canonically sorted edges and ``rows`` their row positions.
+    unique labels and canonical ``rows``, the edges' row positions in them.
     This is the one finishing step of every graph.  It counts the degrees
     while ``rows`` is still writable (``bincount`` copies a read-only input)
     and then makes every array read-only; the arrays become the graph's own."""
     degrees = np.bincount(rows.ravel(), minlength=labels.size)
-    for name, value in (("labels", labels), ("edges", edges), ("_rows", rows), ("_degrees", degrees),
-                        ("births", births), ("features", features)):
+    for name, value in (("labels", labels), ("_rows", rows), ("_degrees", degrees), ("births", births),
+                        ("features", features)):
         if value is not None:
             value.setflags(write=False)
         object.__setattr__(g, name, value)
@@ -295,8 +306,7 @@ def _graph_on_rows(rows: np.ndarray, n: int, births=None, features=None) -> Samp
     must be canonical: ``u < v < n`` with strictly increasing keys ``u * n + v``.
     The samplers and the graph families of ``regularity`` make their rows so and
     check their parameters; nothing here checks the rows or the vertex arrays."""
-    return _set_fields(object.__new__(SampledGraph), np.arange(1, n + 1, dtype=np.int64), rows + 1, rows,
-                       births, features)
+    return _set_fields(object.__new__(SampledGraph), np.arange(1, n + 1, dtype=np.int64), rows, births, features)
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -305,7 +315,8 @@ class ProcessTrace(SampledGraph):
     labels 1..N in birth order, with its provenance.
 
     Vertex ``i`` was born at ``births[i - 1]`` with feature row
-    ``features[i - 1]``; ``edges`` are sorted label pairs ``u < v`` (see
+    ``features[i - 1]``; it stores its edges as sorted 0-based rows, and
+    ``edges`` gives them as label pairs ``u < v``, the rows plus one (see
     the module docstring).  The constructor, for traces read from files or
     given by users, takes the provenance and the arrays positionally,
     checks a finite horizon, births in ``[0, horizon]`` and ``u < v``, and
@@ -344,7 +355,7 @@ class ProcessTrace(SampledGraph):
         return tuple(VertexRecord(i + 1, births[i], tuple(features[i])) for i in range(len(births)))
 
     def edge_creation_times(self) -> np.ndarray:
-        return self.births[self.edges[:, 1] - 1]
+        return self.births[self._rows[:, 1]]
 
 
 # ---------------------------------------------------------------------------
@@ -802,28 +813,34 @@ def trace_from_json(payload: dict) -> ProcessTrace:
     """Trace from its JSON form; malformed payloads raise :class:`GraphonError`.
 
     Files written before the stream layout was recorded have no
-    ``"sampler"`` key; they load with ``sampler=None``.
+    ``"sampler"`` key; they load with ``sampler=None``.  Nothing is coerced:
+    ``keep_isolated`` must be a JSON boolean, ``seed`` a non-negative
+    integer, ``horizon`` a number and every vertex label an integer.
     """
     try:
         graphon = load_graphon_spec(payload["spec"])
         records = payload["vertices"]
-        if [int(v["label"]) for v in records] != list(range(1, len(records) + 1)):
+        if [_json_field(v, "label", int, "an integer") for v in records] != list(range(1, len(records) + 1)):
             raise GraphonError(f"vertex labels must be 1..{len(records)} in birth order")
+        seed = _json_field(payload, "seed", int, "a non-negative integer")
+        if seed < 0:
+            raise GraphonError(f"seed must be a non-negative integer, got {seed}")
         # feature rows of unequal width make np.array raise ValueError
         features = np.array([v["feature"] for v in records] or np.zeros((0, graphon.feature_dim)), dtype=float)
-        edges = np.array(payload["edges"], dtype=np.int64).reshape(-1, 2)
-        return ProcessTrace(
-            graphon,
-            float(payload["horizon"]),
-            int(payload["seed"]),
-            bool(payload.get("keep_isolated", False)),
-            [float(v["birth"]) for v in records],
-            features,
-            edges,
-            str(payload["sampler"]) if "sampler" in payload else None,
-        )
+        return ProcessTrace(graphon, float(_json_field(payload, "horizon", (int, float), "a number")), seed,
+                            _json_field({"keep_isolated": False, **payload}, "keep_isolated", bool, "true or false"),
+                            [float(v["birth"]) for v in records], features, payload["edges"],
+                            str(payload["sampler"]) if "sampler" in payload else None)
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphonError(f"malformed trace payload: {exc}") from exc
+
+
+def _json_field(payload: dict, key: str, kind, what: str):
+    """``payload[key]``, which must be an instance of ``kind``; JSON true and false count only as booleans."""
+    value = payload[key]
+    if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
+        raise GraphonError(f"{key} must be {what}, got {value!r}")
+    return value
 
 
 def save_trace_file(trace: ProcessTrace, path) -> None:

@@ -2,18 +2,23 @@
 implementations it replaced, which are kept here verbatim as oracles."""
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from graphonlab import sampling
-from graphonlab.experiments import _sample_inhomogeneous_control
+from graphonlab.experiments import _sample_inhomogeneous_control, default_config, experiment_names, run_experiment
 from graphonlab.graphon_core import CaronFoxGraphon, GraphonError, MixedMembershipGraphon, StepGraphon
+from graphonlab.homomorphisms import count_embeddings, motif
+from graphonlab.metrics import graph_graphon_distance_estimate
 from graphonlab.regularity import (
     clique_plus_isolated,
     cycle_graph,
     er_power_graph,
+    graph_degree_stats,
+    graph_tail_profile,
     perfect_matching,
     upper_regularity_statistic,
 )
@@ -480,7 +485,8 @@ class TestConstructionPaths:
         given = [g, g.induced([3, 5, 9]), g.drop_isolated(), trace_from_json(trace_to_json(trace))]
         for built in given + list(self.package_graphs()):
             arrays = {name: a for name, a in vars(built).items() if isinstance(a, np.ndarray)}
-            assert {"labels", "edges", "_rows", "_degrees"} <= arrays.keys()
+            assert {"labels", "_rows", "_degrees"} <= arrays.keys() and "edges" not in arrays
+            arrays["edges"] = built.edges  # derived from the rows on each access, and read-only too
             assert ("births" in arrays) == ("features" in arrays) == (built.births is not None)
             for name, a in arrays.items():
                 with pytest.raises(ValueError, match="read-only"):
@@ -502,6 +508,35 @@ class TestConstructionPaths:
         with pytest.raises(AssertionError, match="validating constructor"):
             ProcessTrace(StepGraphon([1.0], [[0.5]]), 1.0, 0, True, [0.5], [[0.5]], [])
         assert sum(g.num_edges for g in self.package_graphs()) > 1000
+
+    def test_package_code_never_builds_edges(self, monkeypatch):
+        """A graph stores its rows only, and every computation of the package reads them: the
+        label pairs ``edges`` are built only by the two writers of label pairs."""
+        derive = SampledGraph.edges.fget
+
+        def guarded(g):
+            caller = sys._getframe(1).f_code.co_name
+            if caller not in ("edge_list", "trace_to_json"):
+                raise AssertionError(f"{caller} built edges")
+            return derive(g)
+
+        monkeypatch.setattr(SampledGraph, "edges", property(guarded))
+        with pytest.raises(AssertionError, match="test_package_code_never_builds_edges built edges"):
+            cycle_graph(5).edges
+        graphs = list(self.package_graphs())
+        w, horizon = GRAPHONS["step"]
+        trace = sample_graphon_process(w, horizon, seed=2)
+        assert trace.edge_list() == [tuple(e) for e in trace_to_json(trace)["edges"]]
+        xi_box_counts(trace, 1.0)
+        trace.edge_creation_times()
+        graph_graphon_distance_estimate(trace, w)
+        for g in graphs:
+            g.group_edge_counts(np.arange(g.num_vertices) % 3, 3)
+            count_embeddings(motif("triangle"), g)
+            if g.num_edges:
+                graph_tail_profile(g, [0.5, 2.0])
+                graph_degree_stats(g, [0.5])
+        assert all(run_experiment(default_config(name, seed=0)).passed for name in experiment_names())
 
     @pytest.mark.parametrize("births, features, message", [
         (np.zeros(2), None, r"births must be one per vertex, got shape \(2,\) for 3 labels"),

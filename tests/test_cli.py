@@ -11,7 +11,7 @@ import pytest
 import graphonlab
 from graphonlab.cli import main
 from graphonlab.graphon_core import CaronFoxGraphon, StepGraphon, save_graphon_file
-from graphonlab.sampling import load_trace_file, sample_graphon_process, save_trace_file
+from graphonlab.sampling import load_trace_file, sample_graphon_process, save_trace_file, trace_to_json
 
 
 @pytest.fixture()
@@ -274,6 +274,26 @@ def test_malformed_argument_exit_code(tmp_path, capsys, command, message):
     assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
     assert message in err
     assert not files["out"].exists()
+
+
+@pytest.mark.parametrize("key, value, what", [
+    ("keep_isolated", "false", "true or false"),
+    ("seed", 2.7, "a non-negative integer"),
+    ("seed", True, "a non-negative integer"),
+    ("seed", -3, "a non-negative integer"),
+    ("label", 1.5, "an integer"),
+    ("horizon", "3", "a number"),
+], ids=["keep_isolated_string", "seed_fraction", "seed_bool", "seed_negative", "label_fraction", "horizon_string"])
+def test_hand_edited_trace_file_exit_code(tmp_path, capsys, key, value, what):
+    """A trace file with a field edited to another JSON type, or to a negative seed, is reported
+    in one line naming the field, with exit 2, instead of loading as another run."""
+    payload = trace_to_json(sample_graphon_process(StepGraphon([1.0], [[0.5]]), 3.0, seed=0))
+    (payload["vertices"][0] if key == "label" else payload)[key] = value
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(payload))
+    code = main(["hom", "--motif", "edge", "--graph", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: malformed trace payload: {key} must be {what}, got {value!r}\n"
 
 
 def test_no_scipy_or_networkx_loaded():

@@ -373,6 +373,13 @@ def _empty_with_horizon(horizon):
     return corrupt
 
 
+def _with(key, value):
+    # a hand-edited field, which the loader must reject rather than coerce
+    def corrupt(p):
+        (p["vertices"][0] if key == "label" else p)[key] = value
+    return corrupt
+
+
 class TestTraceSerialization:
     def test_roundtrip(self):
         trace = sample_graphon_process(ONES, 8.0, seed=2)
@@ -510,9 +517,16 @@ class TestTraceSerialization:
         (_empty_with_horizon(math.nan), "horizon must be finite and non-negative"),
         (_empty_with_horizon(-3.0), "horizon must be finite and non-negative"),
         (_empty_with_horizon(math.inf), "horizon must be finite and non-negative"),
+        (_with("keep_isolated", "false"), ": keep_isolated must be true or false, got 'false'$"),
+        (_with("seed", 2.7), ": seed must be a non-negative integer, got 2.7$"),
+        (_with("seed", True), ": seed must be a non-negative integer, got True$"),
+        (_with("seed", -3), ": seed must be a non-negative integer, got -3$"),
+        (_with("label", 1.5), ": label must be an integer, got 1.5$"),
+        (_with("horizon", "3"), ": horizon must be a number, got '3'$"),
     ], ids=["labels", "decreasing_births", "birth_past_horizon", "reversed_edge", "unknown_label",
             "duplicate_edge", "ragged_features", "edge_without_vertices", "nan_horizon", "negative_horizon",
-            "infinite_horizon"])
+            "infinite_horizon", "keep_isolated_string", "seed_fraction", "seed_bool", "seed_negative",
+            "label_fraction", "horizon_string"])
     def test_rejects_malformed_payload(self, corrupt, match):
         payload = _small_payload()
         trace_from_json(payload)
