@@ -2,20 +2,21 @@
 
 Every random draw in the library comes from a substream addressed by a
 master seed plus a tuple of integer tags.  Stream ``(seed, *tags)`` is the
-PCG64 generator seeded with the four 64-bit words of
-``numpy.random.SeedSequence(entropy=seed, spawn_key=tags).generate_state(4,
-np.uint64)``.  That hash mixes the key material through a counter-based
-function, so streams with different tags are independent and a stream never
-changes when unrelated parts of a computation are added or removed (e.g.
+PCG64 generator seeded by ``numpy.random.SeedSequence(entropy=seed,
+spawn_key=tags)``, whose hash NumPy keeps stable across versions (NEP 19).
+That hash mixes the key material through a counter-based function, so
+streams with different tags are independent and a stream never changes
+when unrelated parts of a computation are added or removed (e.g.
 extending a trace horizon, adding replicas).
 
-The states are computed here, not by ``SeedSequence``: :func:`stream_states`
-mixes the seed and the leading tags once and then the last tag of a whole
-array of keys at once, with the constants of NumPy's SeedSequence hash,
-which NumPy keeps stable across versions (NEP 19).  The words, and so every
-stream and the layout below, are the ones ``SeedSequence`` gives; the tests
-hold them to it.  A sampler derives all its window states in one call and
-builds a window's generator only when it draws from it (:class:`Streams`).
+A single stream (:func:`substream`) is numpy's own.  A sampler needs the
+streams ``(seed, *tags, k)`` of a whole array of keys ``k``:
+:func:`stream_states` lets ``SeedSequence`` mix the seed and the leading
+tags once, then mixes in each key's word and emits the four state words
+for all keys at once, with the constants of SeedSequence's hash.  The
+states are the ones ``SeedSequence`` gives; the tests hold them to it.  A
+sampler derives all its window states in one call and builds a window's
+generator only when it draws from it (:class:`Streams`).
 """
 
 from __future__ import annotations
@@ -76,16 +77,14 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # hash of the output words
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
-def _consts(init: int, mult: int, steps: int) -> list[int]:
-    """The hash constant before each of ``steps`` hashes from ``init``, and after the last."""
-    out = [init]
-    for _ in range(steps):
-        out.append(out[-1] * mult & _MASK)
-    return out
+def _consts(init: int, mult: int, first: int, count: int) -> np.ndarray:
+    """The hash constants ``init * mult**i`` for ``first <= i < first + count``, as a uint64 column."""
+    consts = [init * pow(mult, i, 1 << 32) & _MASK for i in range(first, first + count)]
+    return np.array(consts, dtype=np.uint64)[:, None]
 
 
-# The hash steps take Python ints or uint64 arrays: products of two 32-bit words fit in
-# 64 bits, and a uint64 difference wraps modulo 2^64, a multiple of 2^32.
+# The hash steps take uint64 arrays: products of two 32-bit words fit in 64 bits, and a
+# uint64 difference wraps modulo 2^64, a multiple of 2^32.
 def _hashmix(value, const, next_const):
     value = (value ^ const) * next_const & _MASK
     return value ^ value >> 16
@@ -97,70 +96,43 @@ def _mix(x, y):
 
 
 # generate_state(4, np.uint64) hashes pool word i % 4 into 32-bit output word i of 8
-_OUT = np.array(_consts(_INIT_B, _MULT_B, 2 * _POOL), dtype=np.uint64)[:, None]
-_A = _consts(_INIT_A, _MULT_A, 64)  # enough for a seed below 2^128 and up to 11 tag words
+_OUT = _consts(_INIT_B, _MULT_B, 0, 2 * _POOL + 1)
 
 
-def _words(value: int) -> list[int]:
-    """Little-endian 32-bit words of a non-negative integer; ``[0]`` for 0.
+def _words(value: int) -> int:
+    """How many 32-bit words SeedSequence makes of a non-negative integer; one for 0."""
+    return max(1, -(-value.bit_length() // 32))
 
-    A negative seed or tag raises :class:`GraphonError`, so every entry point
-    reports it as malformed input."""
-    if value < 0:
+
+def _checked(seed, tags) -> tuple[int, tuple[int, ...]]:
+    """The seed and tags as ints; a negative one raises :class:`GraphonError`,
+    so every entry point reports it as malformed input."""
+    seed, tags = int(seed), tuple(int(t) for t in tags)
+    if seed < 0 or any(t < 0 for t in tags):
         raise GraphonError("seed and tags must be non-negative integers")
-    words = [value & _MASK]
-    while value > _MASK:
-        value >>= 32
-        words.append(value & _MASK)
-    return words
-
-
-def _entropy(seed: int, tags) -> list[int]:
-    """SeedSequence's entropy words for a nonempty spawn key: the seed padded to the pool, then the tags."""
-    words = _words(int(seed))
-    words += [0] * (_POOL - len(words))
-    for t in tags:
-        words += _words(int(t))
-    return words
-
-
-def _mixed_pool(words: list[int]) -> tuple[list[int], list[int]]:
-    """SeedSequence's pool after mixing ``words`` (at least four), and the hash constants of one more word."""
-    steps = _POOL * len(words) + _POOL
-    c = _A if steps < len(_A) else _consts(_INIT_A, _MULT_A, steps)
-    pool = [_hashmix(v, c[i], c[i + 1]) for i, v in enumerate(words[:_POOL])]
-    i = _POOL
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], c[i], c[i + 1]))
-                i += 1
-    for v in words[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = _mix(pool[dst], _hashmix(v, c[i], c[i + 1]))
-            i += 1
-    return pool, c[i:i + _POOL + 1]
-
-
-def _states(pool: list[int], consts: list[int], last: np.ndarray) -> np.ndarray:
-    """(n, 4) uint64 states of the pool after mixing in each word of ``last`` (n,) in turn."""
-    c = np.array(consts, dtype=np.uint64)[:, None]
-    mixed = _mix(np.array(pool, dtype=np.uint64)[:, None], _hashmix(last, c[:-1], c[1:]))  # (4, n)
-    out = _hashmix(np.concatenate((mixed, mixed)), _OUT[:-1], _OUT[1:])  # (8, n)
-    # little-endian pairs of 32-bit words; C order, so each row is one contiguous state
-    return np.ascontiguousarray((out[0::2] | out[1::2] << np.uint64(32)).T)
+    if not tags:
+        raise ValueError("a stream needs at least one tag")
+    return seed, tags
 
 
 def stream_states(seed: int, tags, keys) -> np.ndarray:
     """``SeedSequence(seed, spawn_key=(*tags, k)).generate_state(4, np.uint64)`` for each ``k`` in ``keys``.
 
     Returns a C-ordered (len(keys), 4) uint64 array, one row per key; ``keys``
-    must lie in [0, 2^32).  The seed and ``tags`` are mixed once.
+    must lie in [0, 2^32) and ``tags`` must not be empty.  The seed and
+    ``tags`` are mixed once, by ``SeedSequence``.
     """
     keys = np.asarray(keys, dtype=np.int64).reshape(-1)
     if (keys >> 32).any():  # negative, or 2^32 and more
         raise ValueError("stream keys must lie in [0, 2**32)")
-    return _states(*_mixed_pool(_entropy(seed, tags)), keys.astype(np.uint64))
+    seed, tags = _checked(seed, tags)
+    pool = np.random.SeedSequence(seed, spawn_key=tags).pool.astype(np.uint64)[:, None]
+    # mixing the seed, padded to the pool, and the tags took four hash steps per word
+    c = _consts(_INIT_A, _MULT_A, _POOL * (max(_POOL, _words(seed)) + sum(map(_words, tags))), _POOL + 1)
+    mixed = _mix(pool, _hashmix(keys.astype(np.uint64), c[:-1], c[1:]))  # (4, n)
+    out = _hashmix(np.concatenate((mixed, mixed)), _OUT[:-1], _OUT[1:])  # (8, n)
+    # little-endian pairs of 32-bit words; C order, so each row is one contiguous state
+    return np.ascontiguousarray((out[0::2] | out[1::2] << np.uint64(32)).T)
 
 
 @functools.cache
@@ -213,7 +185,5 @@ class Streams:
 
 def substream(seed: int, *tags: int) -> np.random.Generator:
     """Return the generator addressed by ``(seed, *tags)``; at least one tag."""
-    if not tags:
-        raise ValueError("a substream needs at least one tag")
-    *words, last = _entropy(seed, tags)  # a last tag of 2^32 or more ends in its high word
-    return generator(_states(*_mixed_pool(words), np.array([last], dtype=np.uint64))[0])
+    seed, tags = _checked(seed, tags)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=tags)))

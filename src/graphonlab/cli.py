@@ -15,7 +15,7 @@ from .experiments import (
     render_report,
     run_experiment,
 )
-from .graphon_core import GraphonError, load_graphon_file, read_json_file
+from .graphon_core import GraphonError, json_field, load_graphon_file, read_json_file
 from .homomorphisms import MotifGraph, h_analytic, motif, rescaled_density
 from .metrics import cut_distance, cut_norm
 from .regularity import (
@@ -81,9 +81,9 @@ def _parse_motif(text: str) -> MotifGraph:
     if not text.startswith("["):
         return motif(text)
     try:
-        edges = [(int(u), int(v)) for u, v in json.loads(text)]
+        edges = [(u, v) for u, v in json_field(json.loads(text), "vertex", "integer", 2)]
     except (ValueError, TypeError) as exc:
-        raise GraphonError(f"--motif {text!r} is not a JSON list of vertex pairs") from exc
+        raise GraphonError(f"--motif {text!r} is not a JSON list of vertex pairs: {exc}") from exc
     if not edges:
         raise GraphonError("--motif needs at least one edge")
     return MotifGraph(max(max(e) for e in edges) + 1, tuple(edges))

@@ -38,6 +38,7 @@ from .graphon_core import (
     StepGraphon,
     constant_graphon,
     degree_profile,
+    json_field,
     l1_norm,
     load_graphon_spec,
     stretch,
@@ -142,12 +143,12 @@ class ExperimentConfig:
             raise GraphonError(f"unknown config keys {', '.join(unknown)}; known: {', '.join(known)}")
         try:
             return ExperimentConfig(
-                experiment=payload["experiment"],
-                replicas=int(payload.get("replicas", 1)),
-                seed=int(payload.get("seed", 0)),
+                experiment=json_field(payload["experiment"], "experiment", "string"),
+                replicas=json_field(payload.get("replicas", 1), "replicas", "integer"),
+                seed=json_field(payload.get("seed", 0), "seed", "integer"),
                 graphon=payload.get("graphon"),
-                horizons=tuple(payload.get("horizons", ())),
-                params=dict(payload.get("params", {})),
+                horizons=json_field(payload.get("horizons", ()), "horizon", "number", 1),
+                params=json_field(payload.get("params", {}), "params", "object"),
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise GraphonError("config replicas and seed must be integers, horizons a list of numbers and params "
@@ -683,23 +684,27 @@ def default_config(name: str, seed: int = 0) -> ExperimentConfig:
     return _filled(ExperimentConfig(name, replicas=_entry(name).defaults.get("replicas", 1), seed=seed))
 
 
+_PARAM_KINDS = {int: "integer", float: "number", str: "string"}  # JSON kinds of the catalog defaults
+
+
 def _typed(name: str, value, default):
-    """``value`` converted to the type of ``default``, element by element for a list."""
+    """``value``, which must be of the JSON kind of ``default``, element by element for a list.
+
+    Nothing is cast; a number given for a float parameter is stored as a float.
+    """
     sequence = isinstance(default, (tuple, list))
     kind = type(default[0] if sequence else default)
-    try:
-        if isinstance(value, (tuple, list)) == sequence:
-            return [kind(v) for v in value] if sequence else kind(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
     expected = f"a list of {kind.__name__}" if sequence else kind.__name__
-    raise GraphonError(f"parameter {name!r} must be {expected}, got {value!r}")
+    if isinstance(value, (tuple, list)) != sequence:
+        raise GraphonError(f"parameter {name!r} must be {expected}, got {value!r}")
+    json_field(value, f"parameter {name!r}", _PARAM_KINDS[kind], int(sequence), expected)
+    return [kind(v) for v in value] if sequence else kind(value)
 
 
 def _filled(config: ExperimentConfig) -> ExperimentConfig:
     """``config`` completed from its CATALOG entry: the entry's graphon and
     horizons when the config gives none, and every parameter the config
-    omits, each converted to the type of its default."""
+    omits; each parameter must be of its default's JSON kind (:func:`_typed`)."""
     defaults = _entry(config.experiment).defaults
     known = defaults.get("params", {})
     unknown = sorted(set(config.params) - set(known))

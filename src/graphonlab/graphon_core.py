@@ -26,6 +26,7 @@ All objects are immutable values and all operations are pure.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -575,11 +576,14 @@ class InfiniteBlockGraphon(AnalyticGraphon):
         self._trunc = Truncation(x_max, residual if residual > 0 else 0.0)
 
     def _locate(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.full(x.shape, -1, dtype=int)
-        for k, (lo, hi) in enumerate(self.intervals[: self.truncation_count]):
-            out = np.where((x >= lo) & (x < hi), k, out)
-        return out
+        """The kept block holding each point, or -1 (gaps, beyond the last block, NaN).
+
+        ``x`` lies in ``[lo_k, hi_k)`` just when the right search of the ends
+        ``lo_0, hi_0, lo_1, ...`` lands at the odd index ``2k + 1``; a point
+        where two blocks touch belongs to the later one.
+        """
+        i = np.searchsorted(np.ravel(self.intervals[: self.truncation_count]), np.asarray(x, dtype=float), "right")
+        return np.where(i % 2 == 1, i // 2, -1)
 
     def _kernel(self, x, y):
         i = self._locate(x)
@@ -1062,7 +1066,8 @@ def _region_cell_averages(w: RegionIndicatorGraphon, edges: np.ndarray) -> np.nd
 
 def _read_truncation(spec) -> dict:
     trunc = spec.get("truncation", {})
-    return {"x_max": trunc.get("x_max"), "target_l1_residual": trunc.get("target_l1_residual")}
+    return {key: None if trunc.get(key) is None else json_field(trunc[key], key, "number")
+            for key in ("x_max", "target_l1_residual")}
 
 
 def _write_truncation(w: AnalyticGraphon) -> dict:
@@ -1070,20 +1075,28 @@ def _write_truncation(w: AnalyticGraphon) -> dict:
 
 
 def _read_step(spec) -> StepGraphon:
-    ambient = spec.get("ambient_infinite", False)
-    if not isinstance(ambient, bool):
-        raise SpecError(f"ambient_infinite must be true or false, not {ambient!r}")
-    masses = [float(m) for m in spec["masses"]]
-    return StepGraphon(masses, [[float(v) for v in row] for row in spec["values"]], ambient)
+    return StepGraphon(json_field(spec["masses"], "mass", "number", 1),
+                       json_field(spec["values"], "value", "number", 2),
+                       json_field(spec.get("ambient_infinite", False), "ambient_infinite", "boolean"))
 
 
 def _read_caron_fox(spec) -> CaronFoxGraphon:
     f = spec.get("f", {})
-    return CaronFoxGraphon(f.get("kind", "shifted_power"), float(f["c"]), float(f["gamma"]), **_read_truncation(spec))
+    return CaronFoxGraphon(json_field(f.get("kind", "shifted_power"), "kind", "string"),
+                           float(json_field(f["c"], "c", "number")), float(json_field(f["gamma"], "gamma", "number")),
+                           **_read_truncation(spec))
 
 
 def _read_region_indicator(spec) -> RegionIndicatorGraphon:
-    return RegionIndicatorGraphon(float(spec.get("f", {}).get("a", 0.5)), **_read_truncation(spec))
+    return RegionIndicatorGraphon(float(json_field(spec.get("f", {}).get("a", 0.5), "a", "number")),
+                                  **_read_truncation(spec))
+
+
+def _read_infinite_block(spec) -> InfiniteBlockGraphon:
+    count = spec.get("truncation_count")
+    return InfiniteBlockGraphon(json_field(spec["intervals"], "interval end", "number", 2),
+                                json_field(spec["probs"], "prob", "number", 2),
+                                None if count is None else json_field(count, "truncation_count", "integer"))
 
 
 def _read_mixed_membership(spec) -> MixedMembershipGraphon:
@@ -1105,8 +1118,7 @@ _SPEC_TABLE = {cls.family: (read, write) for cls, read, write in [
      lambda w: {"f": {"kind": w.f_kind, "c": w.c, "gamma": w.gamma}, "truncation": _write_truncation(w)}),
     (RegionIndicatorGraphon, _read_region_indicator,
      lambda w: {"f": {"kind": "power_involution", "a": w.a}, "truncation": _write_truncation(w)}),
-    (InfiniteBlockGraphon,
-     lambda spec: InfiniteBlockGraphon(spec["intervals"], spec["probs"], spec.get("truncation_count")),
+    (InfiniteBlockGraphon, _read_infinite_block,
      lambda w: {"intervals": [list(iv) for iv in w.intervals], "probs": w.probs.tolist(),
                 "truncation_count": w.truncation_count}),
     (MixedMembershipGraphon, _read_mixed_membership,
@@ -1145,6 +1157,36 @@ def read_json_file(path, error=GraphonError):
             return json.load(fh)
         except ValueError as exc:  # not JSON, or not UTF-8 text
             raise error(f"{path} is not a JSON file: {exc}") from exc
+
+
+# The JSON kinds a reader may require, and how its messages name them.
+_JSON_KINDS = {"integer": (int, "an integer"), "number": ((int, float), "a number"),
+               "boolean": (bool, "true or false"), "string": (str, "a string"), "object": (dict, "an object")}
+
+
+def _is_kind(t: type, types) -> bool:
+    return issubclass(t, types) and issubclass(t, bool) == (types is bool)
+
+
+def json_field(value, name: str, kind: str, depth: int = 0, what: str | None = None):
+    """``value``, if it is a JSON ``kind`` ("integer", "number", "boolean",
+    "string" or "object"), or for ``depth > 0`` arrays of them nested
+    ``depth`` deep; every file reader checks its fields with it.
+
+    Nothing is cast: an integer is a JSON integer, a number an integer or a
+    float, and true and false are only booleans.  Arrays are checked in one
+    pass over their entries' types.  Any other entry raises
+    :class:`GraphonError`, ``"<name> must be <what>, got <entry>"``; a
+    number where an array belongs raises ``TypeError``.
+    """
+    types, kind_what = _JSON_KINDS[kind]
+    entries = [value]
+    for _ in range(depth):
+        entries = list(itertools.chain.from_iterable(entries))
+    if not all(_is_kind(t, types) for t in set(map(type, entries))):
+        bad = next(v for v in entries if not _is_kind(type(v), types))
+        raise GraphonError(f"{name} must be {what or kind_what}, got {bad!r}")
+    return value
 
 
 def load_graphon_file(path):

@@ -57,24 +57,15 @@ class TailProfile:
         return 2.0 - self.shares
 
 
-def _sorted_degrees(g: SampledGraph) -> np.ndarray:
-    degs = g.degree_sequence()
-    order = np.lexsort((g.labels, -degs))
-    return degs[order]
-
-
 def graph_tail_profile(g: SampledGraph, m_values) -> TailProfile:
-    """Prefix degree shares of the degree-sorted vertex list at each M.
-
-    Ties in the degree sort are broken by vertex label ascending.
-    """
+    """Prefix degree shares of the degree-sorted vertex list at each M."""
     e = g.num_edges
     if e < 1:
         raise GraphonError("tail profiles need at least one edge")
     m_values = np.atleast_1d(np.asarray(m_values, dtype=float))
     if np.any(m_values <= 0):
         raise GraphonError("prefix scale M must be positive")
-    degs = _sorted_degrees(g)
+    degs = np.sort(g.degree_sequence())[::-1]
     cum = np.concatenate([[0], np.cumsum(degs)])
     ks = np.minimum(np.ceil(m_values * math.sqrt(e)).astype(int), degs.size)
     shares = cum[ks] / e

@@ -68,8 +68,6 @@ from ._rng import (
     TAG_WINDOW_EDGES,
     TAG_WRANDOM,
     Streams,
-    generator,
-    stream_states,
     substream,
 )
 from .graphon_core import (
@@ -79,6 +77,7 @@ from .graphon_core import (
     StepGraphon,
     evaluate,
     graphon_to_spec,
+    json_field,
     load_graphon_spec,
     read_json_file,
 )
@@ -600,9 +599,7 @@ def sample_graphon_process(w, horizon: float, seed: int, keep_isolated: bool = F
     mass = w.region_mass()
 
     windows, births, feats = [], [np.zeros(0)], [np.zeros((0, w.feature_dim))]  # the nonempty unit windows
-    states = stream_states(seed, (TAG_WINDOW,), range(int(math.ceil(horizon)) if mass > 0 else 0))
-    for k, state in enumerate(states):
-        rng = generator(state)
+    for k, rng in enumerate(Streams(seed, (TAG_WINDOW,), range(int(math.ceil(horizon)) if mass > 0 else 0))):
         count = int(rng.poisson(mass))
         if count == 0:
             continue  # its edge stream is never built
@@ -736,9 +733,8 @@ def sample_sequential(w, schedule: ArrivalSchedule, steps: int, seed: int,
     empty = np.flatnonzero(~(s_n[:steps] > 0))
     if empty.size:
         raise GraphonError(f"schedule gives a zero-mass prefix at step {empty[0] + 1}")
-    states = stream_states(seed, (TAG_SEQ_FEATURE,), range(blocks))
-    x = np.concatenate([generator(state).uniform(0.0, bound)
-                        for state, bound in zip(states, s_n.reshape(blocks, _ARRIVAL_BLOCK))])
+    x = np.concatenate([rng.uniform(0.0, bound) for rng, bound
+                        in zip(Streams(seed, (TAG_SEQ_FEATURE,), range(blocks)), s_n.reshape(blocks, _ARRIVAL_BLOCK))])
     full = _arrivals(w, np.arange(1, steps + 1, dtype=float), x[:, None], range(0, x.size + 1, _ARRIVAL_BLOCK),
                      steps, Streams(seed, (TAG_SEQ_EDGE,), range(blocks)))
     return [full._restrict(np.arange(steps) < c) for c in marks]
@@ -813,34 +809,30 @@ def trace_from_json(payload: dict) -> ProcessTrace:
     """Trace from its JSON form; malformed payloads raise :class:`GraphonError`.
 
     Files written before the stream layout was recorded have no
-    ``"sampler"`` key; they load with ``sampler=None``.  Nothing is coerced:
-    ``keep_isolated`` must be a JSON boolean, ``seed`` a non-negative
-    integer, ``horizon`` a number and every vertex label an integer.
+    ``"sampler"`` key; they load with ``sampler=None``.  Nothing is coerced
+    (:func:`~graphonlab.graphon_core.json_field`): ``keep_isolated`` must be
+    a JSON boolean, ``seed`` a non-negative integer, ``horizon``, births and
+    features numbers, vertex labels and edge endpoints integers and
+    ``sampler`` a string.
     """
     try:
         graphon = load_graphon_spec(payload["spec"])
         records = payload["vertices"]
-        if [_json_field(v, "label", int, "an integer") for v in records] != list(range(1, len(records) + 1)):
+        if json_field([v["label"] for v in records], "label", "integer", 1) != list(range(1, len(records) + 1)):
             raise GraphonError(f"vertex labels must be 1..{len(records)} in birth order")
-        seed = _json_field(payload, "seed", int, "a non-negative integer")
+        seed = json_field(payload["seed"], "seed", "integer", what="a non-negative integer")
         if seed < 0:
             raise GraphonError(f"seed must be a non-negative integer, got {seed}")
         # feature rows of unequal width make np.array raise ValueError
-        features = np.array([v["feature"] for v in records] or np.zeros((0, graphon.feature_dim)), dtype=float)
-        return ProcessTrace(graphon, float(_json_field(payload, "horizon", (int, float), "a number")), seed,
-                            _json_field({"keep_isolated": False, **payload}, "keep_isolated", bool, "true or false"),
-                            [float(v["birth"]) for v in records], features, payload["edges"],
-                            str(payload["sampler"]) if "sampler" in payload else None)
+        features = json_field([v["feature"] for v in records], "feature", "number", 2)
+        features = np.array(features or np.zeros((0, graphon.feature_dim)), dtype=float)
+        return ProcessTrace(graphon, float(json_field(payload["horizon"], "horizon", "number")), seed,
+                            json_field(payload.get("keep_isolated", False), "keep_isolated", "boolean"),
+                            json_field([v["birth"] for v in records], "birth", "number", 1), features,
+                            json_field(payload["edges"], "edge endpoint", "integer", 2),
+                            json_field(payload["sampler"], "sampler", "string") if "sampler" in payload else None)
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphonError(f"malformed trace payload: {exc}") from exc
-
-
-def _json_field(payload: dict, key: str, kind, what: str):
-    """``payload[key]``, which must be an instance of ``kind``; JSON true and false count only as booleans."""
-    value = payload[key]
-    if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
-        raise GraphonError(f"{key} must be {what}, got {value!r}")
-    return value
 
 
 def save_trace_file(trace: ProcessTrace, path) -> None:

@@ -233,6 +233,8 @@ def test_unreadable_input_exit_code(tmp_path, capsys, command, content):
     (["hom", "--motif", "[[0,1,2]]", "--graph", "{path}"], "--motif"),
     (["hom", "--motif", '[[0,"a"]]', "--graph", "{path}"], "--motif"),
     (["hom", "--motif", "[5]", "--graph", "{path}"], "--motif"),
+    (["hom", "--motif", "[[0, 1.7], [1, 2]]", "--graph", "{path}"], "vertex must be an integer, got 1.7"),
+    (["hom", "--motif", "[[true, 2], [0, 1]]", "--graph", "{path}"], "vertex must be an integer, got True"),
     (["tailreg", "--graphs", "er_example1:alpha", "--eps", "0.1", "--out", "{out}"], "--graphs"),
     (["tailreg", "--graphs", "er_example1:n=abc", "--eps", "0.1", "--out", "{out}"], "--graphs"),
     (["tailreg", "--graphs", "er_example1:alpha=x", "--eps", "0.1", "--out", "{out}"], "--graphs"),
@@ -254,6 +256,7 @@ def test_unreadable_input_exit_code(tmp_path, capsys, command, content):
     (["experiment", "edge_growth", "--seed", "-1", "--out", "{out}"], "seed"),
     (["experiment", "edge_growth", "--config", "{config}", "--out", "{out}"], "seed"),
 ], ids=["empty_motif", "motif_cut_short", "motif_triple", "motif_not_integer", "motif_not_pairs",
+        "motif_fraction", "motif_bool",
         "family_no_value", "family_size_not_integer", "family_alpha_not_number", "er_too_many_edges",
         "clique_too_many_edges", "clique_negative_size", "clique_alpha_nan", "clique_alpha_above_one",
         "er_size_too_large", "horizon_nan", "horizon_inf", "snapshot_time_nan", "one_mc_sample", "sample_seed",
@@ -294,6 +297,27 @@ def test_hand_edited_trace_file_exit_code(tmp_path, capsys, key, value, what):
     code = main(["hom", "--motif", "edge", "--graph", str(path)])
     assert code == 2
     assert capsys.readouterr().err == f"error: malformed trace payload: {key} must be {what}, got {value!r}\n"
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("edges", 0, 0), 2.7, "edge endpoint must be an integer, got 2.7"),
+    (("edges", 0, 0), True, "edge endpoint must be an integer, got True"),
+    (("vertices", 1, "birth"), "0.5", "birth must be a number, got '0.5'"),
+    (("vertices", 1, "feature"), ["0.5"], "feature must be a number, got '0.5'"),
+    (("sampler",), 5, "sampler must be a string, got 5"),
+], ids=["endpoint_fraction", "endpoint_bool", "birth_string", "feature_string", "sampler_number"])
+def test_mistyped_trace_entry_exit_code(tmp_path, capsys, path, value, message):
+    """An edge endpoint, birth, feature or layout name of another JSON type is reported in one line
+    naming the field, with exit 2, instead of being cast."""
+    payload = trace_to_json(sample_graphon_process(StepGraphon([1.0], [[0.5]]), 3.0, seed=0))
+    entry = payload
+    for key in path[:-1]:
+        entry = entry[key]
+    entry[path[-1]] = value
+    trace = tmp_path / "t.json"
+    trace.write_text(json.dumps(payload))
+    assert main(["hom", "--motif", "edge", "--graph", str(trace)]) == 2
+    assert capsys.readouterr().err == f"error: malformed trace payload: {message}\n"
 
 
 def test_no_scipy_or_networkx_loaded():

@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import json
 import platform
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -96,6 +97,23 @@ class TestConfig:
         with pytest.raises(GraphonError, match="^config replicas and seed must be integers"):
             ExperimentConfig.from_json({"experiment": "edge_growth", key: value})
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("replicas", 2.7, "replicas must be an integer, got 2.7"),
+        ("seed", True, "seed must be an integer, got True"),
+        ("horizons", [True], "horizon must be a number, got True"),
+        ("experiment", 5, "experiment must be a string, got 5"),
+        ("params", [["t", 5.0]], "params must be an object, got [['t', 5.0]]"),
+    ], ids=["replicas_fraction", "seed_bool", "horizon_bool", "experiment_number", "params_pairs"])
+    def test_from_json_casts_nothing(self, key, value, message):
+        with pytest.raises(GraphonError, match=f": {re.escape(message)}$"):
+            ExperimentConfig.from_json({"experiment": "edge_growth", key: value})
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_catalog_defaults_load_as_json(self, name):
+        """Configs built in Python from the catalog defaults pass the JSON reader unchanged."""
+        cfg = default_config(name, seed=3)
+        assert ExperimentConfig.from_json(json.loads(json.dumps(cfg.to_json()))) == cfg
+
     def test_replica_seed_stable(self):
         assert replica_seed(7, 3) == replica_seed(7, 3)
         assert replica_seed(7, 3) != replica_seed(7, 4)
@@ -127,6 +145,18 @@ class TestParameterContract:
     ])
     def test_value_of_wrong_type_rejected(self, name, params, message):
         with pytest.raises(GraphonError, match=f"^{message}$"):
+            run_experiment(ExperimentConfig(name, params=params))
+
+    @pytest.mark.parametrize("name, params, message", [
+        ("edge_growth", {"t": True}, "parameter 't' must be float, got True"),
+        ("edge_growth", {"bounds": [False, 1]}, "parameter 'bounds' must be a list of float, got False"),
+        ("cutnorm_oracle", {"count": 20.0}, "parameter 'count' must be int, got 20.0"),
+        ("tail_dichotomy", {"sizes": [1000, 1e4]}, "parameter 'sizes' must be a list of int, got 10000.0"),
+        ("density_convergence", {"motif": 5}, "parameter 'motif' must be str, got 5"),
+        ("edge_growth", {"t": "30"}, "parameter 't' must be float, got '30'"),
+    ], ids=["float_bool", "float_list_bool", "int_float", "int_list_float", "str_number", "float_string"])
+    def test_value_is_not_cast(self, name, params, message):
+        with pytest.raises(GraphonError, match=f"^{re.escape(message)}$"):
             run_experiment(ExperimentConfig(name, params=params))
 
 

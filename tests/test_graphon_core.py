@@ -1,6 +1,7 @@
 """Kernel representations: pointwise evaluation, norms, truncation, averaging."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -924,6 +925,41 @@ JSON_VALUES = st.recursive(
 )
 
 
+def _locate_loop(w: InfiniteBlockGraphon, x) -> np.ndarray:
+    """The block of each point by one pass per kept interval: the oracle of ``_locate``."""
+    x = np.asarray(x, dtype=float)
+    out = np.full(x.shape, -1, dtype=int)
+    for k, (lo, hi) in enumerate(w.intervals[: w.truncation_count]):
+        out = np.where((x >= lo) & (x < hi), k, out)
+    return out
+
+
+class TestInfiniteBlockLocate:
+    @pytest.mark.parametrize("intervals, count", [
+        ([(0.0, 1.0), (1.5, 3.0), (3.0, 4.0)], None),
+        ([(0.0, 1.0), (1.5, 3.0), (3.0, 4.0)], 2),
+        ([(0.5, 1.0), (1.0, 2.0), (2.0, 2.25), (7.0, 9.0)], None),
+        ([(0.25, 0.75)], None),
+    ], ids=["gapped_then_touching", "truncated", "touching_then_gap", "one_block"])
+    def test_search_equals_interval_loop(self, intervals, count):
+        rng = np.random.default_rng(5)
+        k = len(intervals)
+        probs = rng.uniform(size=(k, k))
+        w = InfiniteBlockGraphon(intervals, (probs + probs.T) / 2, count)
+        ends = np.ravel(intervals)
+        special = [-np.inf, -1.0, 0.0, np.inf, np.nan, 1e300, *ends, *np.nextafter(ends, -np.inf)]
+        x = np.concatenate([special, rng.uniform(-1.0, ends[-1] + 1.0, size=500)])
+        got = w._locate(x)
+        assert got.dtype == np.int64 and np.array_equal(got, _locate_loop(w, x))
+        assert w._locate(1.5).shape == () and w._locate(1.5) == _locate_loop(w, 1.5)
+        y = rng.permutation(x)
+        i, j = _locate_loop(w, x), _locate_loop(w, y)
+        kernel = np.where((i >= 0) & (j >= 0), w.probs[np.maximum(i, 0), np.maximum(j, 0)], 0.0)
+        assert np.array_equal(w._kernel(x, y), kernel)
+        deg = w.step_form()[0].block_degrees()
+        assert np.array_equal(w.degree_function(x), np.where(i >= 0, deg[np.maximum(i, 0)], 0.0))
+
+
 class TestSpecRoundtrip:
     @pytest.mark.parametrize("w", ROUNDTRIP_GRAPHONS)
     def test_roundtrip(self, w):
@@ -959,6 +995,29 @@ class TestSpecRoundtrip:
     ])
     def test_malformed_spec_raises_spec_error(self, spec):
         with pytest.raises(SpecError):
+            load_graphon_spec(spec)
+
+    @pytest.mark.parametrize("spec, message", [
+        (dict(STEP_SPEC, masses=["1.5", True]), "mass must be a number, got '1.5'"),
+        (dict(STEP_SPEC, masses=[1.5, True]), "mass must be a number, got True"),
+        ({"type": "step", "masses": [1.0], "values": [[True]]}, "value must be a number, got True"),
+        (dict(CF_SPEC, f={"kind": "shifted_power", "c": "2", "gamma": 1.5}), "c must be a number, got '2'"),
+        (dict(CF_SPEC, f={"kind": "shifted_power", "c": 2, "gamma": "1.5"}), "gamma must be a number, got '1.5'"),
+        (dict(CF_SPEC, f={"kind": 1, "c": 2, "gamma": 1.5}), "kind must be a string, got 1"),
+        (dict(CF_SPEC, truncation={"x_max": "6"}), "x_max must be a number, got '6'"),
+        (dict(CF_SPEC, truncation={"target_l1_residual": False}), "target_l1_residual must be a number, got False"),
+        ({"type": "region_indicator", "f": {"a": "0.5"}, "truncation": {"x_max": 9.0}},
+         "a must be a number, got '0.5'"),
+        ({"type": "infinite_block", "intervals": [[0, 1], [2, 3]], "probs": [[0.5, 0.1], [0.1, 0.2]],
+          "truncation_count": 1.7}, "truncation_count must be an integer, got 1.7"),
+        ({"type": "infinite_block", "intervals": [[0, "1"]], "probs": [[0.5]]},
+         "interval end must be a number, got '1'"),
+        ({"type": "infinite_block", "intervals": [[0, 1]], "probs": [[True]]}, "prob must be a number, got True"),
+    ], ids=["step_mass_string", "step_mass_bool", "step_value_bool", "cf_c_string", "cf_gamma_string",
+            "cf_kind_number", "cf_x_max_string", "cf_residual_bool", "region_a_string",
+            "infinite_count_fraction", "infinite_end_string", "infinite_prob_bool"])
+    def test_loader_casts_nothing(self, spec, message):
+        with pytest.raises(SpecError, match=f": {re.escape(message)}$"):
             load_graphon_spec(spec)
 
     def test_file_that_is_not_json(self, tmp_path):

@@ -100,6 +100,16 @@ class TestTailProfile:
         ms = [0.3, 1.0, 2.0]
         assert np.allclose(graph_tail_profile(g, ms).shares, graph_tail_profile(padded, ms).shares)
 
+    def test_shares_equal_the_label_tie_break_order(self):
+        """The shares read only the sorted degree values, so the old (-degree, label) order gives them too."""
+        relabelled = SampledGraph(np.array([7, 3, 9, 1, 4]), np.array([[7, 3], [7, 9], [1, 4], [3, 9]]))
+        ms = np.array([0.1, 0.5, 1.0, 3.0])
+        for g in [er_power_graph(300, 0.6, seed=s) for s in range(3)] + [star_graph(9), relabelled]:
+            degs = g.degree_sequence()
+            cum = np.concatenate([[0], np.cumsum(degs[np.lexsort((g.labels, -degs))])])
+            ks = np.minimum(np.ceil(ms * math.sqrt(g.num_edges)).astype(int), degs.size)
+            assert np.array_equal(graph_tail_profile(g, ms).shares, cum[ks] / g.num_edges)
+
     def test_empty_graph_rejected(self):
         g = SampledGraph(np.array([1]), np.zeros((0, 2), dtype=np.int64))
         with pytest.raises(GraphonError, match="edge"):

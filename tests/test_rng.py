@@ -1,9 +1,13 @@
 """Stream derivation against numpy's SeedSequence, the formula it computes.
 
-``_rng`` derives stream states with its own copy of SeedSequence's hash,
-for a whole array of keys at once.  ``np.random.SeedSequence`` stays here
-only, as the oracle: every state, and the draws of every generator, must
-equal the ones it gives.
+``_rng`` lets ``SeedSequence`` mix the seed and the leading tags and mixes
+in the last key word itself, for a whole array of keys at once; single
+streams are ``SeedSequence``'s own.  Here ``np.random.SeedSequence`` is
+also the oracle: every state, and the draws of every generator, must equal
+the ones it gives for the full key.  The seeds 2^128 - 1 (four words) and
+2^128 (five) sit on either side of the four-word pool, which the seed is
+padded to, so the count of hash steps before the key word is checked on
+both sides.
 """
 
 import os
@@ -20,8 +24,8 @@ from graphonlab._rng import TAG_REPLICA, Streams, generator, stream_states, subs
 from graphonlab.experiments import replica_seed, replica_seeds
 from graphonlab.graphon_core import GraphonError
 
-SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**130 + 7]
-PREFIXES = [(12,), (5, 1), (2**32 + 5,), (7, 2**40 + 3)]
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**128 - 1, 2**128, 2**130 + 7]
+PREFIXES = [(12,), (5, 1), (2**32 + 5,), (7, 2**40 + 3), (0,)]
 KEYS = [0, 1, 2, 255, 256, 2**31, 2**32 - 1]
 
 
@@ -34,7 +38,7 @@ def _oracle_draws(seed, tags, count=16):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("prefix", PREFIXES, ids=["one_tag", "two_tags", "one_wide_tag", "wide_second_tag"])
+@pytest.mark.parametrize("prefix", PREFIXES, ids=["one_tag", "two_tags", "one_wide_tag", "wide_second_tag", "zero_tag"])
 def test_states_and_draws_equal_seed_sequence(seed, prefix):
     states = stream_states(seed, prefix, KEYS)
     assert states.shape == (len(KEYS), 4) and states.dtype == np.uint64
@@ -77,6 +81,12 @@ def test_bad_keys_and_seeds_are_rejected():
         substream(0)
     with pytest.raises(ValueError):
         generator(np.zeros(2, dtype=np.uint64))
+
+
+def test_stream_states_need_a_leading_tag():
+    # SeedSequence pads the seed to the pool only under a spawn key, so the leading tags may not be empty
+    with pytest.raises(ValueError, match="at least one tag"):
+        stream_states(0, (), [0])
 
 
 def test_negative_seeds_are_malformed_input():

@@ -380,6 +380,15 @@ def _with(key, value):
     return corrupt
 
 
+def _edit(*path, value):
+    # one hand-edited entry of an array or of the payload, which the loader must reject rather than coerce
+    def corrupt(p):
+        for key in path[:-1]:
+            p = p[key]
+        p[path[-1]] = value
+    return corrupt
+
+
 class TestTraceSerialization:
     def test_roundtrip(self):
         trace = sample_graphon_process(ONES, 8.0, seed=2)
@@ -532,4 +541,18 @@ class TestTraceSerialization:
         trace_from_json(payload)
         corrupt(payload)
         with pytest.raises(GraphonError, match=match):
+            trace_from_json(payload)
+
+    @pytest.mark.parametrize("corrupt, match", [
+        (_edit("edges", 0, 0, value=2.7), ": edge endpoint must be an integer, got 2.7$"),
+        (_edit("edges", 0, 0, value=True), ": edge endpoint must be an integer, got True$"),
+        (_edit("vertices", 2, "birth", value="0.5"), ": birth must be a number, got '0.5'$"),
+        (_edit("vertices", 1, "feature", value=["0.5"]), ": feature must be a number, got '0.5'$"),
+        (_edit("sampler", value=5), ": sampler must be a string, got 5$"),
+    ], ids=["endpoint_fraction", "endpoint_bool", "birth_string", "feature_string", "sampler_number"])
+    def test_rejects_mistyped_arrays(self, corrupt, match):
+        """Edge endpoints, births, features and the layout name are checked, not cast."""
+        payload = _small_payload()
+        corrupt(payload)
+        with pytest.raises(GraphonError, match="^malformed trace payload" + match):
             trace_from_json(payload)
