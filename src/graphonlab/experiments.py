@@ -141,6 +141,8 @@ class ExperimentConfig:
         unknown = sorted(set(payload) - set(known))
         if unknown:
             raise GraphonError(f"unknown config keys {', '.join(unknown)}; known: {', '.join(known)}")
+        if "experiment" not in payload:
+            raise GraphonError("malformed config: missing key 'experiment'")
         try:
             return ExperimentConfig(
                 experiment=json_field(payload["experiment"], "experiment", "string"),
@@ -150,9 +152,8 @@ class ExperimentConfig:
                 horizons=json_field(payload.get("horizons", ()), "horizon", "number", 1),
                 params=json_field(payload.get("params", {}), "params", "object"),
             )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise GraphonError("config replicas and seed must be integers, horizons a list of numbers and params "
-                               f"an object: {exc}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise GraphonError(f"malformed config: {exc}") from exc
 
     def graphon_object(self):
         """The configured graphon; the constant 1 on unit mass when none is given."""

@@ -89,6 +89,15 @@ class CostLimitError(GraphonError):
         self.cost_estimate = cost_estimate
 
 
+def _real_array(value, name: str) -> np.ndarray:
+    """``value`` as a float array, refusing what the spec readers refuse rather
+    than casting it: an array of strings, booleans or other objects raises."""
+    a = np.asarray(value)
+    if a.dtype.kind not in "iuf":
+        raise GraphonError(f"{name} must be integers or floats, got an array of dtype {a.dtype}")
+    return a.astype(float, copy=False)
+
+
 def _as_readonly(a: np.ndarray) -> np.ndarray:
     # an owner that is already read-only is shared; a read-only view may still change through its base
     if type(a) is np.ndarray and a.dtype == np.float64 and a.base is None and not a.flags.writeable:
@@ -172,8 +181,8 @@ class StepGraphon(Graphon):
     ambient_infinite: bool = False
 
     def __init__(self, masses, values, ambient_infinite: bool = False):
-        masses = _as_readonly(np.atleast_1d(np.asarray(masses, dtype=float)))
-        values = np.asarray(values, dtype=float)
+        masses = _as_readonly(np.atleast_1d(_real_array(masses, "masses")))
+        values = _real_array(values, "values")
         if masses.size == 0:
             values = np.zeros((0, 0))
         values = _as_readonly(values)
@@ -547,7 +556,7 @@ class InfiniteBlockGraphon(AnalyticGraphon):
     exact_step_form = True
 
     def __init__(self, intervals: Sequence[tuple[float, float]], probs, truncation_count: int | None = None):
-        iv = [(float(lo), float(hi)) for lo, hi in intervals]
+        iv = [(lo, hi) for lo, hi in _real_array(intervals, "intervals").tolist()]
         if not iv:
             raise GraphonError("infinite_block needs at least one interval")
         for k, (lo, hi) in enumerate(iv):
@@ -556,7 +565,7 @@ class InfiniteBlockGraphon(AnalyticGraphon):
         for (a0, a1), (b0, b1) in zip(iv, iv[1:]):
             if b0 < a1:
                 raise GraphonError("intervals must be disjoint and increasing")
-        p = np.asarray(probs, dtype=float)
+        p = _real_array(probs, "probs")
         if p.shape != (len(iv), len(iv)):
             raise GraphonError("probs must be square with one row per interval")
         if not np.array_equal(p, p.T):
@@ -565,7 +574,12 @@ class InfiniteBlockGraphon(AnalyticGraphon):
         if p.size and (p.min() < 0 or p.max() > 1):
             i, j = np.argwhere((p < 0) | (p > 1))[0]
             raise GraphonError(f"probs[{i}][{j}] = {p[i, j]} outside [0, 1]")
-        k = len(iv) if truncation_count is None else int(truncation_count)
+        import operator  # here, not at module level, so importing the module does no more work
+
+        try:
+            k = len(iv) if truncation_count is None else operator.index(truncation_count)
+        except TypeError:
+            raise GraphonError(f"truncation_count must be an integer, got {truncation_count!r}") from None
         if not (1 <= k <= len(iv)):
             raise GraphonError("truncation_count must be between 1 and the interval count")
         self.intervals = tuple(iv)

@@ -201,24 +201,29 @@ def _gap_buffer(expect: int) -> int:
 
 
 def _decode_upper_triangle(linear: np.ndarray, n: int) -> np.ndarray:
-    """Strictly increasing row-major upper-triangle linear indices to 0-based
-    pairs (i, j), i < j, in one (E, 2) array: canonical rows of an n-vertex graph.
+    """Strictly increasing row-major upper-triangle linear indices of n vertices
+    to the canonical rows, in one (E, 2) array, of the pairs they index walked
+    backwards in arrival order: index L is pair ``n (n - 1) / 2 - 1 - L`` of
+    that order, the row-major pair (i, j) with its rows mirrored to
+    ``(n - 1 - j, n - 1 - i)``.
 
     Row i starts at index ``i (2n - 1 - i) / 2``, so one search of the n row
     starts in the increasing indices counts each row's picks, and both
     columns are repeats of per-row integers: no square root per edge.  The
-    decode uses up ``linear``, an int64 array: it becomes column 1 in place,
-    and once copied it is freed if the caller holds no other reference to it
-    or to its base, so the peak is three words an edge rather than four.
+    rows are written back to front, so no sort is needed.  The decode uses
+    up ``linear``, an int64 array: it becomes the first column, negated, in
+    place, and once copied it is freed if the caller holds no other
+    reference to it or to its base, so the peak is three words an edge
+    rather than four.
     """
     i = np.arange(n, dtype=np.int64)
     start = i * (2 * n - 1 - i) // 2
     counts = np.diff(np.searchsorted(linear, start), append=linear.size)
-    linear -= np.repeat(start - i - 1, counts)
+    linear -= np.repeat(start - i + n - 2, counts)
     rows = np.empty((linear.size, 2), dtype=np.int64)
-    rows[:, 1] = linear
+    np.negative(linear, out=rows[::-1, 0])
     del linear
-    rows[:, 0] = np.repeat(i, counts)
+    rows[::-1, 1] = np.repeat(n - 1 - i, counts)
     return rows
 
 
@@ -229,12 +234,16 @@ def er_power_graph(n: int, alpha: float, seed: int) -> SampledGraph:
     Brandes 2005), so the cost is proportional to the edge count: the gaps
     are drawn into one buffer sized well above the expected edge count, and
     into another of the same size only in the rare case it falls short.
-    The decode turns the picks into canonical rows and uses up the buffer,
-    and the graph is built on those rows without the constructor's checks:
-    it holds 16 bytes an edge, and the call's traced peak is about 25 bytes
-    an edge, three words while the rows are filled.  ``n = 0`` gives the
-    empty graph; an expected edge count above ``MAX_FAMILY_EDGES`` raises
-    :class:`CostLimitError` before anything is drawn.
+    The decode walks the picked pairs backwards in arrival order: upper-
+    triangle index L is arrival-order pair ``n (n - 1) / 2 - 1 - L``, so the
+    graph is the row-major gap draw's with label i renamed ``n + 1 - i``,
+    with the same degrees.  It writes the canonical rows back to front, so
+    nothing is sorted, and uses up the buffer; the graph is built on those
+    rows without the constructor's checks.  It holds 16 bytes an edge, and
+    the call's traced peak is about 25 bytes an edge, three words while the
+    rows are filled.  ``n = 0`` gives the empty graph; an expected edge
+    count above ``MAX_FAMILY_EDGES`` raises :class:`CostLimitError` before
+    anything is drawn.
     """
     n, alpha = _count(n, "vertex count"), _exponent(alpha)
     if n == 0:
@@ -289,5 +298,5 @@ def cycle_graph(n: int) -> SampledGraph:
         raise GraphonError(f"a cycle needs at least 3 vertices, got {n}")
     if n == 0:
         return _graph_on_rows(np.zeros((0, 2), dtype=np.int64), 0)
-    u = np.arange(n - 1)  # canonical rows (0, 1), (0, n - 1), (1, 2), ..., (n - 2, n - 1)
-    return _graph_on_rows(np.column_stack((np.insert(u, 1, 0), np.insert(u + 1, 1, n - 1))), n)
+    u = np.arange(n - 1)  # canonical rows (0, 1), (1, 2), ..., (n - 3, n - 2), (0, n - 1), (n - 2, n - 1)
+    return _graph_on_rows(np.column_stack((np.insert(u, n - 2, 0), np.insert(u + 1, n - 2, n - 1))), n)

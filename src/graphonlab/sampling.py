@@ -21,7 +21,7 @@ those of the full coin draw.
 A trace (:class:`ProcessTrace`) is the graph on labels 1..N in birth
 order, with its provenance: a :class:`SampledGraph` whose ``births`` (N,)
 and ``features`` (N, d) are always set and whose edges, label pairs
-``u < v``, are its sorted rows plus one, plus the graphon, horizon, seed,
+``u < v``, are its rows plus one, plus the graphon, horizon, seed,
 ``keep_isolated`` and sampler layout that drew it.  Every graph function
 accepts a trace as its final graph.  The graph at time ``s`` is the label
 prefix ``1..k`` with ``k = searchsorted(births, s, "right")``: it keeps the
@@ -34,20 +34,25 @@ horizon, births that decrease or leave ``[0, horizon]``, edges with
 width.
 
 A graph stores one edge array, the edges' 0-based rows in ``labels``
-(``edge_rows()``); the label pairs ``edges``, ``labels[edge_rows()]``,
-are built from them on each access, and no computation of the package
-reads them.  Every graph has one finishing step, :func:`_set_fields`: it
-sets the rows, the labels and the degrees, and makes every array
-read-only.  The validating constructors serve outside input
-(trace files, users' graphs); the package's own graphs skip them.  Every
+(``edge_rows()``), in *arrival order*: ``u < v``, sorted by the later
+endpoint ``v`` and then by ``u``, the order in which every sampler draws
+them.  The label pairs ``edges``, ``labels[edge_rows()]``, are built
+from the rows on each access, and no computation of the package reads
+them.  Every graph has one finishing step, :func:`_set_fields`: it sets
+the rows, the labels and the degrees, and makes every array read-only.
+The validating constructors serve outside input (trace files, users'
+graphs) and sort it once; the package's own graphs skip them.  Every
 sampler builds its graph by one arrival builder, :func:`_arrivals`: the
-edge loop returns 0-based rows, one pass through :func:`_canonical` sorts
-their keys, and :func:`_graph_on_rows` gives the graph on labels 1..n
-with those rows, on which the graph families of ``regularity`` are built
-too.  One step, :func:`_as_trace`, attaches a run's provenance to its
-graph.  Snapshots, trace prefixes (:func:`trace_prefix`), sequential
-checkpoints and subgraphs are cut from a built graph by one restriction
-to a vertex mask, which carries its rows over.
+edge loop returns 0-based rows already in arrival order, and
+:func:`_graph_on_rows` gives the graph on labels 1..n with those rows,
+on which the graph families of ``regularity`` are built too.  One step,
+:func:`_as_trace`, attaches a run's provenance to its graph.  In a graph
+in birth order the edges among the first k vertices are a prefix of the
+rows, so snapshots, trace prefixes (:func:`trace_prefix`) and sequential
+checkpoints are one cut, :func:`_prefix`, whose arrays are views of the
+graph's.  Other subgraphs are cut by one restriction to a vertex mask,
+which carries the rows over.  Trace files write the edges in (u, v)
+order, as they always have.
 """
 
 from __future__ import annotations
@@ -129,19 +134,20 @@ class SampledGraph:
     ``births`` or ``features`` that are not one entry or one row per label,
     in that order.  It copies every array it is given, so the caller may
     reuse them, and stores the edges once, as their rows in ``labels``
-    (``edge_rows()``), ``u`` before ``v`` in label order and sorted
-    lexicographically in that order.  ``edges``, the constructor's second
-    argument, is not stored: as an attribute it is the read-only label pairs
-    ``labels[edge_rows()]``, built on each access, so ``dataclasses.fields``
-    and ``repr`` do not list it.  On consecutive labels ``b..b+n-1`` label
-    ``b + i`` is row ``i``: construction is O(|V| + |E|) when the edges are
-    already in that canonical order and sorts the edge keys once otherwise.  Any other
+    (``edge_rows()``), ``u`` before ``v`` in label order and in arrival
+    order: sorted by ``v``, then by ``u``, in that order.  ``edges``, the
+    constructor's second argument, is not stored: as an attribute it is the
+    read-only label pairs ``labels[edge_rows()]``, built on each access, so
+    ``dataclasses.fields`` and ``repr`` do not list it.  On consecutive
+    labels ``b..b+n-1`` label ``b + i`` is row ``i``: construction is
+    O(|V| + |E|) when the edges are already in that canonical order and
+    sorts the edge keys once otherwise.  Any other
     label set takes the general path, which sorts the labels, searches every
     endpoint and sorts the edge keys.  Graphs the package builds skip these
     checks: the samplers and the graph families of ``regularity`` make
     canonical rows on labels 1..n, and snapshots and subgraphs are cut from
-    a built graph.  Every array of every graph is read-only, and graphs
-    compare by identity.
+    a built graph, prefixes as views of its arrays.  Every array of every
+    graph is read-only, and graphs compare by identity.
     """
 
     labels: np.ndarray
@@ -180,7 +186,7 @@ class SampledGraph:
         return 2.0 * self.num_edges / (n * n) if n else 0.0
 
     def edge_rows(self) -> np.ndarray:
-        """Edges as ``(E, 2)`` row positions in ``labels``; read-only, computed on construction."""
+        """Edges as ``(E, 2)`` row positions in ``labels``, in arrival order; read-only, computed on construction."""
         return self._rows
 
     def degree_sequence(self) -> np.ndarray:
@@ -233,7 +239,7 @@ def _searched_rows(labels: np.ndarray, edges: np.ndarray) -> np.ndarray:
         raise GraphonError("vertex labels must be unique")
     _reject_self_loops(edges)
     n = labels.size
-    # searched column by column: the first column of sorted edges is sorted, which searchsorted exploits
+    # searched column by column: a column of sorted edges is sorted, which searchsorted exploits
     ranks = np.minimum(np.searchsorted(ordered, edges.T).T, n - 1)
     unknown = np.flatnonzero((ordered[ranks] != edges).any(axis=1)) if n else np.arange(len(edges))
     if unknown.size:
@@ -259,19 +265,19 @@ def _consecutive_rows(labels: np.ndarray, edges: np.ndarray) -> np.ndarray:
 
 
 def _canonical(rows: np.ndarray, n: int) -> np.ndarray:
-    """Row pairs of ``n`` rows in canonical order: oriented ``u < v`` with strictly
-    increasing keys ``u * n + v``.  Pairs already so are returned as they are;
-    any others are sorted by key once, and a repeated key is a duplicate edge."""
+    """Row pairs of ``n`` rows in canonical (arrival) order: oriented ``u < v`` with
+    strictly increasing keys ``v * n + u``.  Pairs already so are returned as they
+    are; any others are sorted by key once, and a repeated key is a duplicate edge."""
     lo, hi = rows[:, 0], rows[:, 1]
     if np.all(lo < hi):
-        key = lo * n + hi
+        key = hi * n + lo
         if np.all(key[1:] > key[:-1]):
             return rows
-    key = np.sort(np.minimum(lo, hi) * n + np.maximum(lo, hi))
+    key = np.sort(np.maximum(lo, hi) * n + np.minimum(lo, hi))
     if np.any(key[1:] == key[:-1]):
         raise GraphonError("duplicate edges are not allowed")
     out = np.empty((key.size, 2), dtype=key.dtype)
-    np.divmod(key, n, out=(out[:, 0], out[:, 1]))  # no quotient and remainder temporaries to stack
+    np.divmod(key, n, out=(out[:, 1], out[:, 0]))  # no quotient and remainder temporaries to stack
     return out
 
 
@@ -302,10 +308,20 @@ def _set_fields(g: SampledGraph, labels, rows, births, features) -> SampledGraph
 
 def _graph_on_rows(rows: np.ndarray, n: int, births=None, features=None) -> SampledGraph:
     """The graph on labels 1..n whose edges have the 0-based rows ``rows``, which
-    must be canonical: ``u < v < n`` with strictly increasing keys ``u * n + v``.
-    The samplers and the graph families of ``regularity`` make their rows so and
-    check their parameters; nothing here checks the rows or the vertex arrays."""
+    must be canonical: ``u < v < n`` with strictly increasing keys ``v * n + u``,
+    the order in which the samplers draw them.  The samplers and the graph
+    families of ``regularity`` make their rows so and check their parameters;
+    nothing here checks or sorts the rows or the vertex arrays."""
     return _set_fields(object.__new__(SampledGraph), np.arange(1, n + 1, dtype=np.int64), rows, births, features)
+
+
+def _prefix(g: SampledGraph, k: int) -> SampledGraph:
+    """The subgraph of ``g``, which has births and features, on its first ``k``
+    vertices.  Its edges, those with ``v < k``, are a prefix of the canonical
+    rows, so every array is a read-only view of ``g``'s and only the degrees
+    are counted anew."""
+    rows = g._rows[:np.searchsorted(g._rows[:, 1], k)]
+    return _set_fields(object.__new__(SampledGraph), g.labels[:k], rows, g.births[:k], g.features[:k])
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -314,9 +330,11 @@ class ProcessTrace(SampledGraph):
     labels 1..N in birth order, with its provenance.
 
     Vertex ``i`` was born at ``births[i - 1]`` with feature row
-    ``features[i - 1]``; it stores its edges as sorted 0-based rows, and
-    ``edges`` gives them as label pairs ``u < v``, the rows plus one (see
-    the module docstring).  The constructor, for traces read from files or
+    ``features[i - 1]``; it stores its edges as 0-based rows in arrival
+    order, so the edges among vertices ``1..k`` are a prefix of them and
+    ``edge_creation_times()`` is nondecreasing, and ``edges`` gives them as
+    label pairs ``u < v``, the rows plus one (see the module docstring).
+    The constructor, for traces read from files or
     given by users, takes the provenance and the arrays positionally,
     checks a finite horizon, births in ``[0, horizon]`` and ``u < v``, and
     then builds the graph on labels 1..N as :class:`SampledGraph` does,
@@ -379,8 +397,7 @@ def _arrivals(w, births: np.ndarray, features: np.ndarray, starts, n: int, strea
     features, and the edges :func:`_arrival_edges` draws among them; the one
     builder of every sampler's graph.  ``births`` and ``features`` hold at least
     ``n`` rows and become the graph's."""
-    rows = _canonical(_arrival_edges(w, features, starts, n, streams), n)
-    return _graph_on_rows(rows, n, births[:n], features[:n])
+    return _graph_on_rows(_arrival_edges(w, features, starts, n, streams), n, births[:n], features[:n])
 
 
 def _as_trace(g: SampledGraph, graphon, horizon: float, seed: int, keep_isolated: bool, sampler) -> ProcessTrace:
@@ -419,11 +436,11 @@ def _arrival_edges(w, features: np.ndarray, starts, n: int, streams: Streams) ->
         f = np.where((x >= 0) & (x <= w.truncation.x_max), w.f(x), 0.0)  # zero outside the truncation
         pairs = [np.zeros((0, 2), dtype=np.int64)]
         for i, (lo, hi) in enumerate(zip(starts[:-1], starts[1:])):
-            new = _poisson_window_pairs(f[:lo], f[lo:hi], streams[i])
-            pairs.append(new[new[:, 1] < n])
+            pairs.append(_poisson_window_pairs(f[:lo], f[lo:hi], streams[i]))
         logger.debug("arrival edges: Poisson path, %d stream states derived, %d generators built",
                      len(streams), len(streams.built))
-        return np.concatenate(pairs)
+        pairs = np.concatenate(pairs)
+        return pairs[:np.searchsorted(pairs[:, 1], n)]
     x = features[:n]
     if isinstance(w, StepGraphon):
         values = np.zeros((w.n_blocks + 1,) * 2)
@@ -551,8 +568,8 @@ def _poisson_window_pairs(f_prior: np.ndarray, f_new: np.ndarray, rng: np.random
     u = np.concatenate([u, np.minimum(a, b)[distinct]])
     v = np.concatenate([v, np.maximum(a, b)[distinct]])
     size = p + f_new.size
-    key = np.unique(u * size + v)
-    return np.column_stack(np.divmod(key, size))
+    v, u = np.divmod(np.unique(v * size + u), size)
+    return np.column_stack((u, v))
 
 
 def _proportional_draw(weights: np.ndarray, total: float, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -640,7 +657,8 @@ def snapshot_at(trace: ProcessTrace, s: float, keep_isolated: bool | None = None
     """Induced subgraph on vertices born at time ``s`` or earlier.
 
     That is the label prefix ``1..k`` with ``k = searchsorted(births, s,
-    "right")`` and the edges ``(u, v)`` with ``v <= k``.  With
+    "right")`` and the edges ``(u, v)`` with ``v <= k``, a prefix of the
+    trace's rows, cut as views of the trace's arrays.  With
     ``keep_isolated=False`` (the trace default unless overridden) vertices
     of degree zero in the snapshot are removed, giving the finite-graph
     view of the process.  A time outside ``[0, horizon]``, NaN included,
@@ -649,7 +667,7 @@ def snapshot_at(trace: ProcessTrace, s: float, keep_isolated: bool | None = None
     if not 0 <= s <= trace.horizon:
         raise GraphonError(f"snapshot time {s} outside the sampled horizon [0, {trace.horizon}]")
     keep = trace.keep_isolated if keep_isolated is None else keep_isolated
-    g = trace._restrict(np.arange(trace.num_vertices) < np.searchsorted(trace.births, s, side="right"))
+    g = _prefix(trace, int(np.searchsorted(trace.births, s, side="right")))
     return g if keep else g.drop_isolated()
 
 
@@ -708,7 +726,8 @@ def sample_sequential(w, schedule: ArrivalSchedule, steps: int, seed: int,
     edges to all earlier vertices are drawn independently from the kernel.
     Returns the graph at every checkpoint (default: every step); each graph
     is an induced subgraph of the next, cut from the final graph as a label
-    prefix like :func:`snapshot_at`.
+    prefix like :func:`snapshot_at`, so every checkpoint's arrays are views
+    of the final graph's and they hold one edge array between them.
 
     Block ``b`` of ``_ARRIVAL_BLOCK`` steps draws its features from
     ``(TAG_SEQ_FEATURE, b)`` and its edges from ``(TAG_SEQ_EDGE, b)``, as
@@ -737,7 +756,7 @@ def sample_sequential(w, schedule: ArrivalSchedule, steps: int, seed: int,
                         in zip(Streams(seed, (TAG_SEQ_FEATURE,), range(blocks)), s_n.reshape(blocks, _ARRIVAL_BLOCK))])
     full = _arrivals(w, np.arange(1, steps + 1, dtype=float), x[:, None], range(0, x.size + 1, _ARRIVAL_BLOCK),
                      steps, Streams(seed, (TAG_SEQ_EDGE,), range(blocks)))
-    return [full._restrict(np.arange(steps) < c) for c in marks]
+    return [_prefix(full, c) for c in marks]
 
 
 # ---------------------------------------------------------------------------
@@ -790,7 +809,8 @@ def xi_box_counts(trace: ProcessTrace, h: float) -> np.ndarray:
 
 
 def trace_to_json(trace: ProcessTrace) -> dict:
-    """JSON form of a trace; ``"sampler"`` is written when the stream layout is known."""
+    """JSON form of a trace; ``"sampler"`` is written when the stream layout is known.
+    The edges are written as label pairs sorted by (u, v), the order files have always had."""
     payload = {
         "spec": graphon_to_spec(trace.graphon),
         "horizon": trace.horizon,
@@ -801,7 +821,8 @@ def trace_to_json(trace: ProcessTrace) -> dict:
         payload["sampler"] = trace.sampler
     payload["vertices"] = [{"label": label, "birth": birth, "feature": feature} for label, (birth, feature)
                            in enumerate(zip(trace.births.tolist(), trace.features.tolist()), start=1)]
-    payload["edges"] = [[int(u), int(v)] for u, v in trace.edges.tolist()]
+    edges = trace.edges
+    payload["edges"] = edges[np.lexsort(edges.T[::-1])].tolist()
     return payload
 
 

@@ -191,13 +191,16 @@ class TestExperimentCommand:
                           "--out", str(tmp_path / "r"))
         assert code == 2 and not (tmp_path / "r").exists()
 
-    @pytest.mark.parametrize("cfg", [{"replicas": "abc"}, {"seed": "x"}])
-    def test_non_integer_count_exit_code(self, tmp_path, capsys, cfg):
+    @pytest.mark.parametrize("cfg, message", [
+        ({"replicas": "abc"}, "replicas must be an integer, got 'abc'"),
+        ({"seed": "x"}, "seed must be an integer, got 'x'"),
+    ], ids=["cfg0", "cfg1"])
+    def test_non_integer_count_exit_code(self, tmp_path, capsys, cfg, message):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         code = main(["experiment", "edge_growth", "--config", str(cfg_path), "--out", str(tmp_path / "r")])
         assert code == 2 and not (tmp_path / "r").exists()
-        assert "must be integers" in capsys.readouterr().err
+        assert f"malformed config: {message}" in capsys.readouterr().err
 
     def test_config_name_mismatch(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -92,10 +92,23 @@ class TestConfig:
         assert (describe_experiment("degree_tail"), json.dumps(CATALOG["degree_tail"].defaults, sort_keys=True)) == before
         assert default_config("degree_tail").graphon["values"][0][0] != 0.9
 
-    @pytest.mark.parametrize("key, value", [("replicas", "abc"), ("seed", "1.5"), ("seed", None), ("replicas", [2])])
-    def test_from_json_rejects_non_integer_counts(self, key, value):
-        with pytest.raises(GraphonError, match="^config replicas and seed must be integers"):
+    @pytest.mark.parametrize("key, value, message", [
+        ("replicas", "abc", "replicas must be an integer, got 'abc'"),
+        ("seed", "1.5", "seed must be an integer, got '1.5'"),
+        ("seed", None, "seed must be an integer, got None"),
+        ("replicas", [2], "replicas must be an integer, got [2]"),
+    ], ids=["replicas-abc", "seed-1.5", "seed-None", "replicas-value3"])
+    def test_from_json_rejects_non_integer_counts(self, key, value, message):
+        with pytest.raises(GraphonError, match=f"^malformed config: {re.escape(message)}$"):
             ExperimentConfig.from_json({"experiment": "edge_growth", key: value})
+
+    @pytest.mark.parametrize("payload, message", [
+        ({}, "malformed config: missing key 'experiment'"),
+        ({"experiment": 5}, "malformed config: experiment must be a string, got 5"),
+    ], ids=["missing_experiment", "experiment_number"])
+    def test_from_json_errors_name_their_field(self, payload, message):
+        with pytest.raises(GraphonError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig.from_json(payload)
 
     @pytest.mark.parametrize("key, value, message", [
         ("replicas", 2.7, "replicas must be an integer, got 2.7"),

@@ -66,6 +66,20 @@ class TestStepGraphonConstruction:
         with pytest.raises(GraphonError):
             StepGraphon([1.0], [[0.0, 0.0]])
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: StepGraphon(["1.5", True], [[0.5, 0.1], [0.1, 0.5]]), "masses must be integers or floats"),
+        (lambda: StepGraphon([1.0, 2.0], [[True, False], [False, True]]), "values must be integers or floats"),
+        (lambda: InfiniteBlockGraphon([("0", "1")], [[0.5]]), "intervals must be integers or floats"),
+        (lambda: InfiniteBlockGraphon([(0, 1)], [["0.5"]]), "probs must be integers or floats"),
+        (lambda: InfiniteBlockGraphon([(0, 1), (2, 3)], [[0.5, 0.1], [0.1, 0.5]], 1.7),
+         "^truncation_count must be an integer, got 1.7$"),
+    ], ids=["step_masses_strings", "step_values_booleans", "block_intervals_strings", "block_probs_strings",
+            "block_truncation_fraction"])
+    def test_python_constructors_cast_nothing(self, build, message):
+        """The constructors refuse what the spec readers refuse, instead of casting it."""
+        with pytest.raises(GraphonError, match=message):
+            build()
+
     def test_zero_graphon_is_valid(self):
         z = zero_graphon()
         assert z.n_blocks == 0

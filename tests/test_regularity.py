@@ -37,6 +37,12 @@ def float_decode_upper_triangle(linear, n):
     return pairs
 
 
+def mirrored(pairs, top):
+    """``pairs`` with each end x renamed ``top - x``, in reverse order: the ER decode's
+    mirroring of the row-major pairs undone (``top`` is n - 1 on rows, n + 1 on labels)."""
+    return (top - pairs[:, ::-1])[::-1]
+
+
 def complete_graph(n):
     edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     return SampledGraph(np.arange(1, n + 1), np.array(edges))
@@ -214,7 +220,8 @@ class TestGraphFamilies:
     def test_er_decode_matches_triangle_indices(self):
         for n in (2, 3, 7, 64):
             linear = np.arange(n * (n - 1) // 2)
-            assert np.array_equal(_decode_upper_triangle(linear, n), np.column_stack(np.triu_indices(n, 1)))
+            assert np.array_equal(mirrored(_decode_upper_triangle(linear, n), n - 1),
+                                  np.column_stack(np.triu_indices(n, 1)))
         # a large triangle, both ends included, in strictly increasing indices as er_power_graph draws
         # them: row i is the last row whose start i (2n - i - 1) / 2 <= index
         n = 50_000
@@ -224,15 +231,17 @@ class TestGraphFamilies:
         starts = np.arange(n - 1) * (2 * n - np.arange(n - 1) - 1) // 2
         i = np.searchsorted(starts, linear, side="right") - 1
         expected = np.column_stack((i, linear - starts[i] + i + 1)) + 1
-        assert np.array_equal(_decode_upper_triangle(linear.copy(), n), expected - 1)  # the decode uses up its input
+        # the decode uses up its input
+        assert np.array_equal(mirrored(_decode_upper_triangle(linear.copy(), n), n - 1), expected - 1)
         assert np.array_equal(float_decode_upper_triangle(linear, n), expected)
 
     def test_er_decode_matches_float_oracle(self):
         for n, alpha in ((1, 0.5), (2, 1.0), (17, 0.9), (400, 1.0), (5000, 0.5)):
             for seed in range(3):
                 g = er_power_graph(n, alpha, seed)
-                linear = (g.edges[:, 0] - 1) * (2 * n - g.edges[:, 0]) // 2 + g.edges[:, 1] - g.edges[:, 0] - 1
-                assert np.array_equal(float_decode_upper_triangle(linear, n), g.edges)
+                back = mirrored(g.edges, n + 1)  # the row-major pairs the gaps picked
+                linear = (back[:, 0] - 1) * (2 * n - back[:, 0]) // 2 + back[:, 1] - back[:, 0] - 1
+                assert np.array_equal(float_decode_upper_triangle(linear, n), back)
                 assert np.array_equal(_decode_upper_triangle(linear, n), g.edges - 1)
 
     def test_er_short_gap_buffers_draw_the_same_edges(self, monkeypatch, caplog):

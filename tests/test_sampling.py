@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,6 +34,8 @@ from graphonlab.sampling import (
     trace_to_json,
     xi_box_counts,
 )
+
+from digests import graph_digest
 
 ONES = constant_graphon(1.0)
 ZERO_KERNEL = StepGraphon([1.0], [[0.0]])
@@ -422,27 +425,18 @@ class TestTraceSerialization:
         # (labels, edges, births, features).  The control's births and edges are hashed the same
         # way, as they were while its trace recorded a constant graphon; its trace file, which
         # records the control-v1 layout and its kernel, was re-recorded when it did
-        def digest(graphs):
-            h = hashlib.sha256()
-            for g in graphs:
-                for a in (g.labels, g.edges, g.births, g.features):
-                    h.update(a.astype("<i8" if a.dtype.kind == "i" else "<f8").tobytes())
-            return h.hexdigest()
-
         ambient_one = StepGraphon([1.0], [[1.0]], ambient_infinite=True)  # the sequential_dichotomy kernel
         for family, expected in (
             ("linear", "d9d9d441ca460ff2f9ef21ca4fd7582ca7c025e5f27338a2db55643ab63517d2"),
             ("exponential", "a40b211420f9185581f11d436dab3dcc286218a9e52e66a76e8e6955309d873d"),
         ):
             graphs = sample_sequential(ambient_one, ArrivalSchedule(family, 1.0), 600, 5, checkpoints=[100, 600])
-            assert digest(graphs) == expected, family
+            assert graph_digest(graphs) == expected, family
         dense = sample_dense_wrandom(StepGraphon([1.0, 2.0], [[0.9, 0.3], [0.3, 0.1]]), 600, 2)
-        assert digest([dense]) == "c56bdf84653169d01febfee21ef34805ca356bcddefa98d1dfcb24498bb701b7"
+        assert graph_digest([dense]) == "c56bdf84653169d01febfee21ef34805ca356bcddefa98d1dfcb24498bb701b7"
         control = _sample_inhomogeneous_control(40.0, 3, 0.9, 0.1)
-        h = hashlib.sha256()
-        for a in (control.births, control.edges):
-            h.update(a.astype("<i8" if a.dtype.kind == "i" else "<f8").tobytes())
-        assert h.hexdigest() == "3031ae86eb4b2ff2eef139fdc6374fdf159ade670f25ea55d666aab7827276f8"
+        assert graph_digest([control], ("births", "edges")) == (
+            "3031ae86eb4b2ff2eef139fdc6374fdf159ade670f25ea55d666aab7827276f8")
         path = tmp_path / "control.json"
         save_trace_file(control, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
@@ -471,7 +465,9 @@ class TestTraceSerialization:
     def test_er_power_graph_bytes_unchanged(self):
         # SHA-256 digests of the edges' little-endian bytes: at n = 2000 taken while every graph
         # sorted its labels, searched its endpoints and sorted its edge keys, at the benchmark's
-        # sizes (0.50M, 0.83M and 1.41M edges) while the graph went through the validating constructor
+        # sizes (0.50M, 0.83M and 1.41M edges) while the graph went through the validating constructor.
+        # The decode walks the pairs in arrival order, which renames label i of the row-major draw
+        # to n + 1 - i; the digests hash the edges renamed back, in the (u, v) order they were taken in
         for n, seed, expected in (
             (2000, 0, "5700c736da2e16cf1cc0210377e0ced7bd7b56fe8f613763c327136ca97b875f"),
             (2000, 1, "0f58bfad1aa1ee8113b92e452cfd148554774504d52f65dd0c6bc591ef87600e"),
@@ -480,7 +476,8 @@ class TestTraceSerialization:
             (20_000, 2, "a0363c16d5e2e9ce92534d51cef6d1147b9c27e13128ca87c22518d460cdd6f6"),
         ):
             edges = er_power_graph(n, 0.5, seed).edges
-            assert hashlib.sha256(edges.astype("<i8").tobytes()).hexdigest() == expected, (n, seed)
+            back = SimpleNamespace(edges=(n + 1 - edges[:, ::-1])[::-1])
+            assert graph_digest([back], ("edges",)) == expected, (n, seed)
 
     def test_caron_fox_trace_bytes_unchanged(self):
         # SHA-256 digests of the edges, births and features, taken while each window's
@@ -491,10 +488,7 @@ class TestTraceSerialization:
             (1, "29b302be304925dd2711a1f9e80e8812cea1cbe67cb9c9bbbfce51757c639ce4"),
         ):
             trace = sample_graphon_process(w, 25.0, seed)
-            h = hashlib.sha256()
-            for a in (trace.edges, trace.births, trace.features):
-                h.update(a.astype("<i8" if a.dtype.kind == "i" else "<f8").tobytes())
-            assert h.hexdigest() == expected, seed
+            assert graph_digest([trace], ("edges", "births", "features")) == expected, seed
 
     @pytest.mark.parametrize("weights, count", [
         (np.array([0.0, 2.5, 0.0, 0.0, 1e-3, 7.0, 0.0]), 50),
