@@ -71,6 +71,7 @@ __all__ = [
 
 MAX_DISCRETIZE_BLOCKS = 4096
 QUAD_DEFAULT_TOL = 1e-6
+_STRIP_ROWS = 64  # grid rows per strip of cell averages; even, so a fine strip covers whole coarse rows
 
 
 class GraphonError(ValueError):
@@ -91,10 +92,15 @@ class CostLimitError(GraphonError):
 
 def _real_array(value, name: str) -> np.ndarray:
     """``value`` as a float array, refusing what the spec readers refuse rather
-    than casting it: an array of strings, booleans or other objects raises."""
+    than casting it: an array of strings, booleans or other objects raises,
+    and so does a sequence with a boolean entry, which numpy would upcast."""
     a = np.asarray(value)
     if a.dtype.kind not in "iuf":
         raise GraphonError(f"{name} must be integers or floats, got an array of dtype {a.dtype}")
+    if a is not value:  # not an array: numpy upcasts a boolean among numbers
+        kinds = set(map(type, np.asarray(value, dtype=object).ravel()))
+        if any(issubclass(t, (bool, np.bool_)) for t in kinds):
+            raise GraphonError(f"{name} must be integers or floats, got a boolean entry")
     return a.astype(float, copy=False)
 
 
@@ -152,8 +158,9 @@ class Graphon:
         """:func:`flatten_to_line` of this family."""
         raise GraphonError(f"flatten_to_line does not support {type(self).__name__}")
 
-    def _cell_averages(self, edges: np.ndarray) -> np.ndarray:
-        """Averages of W over the cells of the grid ``edges`` squared, for :func:`discretize`."""
+    def _cell_averages(self, edges: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rows ``lo:hi`` of the averages of W over the cells of the grid ``edges``
+        squared, and the same rows of their transpose, for :func:`discretize`."""
         raise GraphonError("discretize operates on analytic graphons")
 
 
@@ -324,7 +331,9 @@ class AnalyticGraphon(Graphon):
     formula as ``_kernel``.  Unless a family says otherwise, the sampling
     region is ``[0, x_max]`` in the role feature (the last coordinate),
     features are uniform on it, and the step form is the cell-average grid
-    of 256 equal cells, with Simpson cell averages.
+    of 256 equal cells, with Simpson cell averages.  Those read both ``W(x, y)``
+    and ``W(y, x)`` from one evaluation, so ``_kernel`` must be symmetric to
+    the last bit.
     """
 
     _trunc: Truncation
@@ -352,8 +361,8 @@ class AnalyticGraphon(Graphon):
     def _flatten(self, weight_cells):
         raise GraphonError(f"{self.family} has no block structure; use discretize instead")
 
-    def _cell_averages(self, edges):
-        return _simpson_cell_averages(self, edges)
+    def _cell_averages(self, edges, lo, hi):
+        return _simpson_rows(self, edges, lo, hi)
 
 
 def _solve_x_max(tail_bound, target: float, lo: float = 1e-9, hi: float = 1e12) -> float:
@@ -374,6 +383,9 @@ def _solve_x_max(tail_bound, target: float, lo: float = 1e-9, hi: float = 1e12) 
 def _resolve_truncation(tail_bound, x_max, target) -> Truncation:
     if x_max is None and target is None:
         raise GraphonError("supply x_max or target_l1_residual")
+    for value, name in ((x_max, "x_max"), (target, "target_l1_residual")):
+        if value is not None:
+            json_field(value, name, "number")
     if x_max is None:
         x_max = _solve_x_max(tail_bound, float(target))
     residual = tail_bound(float(x_max))
@@ -431,9 +443,9 @@ class CaronFoxGraphon(AnalyticGraphon):
     def __init__(self, f_kind: str, c: float, gamma: float, x_max=None, target_l1_residual=None):
         if f_kind not in ("shifted_power", "capped_power"):
             raise GraphonError(f"unknown caron_fox f kind {f_kind!r}")
-        if not (c > 0):
+        if not (json_field(c, "c", "number") > 0):
             raise GraphonError("caron_fox c must be positive")
-        if not (gamma > 1):
+        if not (json_field(gamma, "gamma", "number") > 1):
             raise GraphonError("caron_fox gamma must exceed 1 (integrability of f)")
         self.f_kind = f_kind
         self.c = float(c)
@@ -496,7 +508,7 @@ class RegionIndicatorGraphon(AnalyticGraphon):
     family = "region_indicator"
 
     def __init__(self, a: float = 0.5, x_max=None, target_l1_residual=None):
-        if not (0.0 < a < 1.0):
+        if not (0.0 < json_field(a, "a", "number") < 1.0):
             raise GraphonError("region_indicator exponent a must lie in (0, 1)")
         self.a = float(a)
         self.b = 1.0 / float(a)
@@ -514,8 +526,8 @@ class RegionIndicatorGraphon(AnalyticGraphon):
         y = np.asarray(y, dtype=float)
         return (y <= self.f(x)).astype(float)
 
-    def _cell_averages(self, edges):
-        return _region_cell_averages(self, edges)
+    def _cell_averages(self, edges, lo, hi):
+        return _region_cell_averages(self, edges, lo, hi)
 
     def tail_l1_bound(self, m: float) -> float:
         # For m >= 1 the region mass outside [0,m]^2 is exactly 2 int_m^inf f.
@@ -622,7 +634,7 @@ class InfiniteBlockGraphon(AnalyticGraphon):
     def _flatten(self, weight_cells):
         return self.step_form()[0]
 
-    def _cell_averages(self, edges):
+    def _cell_averages(self, edges, lo, hi):
         raise GraphonError(f"{self.family} flattens exactly; use flatten_to_line")
 
     def l1_truncated(self, tol: float = QUAD_DEFAULT_TOL) -> QuadratureEstimate:
@@ -755,9 +767,9 @@ class MixedMembershipGraphon(AnalyticGraphon):
     def step_form(self) -> tuple[StepGraphon, float]:
         return self._flatten(3), self._trunc.target_l1_residual
 
-    def _cell_averages(self, edges):
+    def _cell_averages(self, edges, lo, hi):
         self._require_step_components()
-        return InfiniteBlockGraphon._cell_averages(self, edges)
+        return InfiniteBlockGraphon._cell_averages(self, edges, lo, hi)
 
     def _require_step_components(self):
         if not all(isinstance(c, StepGraphon) for row in self.components for c in row):
@@ -1003,6 +1015,12 @@ def discretize(w: AnalyticGraphon, grid_step: float) -> tuple[StepGraphon, float
     boundary integration for the region indicator).  The returned error
     estimate is the exact L1 distance to the approximation built on a
     twice-finer grid.
+
+    The finer grid is never held whole: each strip of its rows is compared
+    with the coarse rows it refines and dropped.  For ``n`` cells a smooth
+    kernel is evaluated about ``4 n^2`` times for the grid and ``16 n^2``
+    times for the error estimate, and memory stays ``O(n^2 + S n)`` for
+    strips of ``S`` rows.
     """
     if not isinstance(w, Graphon):
         raise GraphonError("discretize operates on analytic graphons")
@@ -1013,61 +1031,101 @@ def discretize(w: AnalyticGraphon, grid_step: float) -> tuple[StepGraphon, float
         raise CostLimitError(f"grid too fine: {n} cells exceed the {MAX_DISCRETIZE_BLOCKS} cell limit", float(n) ** 2)
 
     coarse = _grid_graphon(w, n)
-    if 2 * n <= MAX_DISCRETIZE_BLOCKS:
-        fine = _grid_graphon(w, 2 * n)
-        half = np.repeat(np.repeat(coarse.values, 2, axis=0), 2, axis=1)
-        diff = np.abs(half - fine.values)
-        err = float(fine.masses @ diff @ fine.masses)
-    else:
-        err = math.nan
-    return coarse, err
+    if 2 * n > MAX_DISCRETIZE_BLOCKS:
+        return coarse, math.nan
+    edges = np.linspace(0.0, w.region_mass(), 2 * n + 1)
+    masses = np.diff(edges)
+    weighted = np.zeros(2 * n)  # masses @ |coarse - fine|, summed strip by strip
+    for lo, hi, fine in _grid_rows(w, edges):
+        half = np.repeat(np.repeat(coarse.values[lo // 2:hi // 2], 2, axis=0), 2, axis=1)
+        weighted += masses[lo:hi] @ np.abs(half - fine)
+    return coarse, float(weighted @ masses)
+
+
+def _grid_rows(w: Graphon, edges: np.ndarray):
+    """``(lo, hi, rows)`` for each strip of ``_STRIP_ROWS`` rows of the
+    symmetrized cell averages ``0.5 (A + A^T)`` of ``w`` on the grid ``edges``."""
+    n = edges.size - 1
+    for lo in range(0, n, _STRIP_ROWS):
+        hi = min(lo + _STRIP_ROWS, n)
+        rows, mirror = w._cell_averages(edges, lo, hi)
+        yield lo, hi, 0.5 * (rows + mirror)
 
 
 def _grid_graphon(w: Graphon, cells: int) -> StepGraphon:
     """Cell-average step graphon of ``w`` on ``cells`` equal cells of its sampling region."""
     edges = np.linspace(0.0, w.region_mass(), cells + 1)
-    vals = w._cell_averages(edges)
-    vals = 0.5 * (vals + vals.T)
+    vals = np.empty((cells, cells))
+    for lo, hi, rows in _grid_rows(w, edges):
+        vals[lo:hi] = rows
+    vals.setflags(write=False)  # so the StepGraphon keeps it without a copy
     return StepGraphon(np.diff(edges), vals)
 
 
-def _simpson_cell_averages(w: AnalyticGraphon, edges: np.ndarray) -> np.ndarray:
-    """Per-cell tensor-product Simpson averages of a smooth kernel.
+def _simpson_rows(w: AnalyticGraphon, edges: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``lo:hi`` of the per-cell tensor Simpson averages of a smooth
+    kernel on the grid ``edges`` squared, and the same rows of their transpose.
 
-    The kernel is evaluated on one (left, mid, right) node-set pair at a
-    time, so memory stays at a few n x n arrays.  The nodes lie in the
-    sampling region, so the formula ``_kernel`` needs no cut there.
+    The kernel is evaluated once, on the strip's nodes against all nodes,
+    each list interleaved as (edge_0, mid_0, edge_1, ..., edge_n); the nine
+    Simpson terms are strided slices of that block.  Both results sum the
+    terms in the (left, mid, right) x (left, mid, right) order, the mirror
+    with the slices' roles swapped, so a kernel symmetric to the last bit
+    gives each mirror row the bits of the matching column.  The nodes lie
+    in the sampling region, so the formula ``_kernel`` needs no cut there.
     """
-    nodes = (edges[:-1], (edges[:-1] + edges[1:]) / 2, edges[1:])
+    n = edges.size - 1
+    nodes = np.empty(2 * n + 1)
+    nodes[0::2] = edges
+    nodes[1::2] = (edges[:-1] + edges[1:]) / 2
+    kern = w._kernel(nodes[2 * lo:2 * hi + 1, None], nodes[None, :])
     weights = np.array([1.0, 4.0, 1.0]) / 6.0
-    out = np.zeros((edges.size - 1, edges.size - 1))
-    for xa, wa in zip(nodes, weights):
-        for xb, wb in zip(nodes, weights):
-            out += wa * wb * w._kernel(xa[:, None], xb[None, :])
-    return out
+    rows, mirror = np.zeros((hi - lo, n)), np.zeros((hi - lo, n))
+    s = 2 * (hi - lo)
+    for a, wa in enumerate(weights):
+        for b, wb in enumerate(weights):
+            rows += wa * wb * kern[a:a + s:2, b:b + 2 * n:2]
+            mirror += wa * wb * kern[b:b + s:2, a:a + 2 * n:2]
+    return rows, mirror
 
 
-def _region_cell_averages(w: RegionIndicatorGraphon, edges: np.ndarray) -> np.ndarray:
-    """Exact area fractions of the region ``{y <= f(x)}`` in each grid cell.
+def _simpson_cell_averages(w: AnalyticGraphon, edges: np.ndarray) -> np.ndarray:
+    """Per-cell tensor Simpson averages of a smooth kernel on the whole grid
+    ``edges`` squared, assembled from :func:`_simpson_rows` strips.
+
+    For ``n`` cells the kernel is evaluated about ``4 n^2`` times, once per
+    pair of the ``2 n + 1`` interleaved edge and midpoint nodes, and memory
+    stays ``O(n^2 + S n)`` for strips of ``S`` rows.
+    """
+    n = edges.size - 1
+    return np.concatenate([_simpson_rows(w, edges, lo, min(lo + _STRIP_ROWS, n))[0]
+                           for lo in range(0, n, _STRIP_ROWS)])
+
+
+def _region_cell_averages(w: RegionIndicatorGraphon, edges: np.ndarray, lo: int, hi: int):
+    """Rows ``lo:hi`` of the exact area fractions of the region ``{y <= f(x)}``
+    in each grid cell, and the same rows of their transpose.
 
     ``F_c(x) = int_0^x min(f, c) = c min(x, t_c) + max(G(x) - G(t_c), 0)``
     with ``G = int_0^x f`` (piecewise power) and ``f(t_c) = c``, so
     ``t_c = f(c)`` because f is its own inverse.  The area of cell
     ``[x0, x1] x [y0, y1]`` is ``F_y1(x1) - F_y1(x0) - F_y0(x1) + F_y0(x0)``,
-    evaluated once on the grid corners.
+    evaluated on the corners of the strip's rows and of its columns.
     """
     a, b = w.a, w.b
 
     def big_g(x):
         return np.minimum(x, 1.0) ** (1.0 - a) / (1.0 - a) + (np.maximum(x, 1.0) ** (1.0 - b) - 1.0) / (1.0 - b)
 
-    x = edges[:, None]
-    c = edges[None, :]
-    t = np.where(c > 0, w.f(c), np.inf)  # F_0 vanishes: t_0 is infinite
-    corner = c * np.minimum(x, t) + np.maximum(big_g(x) - big_g(t), 0.0)
-    area = corner[1:, 1:] - corner[:-1, 1:] - corner[1:, :-1] + corner[:-1, :-1]
-    widths = np.diff(edges)
-    return np.clip(area / np.outer(widths, widths), 0.0, 1.0)
+    def fractions(xs, cs):
+        x, c = xs[:, None], cs[None, :]
+        t = np.where(c > 0, w.f(c), np.inf)  # F_0 vanishes: t_0 is infinite
+        corner = c * np.minimum(x, t) + np.maximum(big_g(x) - big_g(t), 0.0)
+        area = corner[1:, 1:] - corner[:-1, 1:] - corner[1:, :-1] + corner[:-1, :-1]
+        return np.clip(area / np.outer(np.diff(xs), np.diff(cs)), 0.0, 1.0)
+
+    strip = edges[lo:hi + 1]
+    return fractions(strip, edges), fractions(edges, strip).T
 
 
 # ---------------------------------------------------------------------------
@@ -1080,8 +1138,7 @@ def _region_cell_averages(w: RegionIndicatorGraphon, edges: np.ndarray) -> np.nd
 
 def _read_truncation(spec) -> dict:
     trunc = spec.get("truncation", {})
-    return {key: None if trunc.get(key) is None else json_field(trunc[key], key, "number")
-            for key in ("x_max", "target_l1_residual")}
+    return {key: trunc.get(key) for key in ("x_max", "target_l1_residual")}
 
 
 def _write_truncation(w: AnalyticGraphon) -> dict:
@@ -1096,14 +1153,12 @@ def _read_step(spec) -> StepGraphon:
 
 def _read_caron_fox(spec) -> CaronFoxGraphon:
     f = spec.get("f", {})
-    return CaronFoxGraphon(json_field(f.get("kind", "shifted_power"), "kind", "string"),
-                           float(json_field(f["c"], "c", "number")), float(json_field(f["gamma"], "gamma", "number")),
+    return CaronFoxGraphon(json_field(f.get("kind", "shifted_power"), "kind", "string"), f["c"], f["gamma"],
                            **_read_truncation(spec))
 
 
 def _read_region_indicator(spec) -> RegionIndicatorGraphon:
-    return RegionIndicatorGraphon(float(json_field(spec.get("f", {}).get("a", 0.5), "a", "number")),
-                                  **_read_truncation(spec))
+    return RegionIndicatorGraphon(spec.get("f", {}).get("a", 0.5), **_read_truncation(spec))
 
 
 def _read_infinite_block(spec) -> InfiniteBlockGraphon:
@@ -1174,7 +1229,7 @@ def read_json_file(path, error=GraphonError):
 
 
 # The JSON kinds a reader may require, and how its messages name them.
-_JSON_KINDS = {"integer": (int, "an integer"), "number": ((int, float), "a number"),
+_JSON_KINDS = {"integer": (int, "an integer"), "number": ((int, float, np.integer, np.floating), "a number"),
                "boolean": (bool, "true or false"), "string": (str, "a string"), "object": (dict, "an object")}
 
 
@@ -1188,7 +1243,8 @@ def json_field(value, name: str, kind: str, depth: int = 0, what: str | None = N
     ``depth`` deep; every file reader checks its fields with it.
 
     Nothing is cast: an integer is a JSON integer, a number an integer or a
-    float, and true and false are only booleans.  Arrays are checked in one
+    float (numpy's too, for the Python constructors that share the rule),
+    and true and false are only booleans.  Arrays are checked in one
     pass over their entries' types.  Any other entry raises
     :class:`GraphonError`, ``"<name> must be <what>, got <entry>"``; a
     number where an array belongs raises ``TypeError``.

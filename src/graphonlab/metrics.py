@@ -32,7 +32,6 @@ full search.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -381,7 +380,19 @@ class DistanceReport:
 
 @lru_cache(maxsize=EXACT_PERM_MAX_BLOCKS + 1)
 def _lex_permutations(n: int) -> np.ndarray:
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    """All permutations of ``range(n)`` in lexicographic order, one per row of
+    a read-only ``intp`` array (``itertools.permutations`` order).
+
+    The table for ``k`` is built from the one for ``k - 1``: each first
+    element ``f`` in turn, followed by the shorter table with the entries
+    ``>= f`` raised by one, which keeps its rows in lexicographic order.
+    """
+    perms = np.zeros((1, 0), dtype=np.intp)
+    for k in range(1, n + 1):
+        first = np.repeat(np.arange(k, dtype=np.intp), len(perms))
+        rest = np.tile(perms, (k, 1))
+        rest += rest >= first[:, None]
+        perms = np.column_stack((first, rest))
     perms.setflags(write=False)
     return perms
 

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,12 +74,29 @@ class TestStepGraphonConstruction:
         (lambda: InfiniteBlockGraphon([(0, 1)], [["0.5"]]), "probs must be integers or floats"),
         (lambda: InfiniteBlockGraphon([(0, 1), (2, 3)], [[0.5, 0.1], [0.1, 0.5]], 1.7),
          "^truncation_count must be an integer, got 1.7$"),
+        (lambda: StepGraphon([1.5, True], [[0.5, 0.1], [0.1, 0.5]]), "^masses must be integers or floats, got a boolean"),
+        (lambda: StepGraphon([1.0, 2.0], [[0.5, np.True_], [np.True_, 0.5]]), "^values must be integers or floats, got a"),
+        (lambda: CaronFoxGraphon("shifted_power", "2", 1.5, x_max=6.0), "^c must be a number, got '2'$"),
+        (lambda: CaronFoxGraphon("shifted_power", 2, True, x_max=6.0), "^gamma must be a number, got True$"),
+        (lambda: RegionIndicatorGraphon("0.5", x_max=4.0), "^a must be a number, got '0.5'$"),
+        (lambda: CaronFoxGraphon("shifted_power", 2, 1.5, x_max="6"), "^x_max must be a number, got '6'$"),
+        (lambda: CaronFoxGraphon("shifted_power", 2, 1.5, x_max=True), "^x_max must be a number, got True$"),
+        (lambda: CaronFoxGraphon("shifted_power", 1, 2, target_l1_residual="0.01"),
+         "^target_l1_residual must be a number, got '0.01'$"),
+        (lambda: MixedMembershipGraphon([[StepGraphon([1.0], [[0.5]])]], x_max="1"), "^x_max must be a number, got '1'$"),
     ], ids=["step_masses_strings", "step_values_booleans", "block_intervals_strings", "block_probs_strings",
-            "block_truncation_fraction"])
+            "block_truncation_fraction", "step_masses_boolean_entry", "step_values_boolean_entry",
+            "caron_fox_c_string", "caron_fox_gamma_boolean", "region_a_string", "x_max_string", "x_max_boolean",
+            "target_residual_string", "mixed_x_max_string"])
     def test_python_constructors_cast_nothing(self, build, message):
         """The constructors refuse what the spec readers refuse, instead of casting it."""
         with pytest.raises(GraphonError, match=message):
             build()
+
+    def test_python_constructors_take_numpy_numbers(self):
+        w = CaronFoxGraphon("shifted_power", np.int64(2), np.float32(1.5), x_max=np.int64(6))
+        assert graphon_to_spec(w) == graphon_to_spec(CaronFoxGraphon("shifted_power", 2, 1.5, x_max=6))
+        assert RegionIndicatorGraphon(np.float64(0.5), target_l1_residual=np.float32(0.5)).a == 0.5
 
     def test_zero_graphon_is_valid(self):
         z = zero_graphon()
@@ -915,6 +933,129 @@ class TestDiscretize:
                 area = np.trapezoid(np.clip(fx - y0, 0.0, y1 - y0), xs)
                 assert step.values[i, j] == pytest.approx(area / 0.25, abs=1e-6)
 
+
+
+def nine_grid_simpson_cell_averages(w, edges):
+    """The Simpson rule the strips replaced: nine n x n kernel grids, one per
+    (left, mid, right) node-set pair, summed in that order."""
+    nodes = (edges[:-1], (edges[:-1] + edges[1:]) / 2, edges[1:])
+    weights = np.array([1.0, 4.0, 1.0]) / 6.0
+    out = np.zeros((edges.size - 1, edges.size - 1))
+    for xa, wa in zip(nodes, weights):
+        for xb, wb in zip(nodes, weights):
+            out += wa * wb * w._kernel(xa[:, None], xb[None, :])
+    return out
+
+
+def corner_array_region_cell_averages(w, edges):
+    """The region indicator's area fractions from its whole (n+1) x (n+1) corner array."""
+    a, b = w.a, w.b
+
+    def big_g(x):
+        return np.minimum(x, 1.0) ** (1.0 - a) / (1.0 - a) + (np.maximum(x, 1.0) ** (1.0 - b) - 1.0) / (1.0 - b)
+
+    x, c = edges[:, None], edges[None, :]
+    t = np.where(c > 0, w.f(c), np.inf)
+    corner = c * np.minimum(x, t) + np.maximum(big_g(x) - big_g(t), 0.0)
+    area = corner[1:, 1:] - corner[:-1, 1:] - corner[1:, :-1] + corner[:-1, :-1]
+    widths = np.diff(edges)
+    return np.clip(area / np.outer(widths, widths), 0.0, 1.0)
+
+
+def full_array_grid_values(w, cells):
+    """Oracle of the strip path: the whole cell-average matrix A, then 0.5 (A + A^T)."""
+    edges = np.linspace(0.0, w.region_mass(), cells + 1)
+    full = corner_array_region_cell_averages if isinstance(w, RegionIndicatorGraphon) else nine_grid_simpson_cell_averages
+    vals = full(w, edges)
+    return 0.5 * (vals + vals.T)
+
+
+def full_array_discretize(w, cells):
+    """Oracle of :func:`discretize`: both grids whole, and the error estimate
+    as one product ``m @ |coarse - fine| @ m`` over the finer grid."""
+    coarse, fine = full_array_grid_values(w, cells), full_array_grid_values(w, 2 * cells)
+    masses = np.diff(np.linspace(0.0, w.region_mass(), 2 * cells + 1))
+    half = np.repeat(np.repeat(coarse, 2, axis=0), 2, axis=1)
+    return coarse, float(masses @ np.abs(half - fine) @ masses)
+
+
+STRIP_GRAPHONS = {
+    "shifted_power": CaronFoxGraphon("shifted_power", 1.0, 2.0, x_max=199.0),
+    "capped_power": CaronFoxGraphon("capped_power", 1.5, 1.5, x_max=7.0),
+    "region": RegionIndicatorGraphon(0.5, x_max=16.0),
+}
+
+
+def traced_peak(call) -> int:
+    """Peak traced allocation of ``call()`` in bytes, after one warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStripDiscretize:
+    """Cell averages are built in strips of rows, one kernel evaluation per
+    node pair, with the bits of the whole-array path they replaced."""
+
+    @pytest.mark.parametrize("cells", [1, 37, 63, 64, 65, 512])
+    @pytest.mark.parametrize("name", sorted(STRIP_GRAPHONS))
+    def test_equals_full_array_path(self, name, cells):
+        w = STRIP_GRAPHONS[name]
+        step, err = discretize(w, w.region_mass() / cells)
+        want, want_err = full_array_discretize(w, cells)
+        assert step.n_blocks == cells
+        assert np.array_equal(step.values, want)
+        assert np.array_equal(step.masses, np.diff(np.linspace(0.0, w.region_mass(), cells + 1)))
+        assert err == pytest.approx(want_err, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("name", sorted(STRIP_GRAPHONS))
+    def test_step_form_equals_full_array_path(self, name):
+        w = STRIP_GRAPHONS[name]
+        assert np.array_equal(w.step_form()[0].values, full_array_grid_values(w, 256))
+
+    @pytest.mark.parametrize("cells", [37, 130])
+    @pytest.mark.parametrize("name", sorted(STRIP_GRAPHONS))
+    def test_fine_strips_are_rows_of_the_grid(self, name, cells):
+        from graphonlab import graphon_core
+
+        w = STRIP_GRAPHONS[name]
+        fine = graphon_core._grid_graphon(w, 2 * cells).values
+        edges = np.linspace(0.0, w.region_mass(), 2 * cells + 1)
+        covered = 0
+        for lo, hi, rows in graphon_core._grid_rows(w, edges):
+            assert lo == covered and hi - lo <= graphon_core._STRIP_ROWS and lo % 2 == 0
+            assert np.array_equal(rows, fine[lo:hi])
+            covered = hi
+        assert covered == 2 * cells
+
+    @pytest.mark.parametrize("w", [
+        CaronFoxGraphon("shifted_power", 1.0, 2.0, x_max=199.0),
+        CaronFoxGraphon("shifted_power", 3.7, 1.2, x_max=50.0),
+        CaronFoxGraphon("capped_power", 1.5, 1.5, x_max=7.0),
+        CaronFoxGraphon("capped_power", 0.3, 4.0, x_max=2.5),
+    ], ids=["shifted_1_2", "shifted_3.7_1.2", "capped_1.5_1.5", "capped_0.3_4"])
+    def test_caron_fox_kernel_is_symmetric_to_the_last_bit(self, w):
+        # the strips read W(y, x) from the evaluation of W(x, y)
+        nodes = np.empty(2 * 97 + 1)
+        edges = np.linspace(0.0, w.region_mass(), 98)
+        nodes[0::2], nodes[1::2] = edges, (edges[:-1] + edges[1:]) / 2
+        xs = np.concatenate([nodes, np.random.default_rng(3).uniform(0.0, w.region_mass(), 300)])
+        k = w._kernel(xs[:, None], xs[None, :])
+        assert np.array_equal(k, k.T)
+        assert np.array_equal(k, w._kernel(xs[None, :], xs[:, None]))
+
+    def test_512_cells_peak_memory(self):
+        # nine 1024 x 1024 kernel grids and their temporaries traced 34 MiB
+        w = CaronFoxGraphon("shifted_power", 1, 2, x_max=199)
+        assert traced_peak(lambda: discretize(w, 199 / 512)) <= 12 * 2**20
+
+    def test_1024_cells_peak_memory(self):
+        w = CaronFoxGraphon("shifted_power", 1, 2, x_max=199)
+        assert traced_peak(lambda: discretize(w, 199 / 1024)) <= 40 * 2**20
 
 ROUNDTRIP_GRAPHONS = [
     TWO_BLOCK,

@@ -3,10 +3,14 @@
 No linter ships with the project, so this is pyflakes' unused-import rule
 (F401) in a few lines of ``ast``: a name bound by an import at any level of
 a module must be read somewhere in that module.  An import line marked
-``# noqa: F401``, as the package's re-exports are, is exempt.
+``# noqa: F401``, as the package's re-exports are, is exempt.  Importing the
+package does no work beyond its imports: no cached table is built.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,3 +45,17 @@ def test_finds_an_unused_import():
     text = "import os\nimport sys  # noqa: F401\nfrom math import pi, tau\nfrom a import (  # noqa: F401\n    b,\n)\n"
     assert unused_imports(text + "print(tau)\n") == ["1: os", "3: pi"]
     assert unused_imports(text + "def f() -> 'os':\n    return pi + tau\n") == []
+
+
+def test_import_builds_no_table():
+    """Importing the package builds none of the cached enumeration tables:
+    they are built on first use, so start-up stays the imports alone."""
+    script = (
+        "import graphonlab\n"
+        "from graphonlab import metrics\n"
+        "print([f.__name__ for f in (metrics._lex_permutations, metrics._subset_bits) if f.cache_info().currsize])\n"
+    )
+    src = str(SOURCES[0].parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == ["[]"]

@@ -560,6 +560,12 @@ class TestCutDistance:
 class TestPrunedPermutationSearch:
     """The degree-bound pruned search returns the oracle's value and witness."""
 
+    @pytest.mark.parametrize("n", range(9))
+    def test_permutation_table_is_itertools_order(self, n):
+        table = metrics._lex_permutations(n)
+        assert np.array_equal(table, np.array(list(itertools.permutations(range(n))), dtype=np.intp))
+        assert table.dtype == np.intp and not table.flags.writeable
+
     @staticmethod
     def pairs(family, n, rng):
         def sym(m):
