@@ -1089,19 +1089,6 @@ def _simpson_rows(w: AnalyticGraphon, edges: np.ndarray, lo: int, hi: int) -> tu
     return rows, mirror
 
 
-def _simpson_cell_averages(w: AnalyticGraphon, edges: np.ndarray) -> np.ndarray:
-    """Per-cell tensor Simpson averages of a smooth kernel on the whole grid
-    ``edges`` squared, assembled from :func:`_simpson_rows` strips.
-
-    For ``n`` cells the kernel is evaluated about ``4 n^2`` times, once per
-    pair of the ``2 n + 1`` interleaved edge and midpoint nodes, and memory
-    stays ``O(n^2 + S n)`` for strips of ``S`` rows.
-    """
-    n = edges.size - 1
-    return np.concatenate([_simpson_rows(w, edges, lo, min(lo + _STRIP_ROWS, n))[0]
-                           for lo in range(0, n, _STRIP_ROWS)])
-
-
 def _region_cell_averages(w: RegionIndicatorGraphon, edges: np.ndarray, lo: int, hi: int):
     """Rows ``lo:hi`` of the exact area fractions of the region ``{y <= f(x)}``
     in each grid cell, and the same rows of their transpose.

@@ -36,7 +36,7 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# expected edges of one example-family graph: about 25 bytes an edge at the peak, so 0.5 GB
+# expected edges of one example-family graph: about 16 bytes an edge at the peak, so 0.3 GB
 MAX_FAMILY_EDGES = 2 * 10 ** 7
 
 
@@ -170,17 +170,18 @@ def _check_family_edges(expected: float, what: str) -> None:
                              "edge limit", expected)
 
 
-def _count(value, what: str) -> int:
-    """``value`` as a non-negative int: the families build their graphs without the
-    :class:`SampledGraph` checks, so a size is checked before anything is drawn."""
+def _count(value, what: str, bits: int = 31) -> int:
+    """``value`` as a non-negative int below ``2^bits``: the families build their graphs
+    without the :class:`SampledGraph` checks, so a size is checked before anything is
+    drawn.  A graph's rows are int32, so it has fewer than 2^31 vertices."""
     try:
         count = operator.index(value)
     except TypeError:
         raise GraphonError(f"{what} must be an integer, got {value!r}") from None
     if count < 0:
         raise GraphonError(f"{what} must be non-negative")
-    if count >= 1 << 63:  # labels are int64, and the families take the count's float
-        raise GraphonError(f"{what} must be below 2^63")
+    if count >= 1 << bits:
+        raise GraphonError(f"{what} must be below 2^{bits}")
     return count
 
 
@@ -211,19 +212,19 @@ def _decode_upper_triangle(linear: np.ndarray, n: int) -> np.ndarray:
     starts in the increasing indices counts each row's picks, and both
     columns are repeats of per-row integers: no square root per edge.  The
     rows are written back to front, so no sort is needed.  The decode uses
-    up ``linear``, an int64 array: it becomes the first column, negated, in
-    place, and once copied it is freed if the caller holds no other
-    reference to it or to its base, so the peak is three words an edge
-    rather than four.
+    up ``linear``, an int64 array (indices pass 2^31 for n > 65,536): it
+    becomes the first column, negated, in place, and once written to the
+    int32 rows it is freed if the caller holds no other reference to it or
+    to its base, so the peak is two words an edge.
     """
     i = np.arange(n, dtype=np.int64)
     start = i * (2 * n - 1 - i) // 2
     counts = np.diff(np.searchsorted(linear, start), append=linear.size)
     linear -= np.repeat(start - i + n - 2, counts)
-    rows = np.empty((linear.size, 2), dtype=np.int64)
+    rows = np.empty((linear.size, 2), dtype=np.int32)
     np.negative(linear, out=rows[::-1, 0])
     del linear
-    rows[::-1, 1] = np.repeat(n - 1 - i, counts)
+    rows[::-1, 1] = np.repeat((n - 1 - i).astype(np.int32), counts)
     return rows
 
 
@@ -239,15 +240,15 @@ def er_power_graph(n: int, alpha: float, seed: int) -> SampledGraph:
     graph is the row-major gap draw's with label i renamed ``n + 1 - i``,
     with the same degrees.  It writes the canonical rows back to front, so
     nothing is sorted, and uses up the buffer; the graph is built on those
-    rows without the constructor's checks.  It holds 16 bytes an edge, and
-    the call's traced peak is about 25 bytes an edge, three words while the
-    rows are filled.  ``n = 0`` gives the empty graph; an expected edge
-    count above ``MAX_FAMILY_EDGES`` raises :class:`CostLimitError` before
-    anything is drawn.
+    rows without the constructor's checks.  It holds 8 bytes an edge, and
+    the call's traced peak is about 16 bytes an edge, two words while the
+    rows are filled.  ``n = 0`` gives the empty graph; ``n`` of 2^31 or
+    more, or an expected edge count above ``MAX_FAMILY_EDGES``, raises
+    before anything is drawn.
     """
     n, alpha = _count(n, "vertex count"), _exponent(alpha)
     if n == 0:
-        return _graph_on_rows(np.zeros((0, 2), dtype=np.int64), 0)
+        return _graph_on_rows(np.zeros((0, 2), dtype=np.int32), 0)
     p = float(n) ** (alpha - 1.0)
     if not 0.0 < p <= 1.0:
         raise GraphonError(f"edge probability n^(alpha-1) = {p} must lie in (0, 1]; got alpha={alpha} for n={n}")
@@ -288,15 +289,18 @@ def clique_plus_isolated(n: int, alpha: float) -> SampledGraph:
 
 
 def perfect_matching(pairs: int) -> SampledGraph:
-    pairs = _count(pairs, "pair count")
-    return _graph_on_rows(2 * np.arange(pairs, dtype=np.int64)[:, None] + np.array([0, 1]), 2 * pairs)
+    pairs = _count(pairs, "pair count", 30)  # 2 * pairs vertices
+    _check_family_edges(pairs, f"perfect_matching with {pairs} pairs")
+    return _graph_on_rows(np.arange(2 * pairs, dtype=np.int32).reshape(pairs, 2), 2 * pairs)
 
 
 def cycle_graph(n: int) -> SampledGraph:
     n = _count(n, "vertex count")
     if 0 < n < 3:
         raise GraphonError(f"a cycle needs at least 3 vertices, got {n}")
+    _check_family_edges(n, f"cycle_graph with n={n}")
     if n == 0:
-        return _graph_on_rows(np.zeros((0, 2), dtype=np.int64), 0)
-    u = np.arange(n - 1)  # canonical rows (0, 1), (1, 2), ..., (n - 3, n - 2), (0, n - 1), (n - 2, n - 1)
+        return _graph_on_rows(np.zeros((0, 2), dtype=np.int32), 0)
+    # canonical rows (0, 1), (1, 2), ..., (n - 3, n - 2), (0, n - 1), (n - 2, n - 1)
+    u = np.arange(n - 1, dtype=np.int32)
     return _graph_on_rows(np.column_stack((np.insert(u, n - 2, 0), np.insert(u + 1, n - 2, n - 1))), n)

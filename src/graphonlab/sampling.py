@@ -36,10 +36,13 @@ width.
 A graph stores one edge array, the edges' 0-based rows in ``labels``
 (``edge_rows()``), in *arrival order*: ``u < v``, sorted by the later
 endpoint ``v`` and then by ``u``, the order in which every sampler draws
-them.  The label pairs ``edges``, ``labels[edge_rows()]``, are built
-from the rows on each access, and no computation of the package reads
-them.  Every graph has one finishing step, :func:`_set_fields`: it sets
-the rows, the labels and the degrees, and makes every array read-only.
+them.  The rows are C-contiguous ``int32``, 8 bytes an edge, so a graph
+has fewer than 2^31 vertices; labels, degrees and every edge key
+``v * n + u`` are ``int64``.  The label pairs ``edges``,
+``labels[edge_rows()]`` (``int64``), are built from the rows on each
+access, and no computation of the package reads them.  Every graph has
+one finishing step, :func:`_set_fields`: it sets the rows, the labels
+and the degrees, and makes every array read-only.
 The validating constructors serve outside input (trace files, users'
 graphs) and sort it once; the package's own graphs skip them.  Every
 sampler builds its graph by one arrival builder, :func:`_arrivals`: the
@@ -114,6 +117,8 @@ _ARRIVAL_BLOCK = 256
 # Most kernel values per chunk of rows (a single row may exceed it) and the longest
 # partial coin draw; coins are read in row order, so chunks leave the streams unchanged.
 _MAX_COINS = 1 << 20
+# Row entries per degree count: bincount casts int32 rows to intp, so it is fed a slice at a time.
+_DEGREE_SLICE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -133,7 +138,7 @@ class SampledGraph:
     labels, self-loops, endpoints that are not labels, duplicate edges, and
     ``births`` or ``features`` that are not one entry or one row per label,
     in that order.  It copies every array it is given, so the caller may
-    reuse them, and stores the edges once, as their rows in ``labels``
+    reuse them, and stores the edges once, as their int32 rows in ``labels``
     (``edge_rows()``), ``u`` before ``v`` in label order and in arrival
     order: sorted by ``v``, then by ``u``, in that order.  ``edges``, the
     constructor's second argument, is not stored: as an attribute it is the
@@ -186,7 +191,7 @@ class SampledGraph:
         return 2.0 * self.num_edges / (n * n) if n else 0.0
 
     def edge_rows(self) -> np.ndarray:
-        """Edges as ``(E, 2)`` row positions in ``labels``, in arrival order; read-only, computed on construction."""
+        """Edges as ``(E, 2)`` int32 row positions in ``labels``, in arrival order; read-only, set on construction."""
         return self._rows
 
     def degree_sequence(self) -> np.ndarray:
@@ -197,7 +202,7 @@ class SampledGraph:
         """``(k, k)`` counts of ordered adjacent vertex pairs ``(i, j)`` by the
         groups of ``i`` and ``j``; ``groups`` holds a group in ``0..k-1`` per
         vertex, aligned with ``labels``.  Diagonal entries count edges twice."""
-        ends = np.asarray(groups)[self.edge_rows()]
+        ends = np.asarray(groups).take(self.edge_rows())  # take: fancy indexing by int32 rows costs about twice as much
         counts = np.bincount(ends[:, 0] * k + ends[:, 1], minlength=k * k).reshape(k, k)
         return counts + counts.T
 
@@ -214,9 +219,10 @@ class SampledGraph:
     def _restrict(self, keep: np.ndarray) -> "SampledGraph":
         """Subgraph induced on the vertices whose rows are set in the mask ``keep``;
         label order is kept, so the kept edges stay sorted and only their rows shift."""
-        kept = keep[self._rows[:, 0]] & keep[self._rows[:, 1]]  # several times faster than all(axis=1)
+        ends = keep.take(self._rows)  # take: fancy indexing by int32 rows costs about twice as much
+        kept = ends[:, 0] & ends[:, 1]  # several times faster than all(axis=1)
         return _set_fields(object.__new__(SampledGraph), self.labels[keep],
-                           (np.cumsum(keep) - 1)[np.compress(kept, self._rows, axis=0)],
+                           (np.cumsum(keep, dtype=np.int32) - 1).take(np.compress(kept, self._rows, axis=0)),
                            *(None if a is None else a[keep] for a in (self.births, self.features)))
 
 
@@ -267,8 +273,10 @@ def _consecutive_rows(labels: np.ndarray, edges: np.ndarray) -> np.ndarray:
 def _canonical(rows: np.ndarray, n: int) -> np.ndarray:
     """Row pairs of ``n`` rows in canonical (arrival) order: oriented ``u < v`` with
     strictly increasing keys ``v * n + u``.  Pairs already so are returned as they
-    are; any others are sorted by key once, and a repeated key is a duplicate edge."""
+    are; any others are sorted by key once, and a repeated key is a duplicate edge.
+    The keys are int64 whatever the rows' dtype: in int32 they overflow past n = 46,341."""
     lo, hi = rows[:, 0], rows[:, 1]
+    n = np.int64(n)
     if np.all(lo < hi):
         key = hi * n + lo
         if np.all(key[1:] > key[:-1]):
@@ -276,7 +284,7 @@ def _canonical(rows: np.ndarray, n: int) -> np.ndarray:
     key = np.sort(np.maximum(lo, hi) * n + np.minimum(lo, hi))
     if np.any(key[1:] == key[:-1]):
         raise GraphonError("duplicate edges are not allowed")
-    out = np.empty((key.size, 2), dtype=key.dtype)
+    out = np.empty((key.size, 2), dtype=np.int32)
     np.divmod(key, n, out=(out[:, 1], out[:, 0]))  # no quotient and remainder temporaries to stack
     return out
 
@@ -294,10 +302,19 @@ def _unknown_vertex(edge: np.ndarray) -> GraphonError:
 def _set_fields(g: SampledGraph, labels, rows, births, features) -> SampledGraph:
     """Fill ``g`` from arrays that pass the :class:`SampledGraph` checks:
     unique labels and canonical ``rows``, the edges' row positions in them.
-    This is the one finishing step of every graph.  It counts the degrees
-    while ``rows`` is still writable (``bincount`` copies a read-only input)
-    and then makes every array read-only; the arrays become the graph's own."""
-    degrees = np.bincount(rows.ravel(), minlength=labels.size)
+    This is the one finishing step of every graph.  It refuses 2^31 or more
+    labels, makes the rows C-contiguous int32 (copying rows of another
+    dtype or layout), counts the degrees ``_DEGREE_SLICE`` row entries at a
+    time, so the int64 copy ``bincount`` makes of its input is never the
+    whole array, and makes every array read-only; the arrays become the
+    graph's own."""
+    if labels.size >= 1 << 31:
+        raise GraphonError(f"a graph holds fewer than 2^31 vertices, got {labels.size}")
+    rows = np.ascontiguousarray(rows, dtype=np.int32)
+    flat = rows.reshape(-1)
+    degrees = np.bincount(flat[:_DEGREE_SLICE], minlength=labels.size)
+    for lo in range(_DEGREE_SLICE, flat.size, _DEGREE_SLICE):
+        degrees += np.bincount(flat[lo:lo + _DEGREE_SLICE], minlength=labels.size)
     for name, value in (("labels", labels), ("_rows", rows), ("_degrees", degrees), ("births", births),
                         ("features", features)):
         if value is not None:
@@ -372,7 +389,7 @@ class ProcessTrace(SampledGraph):
         return tuple(VertexRecord(i + 1, births[i], tuple(features[i])) for i in range(len(births)))
 
     def edge_creation_times(self) -> np.ndarray:
-        return self.births[self._rows[:, 1]]
+        return self.births.take(self._rows[:, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +427,7 @@ def _as_trace(g: SampledGraph, graphon, horizon: float, seed: int, keep_isolated
 
 
 def _arrival_edges(w, features: np.ndarray, starts, n: int, streams: Streams) -> np.ndarray:
-    """0-based rows ``(u, v)``, ``u < v < n``, of the edges among arrivals drawn window by window.
+    """0-based int32 rows ``(u, v)``, ``u < v < n``, of the edges among arrivals drawn window by window.
 
     Window ``i`` is rows ``starts[i]:starts[i + 1]`` of ``features``, drawn
     as for the whole window; rows from ``n`` on are cut, so only the last
@@ -439,7 +456,7 @@ def _arrival_edges(w, features: np.ndarray, starts, n: int, streams: Streams) ->
             pairs.append(_poisson_window_pairs(f[:lo], f[lo:hi], streams[i]))
         logger.debug("arrival edges: Poisson path, %d stream states derived, %d generators built",
                      len(streams), len(streams.built))
-        pairs = np.concatenate(pairs)
+        pairs = np.concatenate(pairs, dtype=np.int32)
         return pairs[:np.searchsorted(pairs[:, 1], n)]
     x = features[:n]
     if isinstance(w, StepGraphon):
@@ -480,7 +497,7 @@ def _arrival_edges(w, features: np.ndarray, starts, n: int, streams: Streams) ->
     logger.debug("arrival edges: %d kernel values, %d coins drawn, %d skipped, "
                  "%d stream states derived, %d generators built",
                  evaluated, tape.drawn, tape.skipped, len(streams), len(streams.built))
-    return np.concatenate(pairs)
+    return np.concatenate(pairs, dtype=np.int32)
 
 
 class _CoinTape:
@@ -568,7 +585,7 @@ def _poisson_window_pairs(f_prior: np.ndarray, f_new: np.ndarray, rng: np.random
     u = np.concatenate([u, np.minimum(a, b)[distinct]])
     v = np.concatenate([v, np.maximum(a, b)[distinct]])
     size = p + f_new.size
-    v, u = np.divmod(np.unique(v * size + u), size)
+    v, u = np.divmod(np.unique(v * size + u), size)  # int64 keys: they pass 2^31 past 46,341 vertices
     return np.column_stack((u, v))
 
 

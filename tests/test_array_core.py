@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from digests import graph_digest
 
 from graphonlab import sampling
 from graphonlab.experiments import _sample_inhomogeneous_control, default_config, experiment_names, run_experiment
@@ -504,6 +505,26 @@ class TestConstructionPaths:
                 with pytest.raises(ValueError, match="read-only"):
                     built.edges[0] = [1, 3]
 
+    def test_every_path_stores_int32_rows(self):
+        # rows are the one edge array, 8 bytes an edge; labels, degrees and the label pairs stay int64
+        g = SampledGraph(np.array([9, 3, 12, 5]), np.array([[3, 9], [12, 5], [5, 3]]))
+        consecutive = SampledGraph(np.arange(4, 9), np.array([[8, 4], [5, 6], [4, 5]]))
+        trace = sample_graphon_process(*GRAPHONS["step"], seed=2)
+        given = [g, consecutive, g.induced([3, 5, 9]), g.drop_isolated(), consecutive.induced([4, 5, 8]),
+                 trace_from_json(trace_to_json(trace))]
+        for built in given + list(self.package_graphs()):
+            rows = built.edge_rows()
+            assert rows is built._rows and rows.dtype == np.int32 and rows.shape == (built.num_edges, 2)
+            assert rows.flags.c_contiguous and not rows.flags.writeable
+            for a in (built.labels, built.degree_sequence(), built.edges):
+                assert a.dtype == np.int64 and not a.flags.writeable
+            assert np.array_equal(built.edges, built.labels[rows.astype(np.int64)])
+
+    def test_graphs_hold_fewer_than_2_31_vertices(self):
+        labels = np.broadcast_to(np.int64(1), (1 << 31,))  # the size without the memory
+        with pytest.raises(GraphonError, match="^a graph holds fewer than 2\\^31 vertices, got 2147483648$"):
+            sampling._set_fields(object.__new__(SampledGraph), labels, np.zeros((0, 2), dtype=np.int32), None, None)
+
     def test_package_graphs_run_no_validating_constructor(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a validating constructor ran")
@@ -570,6 +591,63 @@ class TestConstructionPaths:
         trace = sample_graphon_process(*GRAPHONS["step"], seed=1)
         cut = trace_prefix(trace, trace.horizon)
         assert trace == trace and cut != trace and len({trace, cut}) == 2
+
+
+class TestWideKeys:
+    """Edge keys ``v * n + u`` pass 2^31 once n > 46,341.  They are computed in
+    int64, so the int32 rows of a 100,000-vertex graph keep their arrival order."""
+
+    N = 100_000
+
+    @classmethod
+    def wide_graph(cls):
+        """The graph on labels 1..N with unsorted edges, and its edges in arrival order."""
+        rng = np.random.default_rng(11)
+        pairs = np.sort(rng.integers(1, cls.N + 1, size=(4000, 2)), axis=1)
+        pairs = np.unique(np.vstack([pairs[pairs[:, 0] < pairs[:, 1]], [[99_999, 100_000], [1, 100_000]]]), axis=0)
+        arrival = pairs[np.lexsort((pairs[:, 0], pairs[:, 1]))]  # by v, then u: no key is formed
+        given = rng.permutation(pairs)
+        given[::2] = given[::2, ::-1]  # half of them as (v, u)
+        g = SampledGraph(np.arange(1, cls.N + 1), given, np.arange(cls.N, dtype=float), np.zeros((cls.N, 1)))
+        return g, arrival
+
+    def test_constructor_sorts_wide_keys(self):
+        g, arrival = self.wide_graph()
+        assert g.edge_rows().dtype == np.int32
+        assert np.array_equal(g.edges, arrival) and np.array_equal(g.edge_rows(), arrival - 1)
+        assert g.edge_list()[-1] == (99_999, 100_000)
+        # canonical input takes the fast check, which forms the keys too
+        again = SampledGraph(g.labels, arrival)
+        assert np.array_equal(again.edge_rows(), g.edge_rows())
+        assert np.array_equal(g.degree_sequence(), np.bincount(arrival.ravel() - 1, minlength=self.N))
+
+    def test_duplicate_wide_edge_in_both_orders(self):
+        edges = np.array([[5, 70_000], [99_999, 100_000], [100_000, 99_999]])
+        with pytest.raises(GraphonError, match="^duplicate edges are not allowed$"):
+            SampledGraph(np.arange(1, self.N + 1), edges)
+
+    def test_prefix_and_restriction(self):
+        g, arrival = self.wide_graph()
+        for k in (46_341, 46_342, 99_999, 100_000):
+            cut = sampling._prefix(g, k)
+            assert np.array_equal(cut.edges, arrival[arrival[:, 1] <= k]) and cut.edge_rows().dtype == np.int32
+        keep = np.arange(2, self.N + 1, 3).tolist() + [99_999, 100_000]
+        sub = g.induced(keep)
+        inside = np.isin(arrival, keep).all(axis=1)
+        assert np.array_equal(sub.edges, arrival[inside]) and sub.edge_rows().dtype == np.int32
+        assert_same_graph(sub, oracle_induced(g, keep))
+        assert_same_graph(g.drop_isolated(), oracle_drop_isolated(g))
+
+    def test_caron_fox_trace_past_46341_vertices(self):
+        # the rows' digest (as little-endian int64) was taken while rows were stored as int64
+        w = CaronFoxGraphon("shifted_power", 1.0, 2.0, x_max=199.0)
+        trace = sample_graphon_process(w, 250.0, seed=4)
+        assert trace.num_vertices == 49_516 and trace.num_edges == 30_295
+        assert int(trace.edge_rows()[:, 1].max()) > 46_341
+        assert graph_digest([trace], ("_rows", "births")) == (
+            "88c15ace64018afd1085c9920c854ca9be586e9bb77f1dd3437504a3dcc01325")
+        assert graph_digest([trace_prefix(trace, 240.0)], ("_rows",)) == (
+            "aa9fb6b38f10602e5e677ff4a46b0ba5508bfb5955d78e9545d797ee01ba46b2")
 
 
 class TestArrivalOrder:

@@ -871,16 +871,21 @@ class TestDiscretize:
         (CaronFoxGraphon("shifted_power", 1.0, 2.0, x_max=199.0), 512),
         (CaronFoxGraphon("capped_power", 1.5, 1.5, x_max=7.0), 37),
     ], ids=["shifted_512", "capped_37"])
-    def test_blockwise_simpson_equals_dense(self, w, cells, monkeypatch):
+    def test_blockwise_simpson_equals_dense(self, w, cells):
+        # the strips, rows and mirrors, are the one-matrix rule's rows and columns; discretize
+        # built of them equals the full-array oracle of TestStripDiscretize
         from graphonlab import graphon_core
 
         x_max = w.truncation.x_max
         edges = np.linspace(0.0, x_max, cells + 1)
-        assert np.array_equal(graphon_core._simpson_cell_averages(w, edges), dense_simpson_cell_averages(w, edges))
+        strips = [graphon_core._simpson_rows(w, edges, lo, min(lo + graphon_core._STRIP_ROWS, cells))
+                  for lo in range(0, cells, graphon_core._STRIP_ROWS)]
+        dense = dense_simpson_cell_averages(w, edges)
+        assert np.array_equal(np.concatenate([rows for rows, _ in strips]), dense)
+        assert np.array_equal(np.concatenate([mirror for _, mirror in strips]), dense.T)
         step, err = discretize(w, x_max / cells)
-        monkeypatch.setattr(graphon_core, "_simpson_cell_averages", dense_simpson_cell_averages)
-        dense_step, dense_err = discretize(w, x_max / cells)
-        assert np.array_equal(step.values, dense_step.values) and err == dense_err
+        want, want_err = full_array_discretize(w, cells)
+        assert np.array_equal(step.values, want) and err == pytest.approx(want_err, rel=1e-12, abs=0.0)
 
     def test_constant_region(self):
         w = InfiniteBlockGraphon([(0.0, 1.0)], [[0.5]])

@@ -56,13 +56,15 @@ def star_graph(leaves):
 def assert_constructed_alike(g):
     """A family graph, built on its canonical rows without the constructor's checks,
     equals the validating constructor's graph on its labels and edges: the same
-    values, dtypes, shapes, writeable flags and layout in every array."""
+    values, dtypes, shapes, writeable flags and layout in every array: int32
+    rows, int64 labels, degrees and edges."""
     want = SampledGraph(g.labels, g.edges)
     assert np.array_equal(g.edge_rows(), want.edge_rows())
     assert np.array_equal(g.degree_sequence(), want.degree_sequence())
     for name in ("labels", "edges", "_rows", "_degrees"):
         got, expected = getattr(g, name), getattr(want, name)
-        assert got.dtype == expected.dtype == np.int64 and got.shape == expected.shape, name
+        dtype = np.int32 if name == "_rows" else np.int64
+        assert got.dtype == expected.dtype == dtype and got.shape == expected.shape, name
         assert np.array_equal(got, expected), name
         assert got.flags.writeable == expected.flags.writeable, name
         assert got.flags.c_contiguous and expected.flags.c_contiguous, name
@@ -282,6 +284,40 @@ class TestGraphFamilies:
             with pytest.raises(CostLimitError, match="above the 45 edge limit"):
                 build()
 
+    def test_every_family_checks_its_edge_count(self, monkeypatch):
+        monkeypatch.setattr(regularity, "MAX_FAMILY_EDGES", 10)
+        for build, what in ((lambda: cycle_graph(100), "cycle_graph with n=100"),
+                            (lambda: perfect_matching(100), "perfect_matching with 100 pairs"),
+                            (lambda: er_power_graph(100, 1.0, seed=0), "er_power_graph with n=100"),
+                            (lambda: clique_plus_isolated(100, 1.0), "clique_plus_isolated with n=100")):
+            with pytest.raises(CostLimitError, match=f"^{what}.* expects about .* above the 10 edge limit"):
+                build()
+        assert cycle_graph(10).num_edges == perfect_matching(10).num_edges == 10
+
+    def test_every_family_refuses_2_31_vertices(self, monkeypatch):
+        # a graph's rows are int32; the check comes before anything is drawn or allocated, and one
+        # size below it the family goes on to its next check or to building the graph
+        def refuse(*args, **kwargs):
+            raise AssertionError("the graph was built")
+
+        monkeypatch.setattr(regularity, "_graph_on_rows", refuse)
+        monkeypatch.setattr(regularity, "_decode_upper_triangle", refuse)
+        cases = [(er_power_graph, (-3.0, 0), 1 << 31, "vertex count", AssertionError),
+                 (clique_plus_isolated, (-0.5,), 1 << 31, "vertex count", AssertionError),
+                 (cycle_graph, (), 1 << 31, "vertex count", CostLimitError),
+                 (perfect_matching, (), 1 << 30, "pair count", CostLimitError)]
+        for build, rest, limit, what, below in cases:
+            tracemalloc.start()
+            try:
+                with pytest.raises(GraphonError, match=f"^{what} must be below 2\\^{limit.bit_length() - 1}$"):
+                    build(limit, *rest)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 16, build.__name__
+            with pytest.raises(below):
+                build(limit - 1, *rest)
+
     def test_er_memory_is_the_constructors(self):
         # the picks and linear indices are freed before the graph is built, so the call costs no more
         # than constructing the graph from its edges
@@ -309,11 +345,12 @@ class TestGraphFamilies:
             tracemalloc.stop()
         assert peak <= 1.1 * sum(a.nbytes for a in (g.labels, g.edges, g._rows, g._degrees))
 
-    def test_er_holds_one_edge_array_and_peaks_at_three_words_an_edge(self):
-        # the graph holds its rows, labels and degrees: 16 bytes an edge and 16 a vertex.  The decode
-        # uses up the gap buffer, so the call peaks near three words an edge, while the rows are filled
-        # (24.9 bytes an edge; 33.2 when edges and rows were both stored and the buffer outlived the
-        # decode).  The first call also loads numpy.random for the stream, which is not the graph's memory.
+    def test_er_holds_one_edge_array_and_peaks_at_two_words_an_edge(self):
+        # the graph holds its int32 rows and its int64 labels and degrees: 8 bytes an edge and 16 a
+        # vertex.  The decode uses up the gap buffer and the degrees are counted in slices, so the call
+        # peaks near two words an edge, while the rows are filled (24.9 bytes an edge with int64 rows;
+        # 33.2 when edges and rows were both stored and the buffer outlived the decode).  The first call
+        # also loads numpy.random for the stream, which is not the graph's memory.
         er_power_graph(50, 0.5, seed=0)
         tracemalloc.start()
         try:
@@ -322,8 +359,8 @@ class TestGraphFamilies:
         finally:
             tracemalloc.stop()
         assert sum(a.nbytes for a in vars(g).values() if isinstance(a, np.ndarray)) == \
-            16 * g.num_edges + 16 * g.num_vertices
-        assert peak < 28 * g.num_edges
+            8 * g.num_edges + 16 * g.num_vertices
+        assert peak < 18 * g.num_edges
 
     @pytest.mark.parametrize("build, sizes", [
         (lambda n: er_power_graph(n, 0.5, seed=3), (0, 1, 2, 3, 40, 3400)),  # 3400: about 10^5 edges
@@ -347,8 +384,8 @@ class TestGraphFamilies:
         (lambda: clique_plus_isolated(3.5, 0.5), "^vertex count must be an integer, got 3.5$"),
         (lambda: er_power_graph(3.5, 0.5, seed=0), "^vertex count must be an integer, got 3.5$"),
         (lambda: er_power_graph(np.float64(4.0), 0.5, seed=0), "^vertex count must be an integer"),
-        (lambda: er_power_graph(10 ** 400, 0.5, seed=0), "^vertex count must be below 2\\^63$"),
-        (lambda: clique_plus_isolated(1 << 63, 0.5), "^vertex count must be below 2\\^63$"),
+        (lambda: er_power_graph(10 ** 400, 0.5, seed=0), "^vertex count must be below 2\\^31$"),
+        (lambda: clique_plus_isolated(1 << 63, 0.5), "^vertex count must be below 2\\^31$"),
         (lambda: er_power_graph(1, math.inf, seed=0), "^alpha must be a finite number, got inf$"),
         (lambda: er_power_graph(10, math.nan, seed=0), "^alpha must be a finite number, got nan$"),
         (lambda: er_power_graph(10, "x", seed=0), "^alpha must be a finite number, got 'x'$"),
